@@ -70,8 +70,8 @@ def _add_common(p):
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CAUSALKIT_THREADS or all "
-                        "cores); 1 guarantees byte-stable output")
+                   help="worker threads (default: CAUSALKIT_THREADS or 1); "
+                        "1 guarantees byte-stable output")
     p.add_argument("--scheme", choices=("halton", "grid"), default="halton",
                    help="sampling scheme (default %(default)s)")
 

@@ -6,8 +6,9 @@ every pair of future-directed null k, l.  Both conditions are decided
 in an orthonormal frame where future null vectors are k = e0 + n, n a
 unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
-form, so only the outer unit sphere is searched: a deterministic grid
-whose best few points seed a safeguarded Newton polish on the sphere.
+form, so only the outer unit sphere is searched: a deterministic grid,
+scanned a fixed-size chunk of tensors at a time to bound memory, whose
+best few points seed a safeguarded Newton polish on the sphere.
 The single-sphere quadratic of the flow null-cone check is polished by
 projected gradient descent instead.
 
@@ -30,6 +31,7 @@ TOL_DP = 1e-9
 NEWTON_STEPS = 40  # Newton iteration cap per grid start in dp2_margins
 POLISH_STEPS = 50  # projected-gradient step cap in null_quadratic_margins
 _POLISH_STARTS = 4
+_SCAN_CHUNK = 64  # rows per grid-scan chunk in dp2_margins
 
 
 class DPStatus(enum.Enum):
@@ -127,15 +129,11 @@ def dp2_margins(That, steps=NEWTON_STEPS, starts=_POLISH_STARTS):
     M = That[:, 1:, 1:]
 
     grid = sphere_directions(d)
-    W = np.einsum("gd,nde->nge", grid, M) + a[:, None, :]
-    vals = c[:, None] + a @ grid.T - np.linalg.norm(W, axis=2)
-
     k = min(starts, grid.shape[0])
-    start_idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
-    best_idx = np.take_along_axis(
-        start_idx, np.argmin(np.take_along_axis(vals, start_idx, 1), axis=1)[:, None], 1
-    )[:, 0]
-    margins = vals[np.arange(N), best_idx]
+    start_idx, start_vals = _pair_grid_scan(grid, c, a, M, k)
+    jbest = np.argmin(start_vals, axis=1)
+    best_idx = start_idx[np.arange(N), jbest]
+    margins = start_vals[np.arange(N), jbest]
     nhat = grid[best_idx].copy()
 
     if d >= 2 and steps > 0:
@@ -157,6 +155,33 @@ def dp2_margins(That, steps=NEWTON_STEPS, starts=_POLISH_STARTS):
     nwv = np.linalg.norm(wvec, axis=1)
     mhat = np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
     return margins, nhat, mhat
+
+
+def _pair_grid_scan(grid, c, a, M, k):
+    """Indices and values of the k lowest grid points per row of the pair objective.
+
+    Rows go _SCAN_CHUNK at a time, so no (N, G) array is built.  W and |W|^2
+    are summed over d in index order without FMA, so the values, and the ties
+    argpartition breaks, equal the einsum "gd,nde->nge" + np.linalg.norm scan
+    bit for bit (np.matmul for W would not).
+    """
+    gT = np.ascontiguousarray(grid.T)
+    start_idx = np.empty((len(c), k), dtype=np.intp)
+    start_vals = np.empty((len(c), k))
+    for lo in range(0, len(c), _SCAN_CHUNK):
+        sl = slice(lo, lo + _SCAN_CHUNK)
+        W = M[sl, 0, :, None] * gT[0]
+        for j in range(1, len(gT)):
+            W += M[sl, j, :, None] * gT[j]
+        W += a[sl, :, None]
+        sq = W[:, 0] * W[:, 0]
+        for j in range(1, len(gT)):
+            sq += W[:, j] * W[:, j]
+        vals = c[sl, None] + a[sl] @ gT - np.sqrt(sq)
+        idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
+        start_idx[sl] = idx
+        start_vals[sl] = np.take_along_axis(vals, idx, 1)
+    return start_idx, start_vals
 
 
 def _pair_min_rows(nvec, cc, aa, MM):

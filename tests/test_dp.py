@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import causalkit.dp as dp
 from causalkit.dp import (
     DPStatus,
     conformal_factor,
@@ -177,6 +180,69 @@ class TestDP2:
         for i in range(10):
             mi, ni, li = dp2_margins(That[i][None])
             assert margins[i] == pytest.approx(float(mi[0]), abs=1e-12)
+
+
+def _whole_batch_scan(grid, c, a, M, k):
+    """The grid scan as one (N, G, d) einsum, the reference for the chunked scan."""
+    W = np.einsum("gd,nde->nge", grid, M) + a[:, None, :]
+    vals = c[:, None] + a @ grid.T - np.linalg.norm(W, axis=2)
+    start_idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
+    return start_idx, np.take_along_axis(vals, start_idx, 1)
+
+
+def _scan_tensors(kind, n, N, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "symmetric":
+        A = rng.normal(size=(N, n, n))
+        return 0.5 * (A + np.transpose(A, (0, 2, 1)))
+    if kind == "causal_squares":
+        eta = np.diag([1.0] + [-1.0] * (n - 1))
+        T = np.zeros((N, n, n))
+        for _ in range(3):
+            s = rng.normal(size=(N, n - 1))
+            u = np.concatenate([np.linalg.norm(s, axis=1, keepdims=True)
+                                + rng.uniform(0.0, 1.0, (N, 1)), s], axis=1) @ eta
+            T += rng.uniform(0.1, 2.0, (N, 1, 1)) * u[:, :, None] * u[:, None, :]
+        return T
+    # de Sitter diag(b^2, -s, ..., -s): the pair objective is constant on
+    # the sphere, so only tie-breaking picks nhat
+    b = rng.choice([0.95, 1.0, 1.5], size=N)
+    s = rng.uniform(0.5, 2.0, N)
+    T = np.zeros((N, n, n))
+    T[:, 0, 0] = b * b
+    for i in range(1, n):
+        T[:, i, i] = -s
+    return T
+
+
+class TestPairGridScan:
+    """The chunked grid scan is bit-identical to the whole-batch einsum scan."""
+
+    @pytest.mark.parametrize("N", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3), ("symmetric", 4),
+                                        ("causal_squares", 4), ("de_sitter", 4)])
+    def test_matches_whole_batch_scan(self, monkeypatch, kind, n, N):
+        That = _scan_tensors(kind, n, N, seed=1000 * n + N)
+        for steps in (0, dp.NEWTON_STEPS):
+            got = dp2_margins(That, steps=steps)
+            with monkeypatch.context() as m:
+                m.setattr(dp, "_pair_grid_scan", _whole_batch_scan)
+                want = dp2_margins(That, steps=steps)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_memory_bounded(self):
+        # a single whole-batch (N, 642) float array at this N is 84 MB
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(16384, 4, 4))
+        That = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+        tracemalloc.start()
+        try:
+            dp2_margins(That, steps=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestPairMinOracle:
