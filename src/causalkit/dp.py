@@ -8,9 +8,8 @@ unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
 form, so only the outer unit sphere is searched: a deterministic grid,
 scanned a fixed-size chunk of tensors at a time to bound memory, whose
-best few points seed a safeguarded Newton polish on the sphere.
-The single-sphere quadratic of the flow null-cone check is polished by
-projected gradient descent instead.
+best few points seed a safeguarded Newton polish on the sphere.  The same
+kernel minimizes the quadratic of the flow null-cone check.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
@@ -28,10 +27,9 @@ import numpy as np
 from .lorentz import CausalClass, classify, orthonormal_frame
 
 TOL_DP = 1e-9
-NEWTON_STEPS = 40  # Newton iteration cap per grid start in dp2_margins
-POLISH_STEPS = 50  # projected-gradient step cap in null_quadratic_margins
+NEWTON_STEPS = 40  # Newton iteration cap per grid start
 _POLISH_STARTS = 4
-_SCAN_CHUNK = 64  # rows per grid-scan chunk in dp2_margins
+_SCAN_CHUNK = 64  # rows per grid-scan chunk
 
 
 class DPStatus(enum.Enum):
@@ -106,139 +104,82 @@ def sphere_directions(d):
 
 
 # ---------------------------------------------------------------------------
-# batched tensor margin over null pairs
+# sphere minimization kernel: an objective is (scan, value, grad, hess) on
+# rows (c, a, M) = (T00, T0i, Tij); scan(gT, ...) values on grid columns,
+# value(n, ...) -> (f, w = Mn + a), grad(n, w, ...) -> (g, aux),
+# hess(U, aux, ...) -> U^T H U for the Euclidean gradient g and Hessian H
 
 
-def _spectral_norm_sym(M):
-    return np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
-
-
-def dp2_margins(That, steps=NEWTON_STEPS, starts=_POLISH_STARTS):
-    """min over future null pairs of T(k, l) for stacked frame tensors.
-
-    That has shape (N, n, n); returns (margins, nhat, mhat) where the
-    witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
-    The `starts` best grid directions per tensor are Newton-polished for
-    at most `steps` iterations; steps=0 returns the grid minimum alone.
-    """
-    That = np.asarray(That, dtype=float)
-    N, n = That.shape[0], That.shape[-1]
-    d = n - 1
-    c = That[:, 0, 0]
-    a = That[:, 0, 1:]
-    M = That[:, 1:, 1:]
-
+def _sphere_min(obj, data, steps, starts):
+    """Minimum of `obj` over unit n per row: the grid minimum, improved by
+    the Newton polish of the `starts` lowest grid points per row."""
+    N, d = data[1].shape
     grid = sphere_directions(d)
     k = min(starts, grid.shape[0])
-    start_idx, start_vals = _pair_grid_scan(grid, c, a, M, k)
+    start_idx, start_vals = _grid_scan(obj[0], grid, data, k)
     jbest = np.argmin(start_vals, axis=1)
-    best_idx = start_idx[np.arange(N), jbest]
     margins = start_vals[np.arange(N), jbest]
-    nhat = grid[best_idx].copy()
-
+    nhat = grid[start_idx[np.arange(N), jbest]]
     if d >= 2 and steps > 0:
-        # polish the k best grid starts per tensor with safeguarded Newton
-        rows = np.repeat(np.arange(N), k)
-        nn = grid[start_idx.ravel()].copy()
-        cc, aa, MM = c[rows], a[rows], M[rows]
-        f, w = _pair_min_rows(nn, cc, aa, MM)
-        nn, f = _newton_polish_rows(nn, f, w, cc, aa, MM, steps)
-
-        f2 = f.reshape(N, k)
-        n2 = nn.reshape(N, k, d)
-        jbest = np.argmin(f2, axis=1)
-        better = f2[np.arange(N), jbest] < margins
-        margins = np.where(better, f2[np.arange(N), jbest], margins)
-        nhat[better] = n2[np.arange(N), jbest][better]
-
-    wvec = np.einsum("nde,ne->nd", M, nhat) + a
-    nwv = np.linalg.norm(wvec, axis=1)
-    mhat = np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
-    return margins, nhat, mhat
+        rows = tuple(np.repeat(x, k, axis=0) for x in data)
+        nn, f = _newton_polish(obj, rows, grid[start_idx.ravel()], steps)
+        best = np.arange(N) * k + np.argmin(f.reshape(N, k), axis=1)
+        better = f[best] < margins
+        margins = np.where(better, f[best], margins)
+        nhat[better] = nn[best][better]
+    return margins, nhat
 
 
-def _pair_grid_scan(grid, c, a, M, k):
-    """Indices and values of the k lowest grid points per row of the pair objective.
-
-    Rows go _SCAN_CHUNK at a time, so no (N, G) array is built.  W and |W|^2
-    are summed over d in index order without FMA, so the values, and the ties
-    argpartition breaks, equal the einsum "gd,nde->nge" + np.linalg.norm scan
-    bit for bit (np.matmul for W would not).
-    """
+def _grid_scan(scan, grid, data, k):
+    """Indices and values of the k lowest grid points per row, scanned
+    _SCAN_CHUNK rows at a time so no (N, G) array is built."""
     gT = np.ascontiguousarray(grid.T)
-    start_idx = np.empty((len(c), k), dtype=np.intp)
-    start_vals = np.empty((len(c), k))
-    for lo in range(0, len(c), _SCAN_CHUNK):
+    start_idx = np.empty((len(data[0]), k), dtype=np.intp)
+    start_vals = np.empty((len(data[0]), k))
+    for lo in range(0, len(data[0]), _SCAN_CHUNK):
         sl = slice(lo, lo + _SCAN_CHUNK)
-        W = M[sl, 0, :, None] * gT[0]
-        for j in range(1, len(gT)):
-            W += M[sl, j, :, None] * gT[j]
-        W += a[sl, :, None]
-        sq = W[:, 0] * W[:, 0]
-        for j in range(1, len(gT)):
-            sq += W[:, j] * W[:, j]
-        vals = c[sl, None] + a[sl] @ gT - np.sqrt(sq)
+        vals = scan(gT, *(x[sl] for x in data))
         idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
         start_idx[sl] = idx
         start_vals[sl] = np.take_along_axis(vals, idx, 1)
     return start_idx, start_vals
 
 
-def _pair_min_rows(nvec, cc, aa, MM):
-    w = np.einsum("rde,re->rd", MM, nvec) + aa
-    return cc + np.einsum("rd,rd->r", aa, nvec) - np.linalg.norm(w, axis=1), w
-
-
-def _newton_polish_rows(nn, f, w, cc, aa, MM, iters):
-    """Drive grid-start rows to the exact sphere minimum.
-
-    The reduced objective is smooth away from w = 0 with Hessian
-    -M (I - what what^T) M / |w|, so a safeguarded Newton step on the
-    sphere converges quadratically where plain descent creeps (the hard
-    tensors put the minimum close to the w = 0 kink, where the curvature
-    scales like 1/|w| and fixed-step descent stalls).
-    """
+def _newton_polish(obj, data, nn, iters):
+    """Newton on the sphere (tangent Hessian U^T H U - (g.n) I, a scaled gradient
+    step where that is indefinite), halved up to 8 times until f decreases."""
+    _, value, grad, hess = obj
     r, d = nn.shape
     eye = np.eye(min(d - 1, 2))
+    f, w = value(nn, *data)
     for _ in range(iters):
-        nw = np.maximum(np.linalg.norm(w, axis=1), 1e-300)
-        what = w / nw[:, None]
-        g = aa - np.einsum("rde,re->rd", MM, what)
-        gt = g - np.einsum("rd,rd->r", g, nn)[:, None] * nn
-        gn = np.linalg.norm(gt, axis=1)
-        act = gn > 1e-13 * (1.0 + np.abs(f))
+        g, aux = grad(nn, w, *data)
+        gdn = np.einsum("rd,rd->r", g, nn)
+        gt = g - gdn[:, None] * nn
+        act = np.linalg.norm(gt, axis=1) > 1e-13 * (1.0 + np.abs(f))
         if not np.any(act):
             break
         if d == 2:
             U = np.stack([-nn[:, 1], nn[:, 0]], axis=1)[:, :, None]
         else:
-            e = np.zeros_like(nn)
-            e[np.arange(r), np.argmin(np.abs(nn), axis=1)] = 1.0
+            e = np.eye(d)[np.argmin(np.abs(nn), axis=1)]
             u = e - np.einsum("rd,rd->r", e, nn)[:, None] * nn
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             U = np.stack([u, np.cross(nn, u)], axis=2)
-        MU = np.einsum("rde,rek->rdk", MM, U)
-        PU = MU - what[:, :, None] * np.einsum("rd,rdk->rk", what, MU)[:, None, :]
-        Ht = -np.einsum("rdk,rdl->rkl", MU, PU) / nw[:, None, None]
-        Ht -= np.einsum("rd,rd->r", g, nn)[:, None, None] * eye
+        Ht = hess(U, aux, *data)
+        Ht -= gdn[:, None, None] * eye
         gtan = np.einsum("rdk,rd->rk", U, gt)
         if d == 2:
             h = Ht[:, 0, 0]
-            pd = h > 1e-300
-            delta = -gtan / np.where(pd, h, np.abs(h) + 1.0)[:, None]
+            delta = -gtan / np.where(h > 1e-300, h, np.abs(h) + 1.0)[:, None]
         else:
             det = Ht[:, 0, 0] * Ht[:, 1, 1] - Ht[:, 0, 1] * Ht[:, 1, 0]
             pd = (det > 0) & (Ht[:, 0, 0] + Ht[:, 1, 1] > 0)
             dsafe = np.where(pd, det, 1.0)
-            inv = np.empty_like(Ht)
-            inv[:, 0, 0] = Ht[:, 1, 1] / dsafe
-            inv[:, 1, 1] = Ht[:, 0, 0] / dsafe
-            inv[:, 0, 1] = -Ht[:, 0, 1] / dsafe
-            inv[:, 1, 0] = -Ht[:, 1, 0] / dsafe
+            inv = np.stack([Ht[:, 1, 1], -Ht[:, 0, 1], -Ht[:, 1, 0], Ht[:, 0, 0]],
+                           axis=1).reshape(-1, 2, 2) / dsafe[:, None, None]
             scale = 1.0 + np.abs(Ht).max(axis=(1, 2))
-            delta = np.where(pd[:, None],
-                             -np.einsum("rkl,rl->rk", inv, gtan),
-                             -gtan / scale[:, None])
+            delta = np.where(pd[:, None], -np.einsum("rkl,rl->rk", inv, gtan), -gtan / scale[:, None])
         moved = np.zeros(r, dtype=bool)
         t = 1.0
         for _ in range(8):
@@ -247,7 +188,7 @@ def _newton_polish_rows(nn, f, w, cc, aa, MM, iters):
                 break
             cand = nn[todo] + t * np.einsum("rdk,rk->rd", U[todo], delta[todo])
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc, wc = _pair_min_rows(cand, cc[todo], aa[todo], MM[todo])
+            fc, wc = value(cand, *(x[todo] for x in data))
             ok = fc < f[todo]
             iok = np.flatnonzero(todo)[ok]
             nn[iok] = cand[ok]
@@ -258,6 +199,64 @@ def _newton_polish_rows(nn, f, w, cc, aa, MM, iters):
         if not np.any(moved):
             break
     return nn, f
+
+
+# ---------------------------------------------------------------------------
+# batched tensor margin over null pairs: min over the second slot
+# e0 + m of T(e0 + n, e0 + m) is c + a.n - |Mn + a|
+
+
+def _pair_scan(gT, c, a, M):
+    # W and |W|^2 summed over d in index order without FMA equal the einsum
+    # "gd,nde->nge" + np.linalg.norm scan bit for bit (np.matmul would not)
+    W = M[:, 0, :, None] * gT[0]
+    for j in range(1, len(gT)):
+        W += M[:, j, :, None] * gT[j]
+    W += a[:, :, None]
+    sq = W[:, 0] * W[:, 0]
+    for j in range(1, len(gT)):
+        sq += W[:, j] * W[:, j]
+    return c[:, None] + a @ gT - np.sqrt(sq)
+
+
+def _pair_value(n, c, a, M):
+    w = np.einsum("rde,re->rd", M, n) + a
+    return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
+
+
+def _pair_grad(n, w, c, a, M):
+    nw = np.maximum(np.linalg.norm(w, axis=1), 1e-300)
+    what = w / nw[:, None]
+    return a - np.einsum("rde,re->rd", M, what), (what, nw)
+
+
+def _pair_hess(U, aux, c, a, M):
+    # -(MU)^T (I - what what^T) MU / |w|, steep near the w = 0 kink
+    what, nw = aux
+    MU = np.einsum("rde,rek->rdk", M, U)
+    PU = MU - what[:, :, None] * np.einsum("rd,rdk->rk", what, MU)[:, None, :]
+    return -np.einsum("rdk,rdl->rkl", MU, PU) / nw[:, None, None]
+
+
+_PAIR = (_pair_scan, _pair_value, _pair_grad, _pair_hess)
+
+
+def dp2_margins(That, steps=NEWTON_STEPS):
+    """min over future null pairs of T(k, l) for stacked frame tensors.
+
+    That has shape (N, n, n); returns (margins, nhat, mhat) where the
+    witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
+    The best grid directions per tensor are Newton-polished for at most
+    `steps` iterations; steps=0 returns the grid minimum alone.
+    """
+    That = np.asarray(That, dtype=float)
+    a = That[:, 0, 1:]
+    M = That[:, 1:, 1:]
+    margins, nhat = _sphere_min(_PAIR, (That[:, 0, 0], a, M), steps, _POLISH_STARTS)
+    wvec = np.einsum("nde,ne->nd", M, nhat) + a
+    nwv = np.linalg.norm(wvec, axis=1)
+    mhat = np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
+    return margins, nhat, mhat
 
 
 def _check_sym(T, n):
@@ -318,53 +317,34 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
 # single-sphere quadratic minimum (used by the flow null-cone check)
 
 
-def null_quadratic_margins(Lhat, steps=POLISH_STEPS):
-    """min over future null k = e0 + n of L(k, k) for stacked frame tensors."""
+def _quad_value(n, c, a, M):
+    w = np.einsum("rde,re->rd", M, n) + a
+    return c + np.einsum("rd,rd->r", a + w, n), w
+
+
+_QUAD = (lambda gT, c, a, M: (c[:, None] + a @ gT
+                              + np.einsum("rdg,dg->rg", M @ gT + a[:, :, None], gT)),
+         _quad_value,
+         lambda n, w, c, a, M: (2.0 * w, None),
+         lambda U, aux, c, a, M: 2.0 * np.einsum("rdk,rde,rel->rkl", U, M, U))
+
+
+def null_quadratic_margins(Lhat):
+    """min over future null k = e0 + n of L(k, k) = c + 2a.n + n.Mn for
+    stacked frame tensors.  One Newton start per row; a row is at the
+    global minimum exactly when M - mu I >= 0 with mu = n.(Mn + a)
+    (More-Sorensen), and rows failing that are polished from more starts."""
     Lhat = np.asarray(Lhat, dtype=float)
-    N, n = Lhat.shape[0], Lhat.shape[-1]
-    d = n - 1
-    c = Lhat[:, 0, 0]
-    a = Lhat[:, 0, 1:]
-    M = Lhat[:, 1:, 1:]
-
-    grid = sphere_directions(d)
-    quad = np.einsum("gd,nde,ge->ng", grid, M, grid)
-    vals = c[:, None] + 2.0 * (a @ grid.T) + quad
-    best = np.argmin(vals, axis=1)
-    margins = vals[np.arange(N), best]
-    nhat = grid[best].copy()
-
-    if d >= 2 and steps > 0:
-        eta0 = 0.5 / (1.0 + _spectral_norm_sym(M))
-        f = margins.copy()
-        nn = nhat.copy()
-        for _ in range(steps):
-            grad = 2.0 * (a + np.einsum("nde,ne->nd", M, nn))
-            gt = grad - np.einsum("nd,nd->n", grad, nn)[:, None] * nn
-            gn = np.linalg.norm(gt, axis=1)
-            active = gn > 1e-14 * (1.0 + np.abs(f))
-            if not np.any(active):
-                break
-            step = eta0.copy()
-            pending = active.copy()
-            for _ in range(30):
-                if not np.any(pending):
-                    break
-                cand = nn[pending] - step[pending, None] * gt[pending]
-                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                fc = (c[pending] + 2.0 * np.einsum("rd,rd->r", a[pending], cand)
-                      + np.einsum("rd,rde,re->r", cand, M[pending], cand))
-                ok = fc < f[pending] - 1e-4 * step[pending] * gn[pending] ** 2
-                iok = np.flatnonzero(pending)[ok]
-                nn[iok] = cand[ok]
-                f[iok] = fc[ok]
-                rest = np.flatnonzero(pending)[~ok]
-                pending[:] = False
-                pending[rest] = True
-                step[rest] *= 0.5
-        upd = f < margins
-        margins = np.where(upd, f, margins)
-        nhat[upd] = nn[upd]
+    data = (Lhat[:, 0, 0], Lhat[:, 0, 1:], Lhat[:, 1:, 1:])
+    margins, nhat = _sphere_min(_QUAD, data, NEWTON_STEPS, 1)
+    if nhat.shape[1] >= 2:
+        mu = np.einsum("nd,nd->n", nhat, _quad_value(nhat, *data)[1])
+        lam = np.linalg.eigvalsh(data[2])[:, 0] - mu
+        bad = np.flatnonzero(lam < -1e-6 * np.maximum(1.0, np.abs(Lhat).max(axis=(1, 2))))
+        if len(bad):
+            mb, nb = _sphere_min(_QUAD, tuple(x[bad] for x in data), NEWTON_STEPS, _POLISH_STARTS)
+            lower = mb < margins[bad]
+            margins[bad[lower]], nhat[bad[lower]] = mb[lower], nb[lower]
     return margins, nhat
 
 

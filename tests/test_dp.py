@@ -182,8 +182,9 @@ class TestDP2:
             assert margins[i] == pytest.approx(float(mi[0]), abs=1e-12)
 
 
-def _whole_batch_scan(grid, c, a, M, k):
-    """The grid scan as one (N, G, d) einsum, the reference for the chunked scan."""
+def _whole_batch_scan(scan, grid, data, k):
+    """The pair grid scan as one (N, G, d) einsum, the reference for the chunked scan."""
+    c, a, M = data
     W = np.einsum("gd,nde->nge", grid, M) + a[:, None, :]
     vals = c[:, None] + a @ grid.T - np.linalg.norm(W, axis=2)
     start_idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
@@ -226,19 +227,21 @@ class TestPairGridScan:
         for steps in (0, dp.NEWTON_STEPS):
             got = dp2_margins(That, steps=steps)
             with monkeypatch.context() as m:
-                m.setattr(dp, "_pair_grid_scan", _whole_batch_scan)
+                m.setattr(dp, "_grid_scan", _whole_batch_scan)
                 want = dp2_margins(That, steps=steps)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
-    def test_memory_bounded(self):
+    @pytest.mark.parametrize("search", [lambda T: dp2_margins(T, steps=0), null_quadratic_margins],
+                             ids=["dp2_margins", "null_quadratic_margins"])
+    def test_memory_bounded(self, search):
         # a single whole-batch (N, 642) float array at this N is 84 MB
         rng = np.random.default_rng(5)
         A = rng.normal(size=(16384, 4, 4))
         That = 0.5 * (A + np.transpose(A, (0, 2, 1)))
         tracemalloc.start()
         try:
-            dp2_margins(That, steps=0)
+            search(That)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,3 +404,24 @@ class TestNullQuadratic:
         m, nhat = null_quadratic_margins(L)
         assert m.shape == (6,)
         assert nhat.shape == (6, 3)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_global_optimality(self, n):
+        # n minimizes c + 2a.n + n.Mn on the unit sphere exactly when
+        # (M - mu I) n = -a and M - mu I is positive semidefinite, with
+        # mu = n.(Mn + a) (More-Sorensen)
+        rng = np.random.default_rng(40 + n)
+        A = rng.normal(size=(2048, n, n))
+        L = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+        m, nhat = null_quadratic_margins(L)
+        c, a, M = L[:, 0, 0], L[:, 0, 1:], L[:, 1:, 1:]
+        scale = np.maximum(1.0, np.abs(L).max(axis=(1, 2)))
+        assert np.allclose(np.linalg.norm(nhat, axis=1), 1.0, atol=1e-12)
+        Mn = np.einsum("nde,ne->nd", M, nhat)
+        mu = np.einsum("nd,nd->n", nhat, Mn + a)
+        residual = Mn - mu[:, None] * nhat + a
+        assert np.all(np.linalg.norm(residual, axis=1) <= 1e-6 * scale)
+        lam_min = np.linalg.eigvalsh(M - mu[:, None, None] * np.eye(n - 1))[:, 0]
+        assert np.all(lam_min >= -1e-6 * scale)
+        f = c + 2.0 * np.einsum("nd,nd->n", a, nhat) + np.einsum("nd,nd->n", nhat, Mn)
+        assert np.all(np.abs(m - f) <= 1e-12 * scale)
