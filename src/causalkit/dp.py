@@ -147,25 +147,31 @@ def _grid_scan(scan, grid, data, k):
 
 def _newton_polish(obj, data, nn, iters):
     """Newton on the sphere (tangent Hessian U^T H U - (g.n) I, a scaled gradient
-    step where that is indefinite), halved up to 8 times until f decreases."""
+    step where that is indefinite), halved up to 8 times until f decreases.
+
+    Only rows that moved in the last iteration are carried into the next:
+    a converged or unmoved row would repeat the same arithmetic on the same
+    state, so dropping it changes no result."""
     _, value, grad, hess = obj
     r, d = nn.shape
     eye = np.eye(min(d - 1, 2))
     f, w = value(nn, *data)
+    live = np.arange(r)
+    x, fl = nn, f
     for _ in range(iters):
-        g, aux = grad(nn, w, *data)
-        gdn = np.einsum("rd,rd->r", g, nn)
-        gt = g - gdn[:, None] * nn
-        act = np.linalg.norm(gt, axis=1) > 1e-13 * (1.0 + np.abs(f))
+        g, aux = grad(x, w, *data)
+        gdn = np.einsum("rd,rd->r", g, x)
+        gt = g - gdn[:, None] * x
+        act = np.linalg.norm(gt, axis=1) > 1e-13 * (1.0 + np.abs(fl))
         if not np.any(act):
             break
         if d == 2:
-            U = np.stack([-nn[:, 1], nn[:, 0]], axis=1)[:, :, None]
+            U = np.stack([-x[:, 1], x[:, 0]], axis=1)[:, :, None]
         else:
-            e = np.eye(d)[np.argmin(np.abs(nn), axis=1)]
-            u = e - np.einsum("rd,rd->r", e, nn)[:, None] * nn
+            e = np.eye(d)[np.argmin(np.abs(x), axis=1)]
+            u = e - np.einsum("rd,rd->r", e, x)[:, None] * x
             u /= np.linalg.norm(u, axis=1, keepdims=True)
-            U = np.stack([u, np.cross(nn, u)], axis=2)
+            U = np.stack([u, np.cross(x, u)], axis=2)
         Ht = hess(U, aux, *data)
         Ht -= gdn[:, None, None] * eye
         gtan = np.einsum("rdk,rd->rk", U, gt)
@@ -180,24 +186,33 @@ def _newton_polish(obj, data, nn, iters):
                            axis=1).reshape(-1, 2, 2) / dsafe[:, None, None]
             scale = 1.0 + np.abs(Ht).max(axis=(1, 2))
             delta = np.where(pd[:, None], -np.einsum("rkl,rl->rk", inv, gtan), -gtan / scale[:, None])
-        moved = np.zeros(r, dtype=bool)
+        moved = np.zeros(len(x), dtype=bool)
         t = 1.0
         for _ in range(8):
             todo = act & ~moved
             if not np.any(todo):
                 break
-            cand = nn[todo] + t * np.einsum("rdk,rk->rd", U[todo], delta[todo])
+            cand = x[todo] + t * np.einsum("rdk,rk->rd", U[todo], delta[todo])
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc, wc = value(cand, *(x[todo] for x in data))
-            ok = fc < f[todo]
+            fc, wc = value(cand, *(y[todo] for y in data))
+            ok = fc < fl[todo]
             iok = np.flatnonzero(todo)[ok]
-            nn[iok] = cand[ok]
-            f[iok] = fc[ok]
+            x[iok] = cand[ok]
+            fl[iok] = fc[ok]
             w[iok] = wc[ok]
             moved[iok] = True
             t *= 0.5
-        if not np.any(moved):
+        nn[live] = x
+        f[live] = fl
+        if np.count_nonzero(moved) == 1 and len(moved) > 1:
+            # a finished row rides along with a lone live one (and stays put):
+            # einsum rounds the 2-D quadratic Hessian of a one-row batch
+            # differently
+            moved[np.argmin(moved)] = True
+        live, x, fl, w = live[moved], x[moved], fl[moved], w[moved]
+        if not len(live):
             break
+        data = tuple(y[moved] for y in data)
     return nn, f
 
 

@@ -267,7 +267,7 @@ def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
     fut = st.orientation_at(pts)
     E = frames(G, fut)
     L = lie_derivative_metric(st, xi, pts)
-    Lhat = np.einsum("nki,nkl,nlj->nij", E, L, E)
+    Lhat = np.swapaxes(E, -1, -2) @ L @ E
     margins, nhat = null_quadratic_margins(Lhat)
     scale = np.maximum(1.0, np.abs(Lhat).max(axis=(1, 2)))
     ok = margins >= -tol * scale
@@ -275,7 +275,7 @@ def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
     witnesses = ()
     if not np.all(ok):
         order = np.argsort(margins, kind="stable")
-        bad = [int(i) for i in order if not ok[i]][:16]
+        bad = order[~ok[order]][:16]
         ones = np.ones((len(bad), 1))
         ks = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, nhat[bad]], axis=1))
         witnesses = tuple(

@@ -6,7 +6,8 @@ A declared future-pointing causal vector fixes the time orientation at
 each point; every classification here is relative to that choice.
 
 Frame construction and classification accept stacked inputs (leading
-batch axis) so region-sized workloads avoid per-point Python overhead.
+batch axis) and treat every point with the same array operations, so
+region-sized workloads avoid per-point Python overhead.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class CausalClass(enum.Enum):
     @property
     def is_causal(self):
         return self not in (CausalClass.SPACELIKE, CausalClass.ZERO)
+
+
+_CLASSES = np.array(list(CausalClass), dtype=object)
+_CODE = {c: i for i, c in enumerate(CausalClass)}
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ def frames(G, future, tol=FRAME_TOL):
     # project g-orthogonally to e0, then diagonalize the negative metric
     Ge0 = np.einsum("bij,bj->bi", G, e0)
     P = np.eye(n)[None] - e0[:, :, None] * Ge0[:, None, :]
-    H = -np.einsum("bki,bkl,blj->bij", P, G, P)
+    H = -(np.swapaxes(P, -1, -2) @ G @ P)
     hv, hw = np.linalg.eigh(H)
     spatial = np.einsum("bij,bjk->bik", P, hw[..., 1:])
     lam = hv[..., 1:]
@@ -164,7 +169,7 @@ def frames(G, future, tol=FRAME_TOL):
 
     E = np.concatenate([e0[:, :, None], spatial], axis=2)
     eta = np.diag([1.0] + [-1.0] * (n - 1))
-    err = np.abs(np.einsum("bki,bkl,blj->bij", E, G, E) - eta).max(axis=(-2, -1))
+    err = np.abs(np.swapaxes(E, -1, -2) @ G @ E - eta).max(axis=(-2, -1))
     if np.any(err > tol):
         raise DegenerateMetricError(f"frame orthonormality error {float(err.max()):.3e}")
     return E[0] if squeeze else E
@@ -173,6 +178,30 @@ def frames(G, future, tol=FRAME_TOL):
 def orthonormal_frame(point, tol=FRAME_TOL):
     """Frame columns at one oriented point; E^T G E = eta to `tol`."""
     return frames(point.metric.matrix, point.future, tol=tol)
+
+
+def _class_codes(G, E, future, v, tol_null=TOL_NULL):
+    """Causal classes of stacked inputs as indices in CausalClass order."""
+    vhat = np.linalg.solve(E, v[..., None])[..., 0]
+    sigma = np.einsum("bi,bi->b", vhat, vhat)
+    q = np.einsum("bi,bij,bj->b", v, G, v)
+    s = np.einsum("bi,bij,bj->b", v, G, future)
+    # when g(v, future) degenerates (null future parallel to v), the frame
+    # time component still carries the orientation because e0 is future
+    fscale = np.sqrt(np.einsum("bi,bi->b", future, future) * np.einsum("bi,bi->b", v, v))
+    fscale = fscale * np.abs(G).max(axis=(-2, -1))
+    s = np.where(np.abs(s) <= 1e-13 * np.maximum(fscale, 1e-300), vhat[..., 0], s)
+
+    zero = sigma < _ZERO_NORM_SQ
+    null = np.abs(q) <= tol_null * sigma
+    timelike = q > tol_null * sigma
+    fut = s > 0
+    return np.select(
+        [zero, null & fut, null, timelike & fut, timelike],
+        [_CODE[CausalClass.ZERO], _CODE[CausalClass.FUTURE_NULL], _CODE[CausalClass.PAST_NULL],
+         _CODE[CausalClass.FUTURE_TIMELIKE], _CODE[CausalClass.PAST_TIMELIKE]],
+        _CODE[CausalClass.SPACELIKE],
+    )
 
 
 def classify(G, E, future, v, tol_null=TOL_NULL):
@@ -188,26 +217,7 @@ def classify(G, E, future, v, tol_null=TOL_NULL):
         E = np.asarray(E, dtype=float)[None]
         future = np.asarray(future, dtype=float)[None]
         v = np.asarray(v, dtype=float)[None]
-    vhat = np.linalg.solve(E, v[..., None])[..., 0]
-    sigma = np.einsum("bi,bi->b", vhat, vhat)
-    q = np.einsum("bi,bij,bj->b", v, G, v)
-    s = np.einsum("bi,bij,bj->b", v, G, future)
-    # when g(v, future) degenerates (null future parallel to v), the frame
-    # time component still carries the orientation because e0 is future
-    fscale = np.sqrt(np.einsum("bi,bi->b", future, future) * np.einsum("bi,bi->b", v, v))
-    fscale = fscale * np.abs(G).max(axis=(-2, -1))
-    s = np.where(np.abs(s) <= 1e-13 * np.maximum(fscale, 1e-300), vhat[..., 0], s)
-
-    out = []
-    for i in range(len(q)):
-        if sigma[i] < _ZERO_NORM_SQ:
-            out.append(CausalClass.ZERO)
-        elif abs(q[i]) <= tol_null * sigma[i]:
-            out.append(CausalClass.FUTURE_NULL if s[i] > 0 else CausalClass.PAST_NULL)
-        elif q[i] > tol_null * sigma[i]:
-            out.append(CausalClass.FUTURE_TIMELIKE if s[i] > 0 else CausalClass.PAST_TIMELIKE)
-        else:
-            out.append(CausalClass.SPACELIKE)
+    out = _CLASSES[_class_codes(G, E, future, v, tol_null)].tolist()
     return out[0] if squeeze else out
 
 

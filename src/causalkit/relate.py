@@ -38,6 +38,7 @@ from .lorentz import (
     TOL_NULL,
     CausalClass,
     OrientedPoint,
+    _class_codes,
     classify,
     frames,
     validate_metric,
@@ -49,6 +50,8 @@ DEFAULT_MARGIN = 1e-3
 INF_WINDOW = 10.0
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# +1 future, -1 past, 0 neither, indexed by the codes of _class_codes
+_ORIENTATION_SIGN = np.array([1 if c.is_future else (-1 if c.is_causal else 0) for c in CausalClass])
 
 
 class Verdict(enum.Enum):
@@ -563,14 +566,14 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
         _require_future_causal(Gt, futW, "target orientation at image")
 
         E = frames(G, fut)
-        T = np.einsum("nai,nab,nbj->nij", J, Gt, J)
+        T = np.swapaxes(J, -1, -2) @ Gt @ J
         T = 0.5 * (T + np.transpose(T, (0, 2, 1)))
-        That = np.einsum("nki,nkl,nlj->nij", E, T, E)
+        That = np.swapaxes(E, -1, -2) @ T @ E
         margins, nhat, mhat = _dp2_margins_split(That, threads)
 
         pushed = np.einsum("nai,ni->na", J, fut)
         Ew = frames(Gt, futW)
-        classes = classify(Gt, Ew, futW, pushed)
+        signs = _ORIENTATION_SIGN[_class_codes(Gt, Ew, futW, pushed)]
         conformal = _conformal_summary(G, T)
     except (EvalDomainError, SingularJacobianError, ArithmeticError, ValueError) as e:
         return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
@@ -581,7 +584,7 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
 
     if not np.all(ok):
         order = np.argsort(margins, kind="stable")
-        bad = [int(i) for i in order if not ok[i]][:16]
+        bad = order[~ok[order]][:16]
         ones = np.ones((len(bad), 1))
         ks = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, nhat[bad]], axis=1))
         ls = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, mhat[bad]], axis=1))
@@ -591,7 +594,6 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
         )
         return RelationReport(Verdict.VIOLATED, N, min_margin, wit, conformal)
 
-    signs = np.array([1 if c.is_future else (-1 if c.is_causal else 0) for c in classes])
     if np.all(signs == 1):
         return RelationReport(Verdict.HOLDS_SAMPLED, N, min_margin, (), conformal)
     if np.all(signs == -1):
@@ -659,7 +661,7 @@ def check_conformal(mapdef, sampler):
             f"{coord} = {val} not in ({lo}, {hi})"
         )
     Gt = mapdef.target.metric_at(img)
-    T = np.einsum("nai,nab,nbj->nij", J, Gt, J)
+    T = np.swapaxes(J, -1, -2) @ Gt @ J
     T = 0.5 * (T + np.transpose(T, (0, 2, 1)))
     s = _conformal_summary(G, T)
     return ConformalReport(s.everywhere, s.lam_range, s.lambdas, len(pts))

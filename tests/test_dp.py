@@ -248,6 +248,61 @@ class TestPairGridScan:
         assert peak < 32e6
 
 
+class TestRowIndependence:
+    """A row's search result depends on that row alone, not on the batch
+    around it; the Newton polish drops finished rows from its batch on
+    this basis.  Batches here hold at least two rows: a one-row batch
+    takes other summation paths (BLAS's matrix-vector product for the
+    grid scan's `a @ gT`, einsum's single-item loop for the 2-D quadratic
+    Hessian) that round differently in the last bit."""
+
+    SEARCHES = {
+        "dp2_margins_grid": lambda T: dp2_margins(T, steps=0),
+        "dp2_margins": lambda T: dp2_margins(T, steps=dp.NEWTON_STEPS),
+        "null_quadratic_margins": null_quadratic_margins,
+    }
+    KINDS = [("symmetric", 2), ("symmetric", 3), ("symmetric", 4),
+             ("causal_squares", 4), ("de_sitter", 4)]
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_shuffled_and_paired(self, search, kind, n):
+        run = self.SEARCHES[search]
+        That = _scan_tensors(kind, n, 130, seed=77 * n)
+        got = run(That)
+        perm = np.random.default_rng(n).permutation(len(That))
+        for g, s in zip(got, run(That[perm])):
+            assert np.array_equal(g[perm], s)
+        for i in (0, 1, 63, 64, 65, 100, 128):
+            for g, s in zip(got, run(That[[i, i + 1]])):
+                assert np.array_equal(g[[i, i + 1]], s)
+
+    @pytest.mark.parametrize("objective", ["pair", "quad"])
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_polish_beside_finished_row(self, objective, kind, n):
+        # a constant objective (T = diag(1, 0, ..., 0)) has no gradient, so
+        # that row is finished at once and the other row goes on as the only
+        # moving one; it must end exactly as it does in the full batch
+        obj = {"pair": dp._PAIR, "quad": dp._QUAD}[objective]
+        That = _scan_tensors(kind, n, 40, seed=91 * n)
+        flat = np.zeros((n, n))
+        flat[0, 0] = 1.0
+        grid = sphere_directions(n - 1)
+        starts = grid[np.random.default_rng(n).integers(len(grid), size=len(That))]
+
+        def split(T):
+            # contiguous rows, as _sphere_min passes them: einsum's loop order
+            # (and so its rounding) can follow the operands' strides
+            return tuple(np.ascontiguousarray(x) for x in (T[:, 0, 0], T[:, 0, 1:], T[:, 1:, 1:]))
+
+        nn, f = dp._newton_polish(obj, split(That), starts.copy(), dp.NEWTON_STEPS)
+        for i in range(len(That)):
+            pair = np.stack([That[i], flat])
+            ni, fi = dp._newton_polish(obj, split(pair), starts[[i, i]], dp.NEWTON_STEPS)
+            assert np.array_equal(nn[i], ni[0]) and f[i] == fi[0]
+            assert np.array_equal(ni[1], starts[i]) and fi[1] == 1.0
+
+
 class TestPairMinOracle:
     """Closed-form minima of the enumeration oracle the DP gate rests on.
 

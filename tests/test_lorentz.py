@@ -167,3 +167,56 @@ def test_classify_batched_matches_scalar():
     p = _point(ETA, [1.0, 0.0, 0.0, 0.0])
     for i in range(32):
         assert got[i] is causal_character(p, V[i])
+
+
+def _classify_reference(G, E, f, v, tol_null):
+    """One vector's class, decided by scalar arithmetic sample by sample."""
+    vhat = np.linalg.solve(E, v)
+    sigma = float(vhat @ vhat)
+    q = float(v @ G @ v)
+    s = float(v @ G @ f)
+    fscale = np.sqrt(float(f @ f) * float(v @ v)) * np.abs(G).max()
+    if abs(s) <= 1e-13 * max(fscale, 1e-300):
+        s = float(vhat[0])
+    if sigma < 1e-26:
+        return CausalClass.ZERO
+    if abs(q) <= tol_null * sigma:
+        return CausalClass.FUTURE_NULL if s > 0 else CausalClass.PAST_NULL
+    if q > tol_null * sigma:
+        return CausalClass.FUTURE_TIMELIKE if s > 0 else CausalClass.PAST_TIMELIKE
+    return CausalClass.SPACELIKE
+
+
+def test_classify_mixed_batch_matches_reference():
+    rng = np.random.default_rng(21)
+    radiating = np.array([[0.3, -1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]])
+    charts = [(ETA, [1.0, 0, 0, 0]), (np.diag([1.0, -4.0, -4.0, -4.0]), [2.0, 0, 0, 0]),
+              (ETA, [1.0, 1.0, 0, 0]), (radiating, [1e-3, -1.0, 0, 0])]
+    fixed = [[1.0, 0, 0, 0], [-2.0, 1.0, 0, 0], [1.0, 1.0, 0, 0], [-1.0, -1.0, 0, 0],
+             [0, 1.0, 0, 0], [0, 0, 0, 0], 1e-14 * np.array([1.0, 0, 0, 0]),
+             [2.0, 1.0, 0, 0], [1.0, 2.0, 0, 0], [-2.0, -1.0, 0, 0], [0, 0, 1.0, 0]]
+    rows = [(G, f, v) for G, f in charts for v in fixed]
+    rows += [(G, f, rng.normal(size=4)) for G, f in charts for _ in range(16)]
+    G = np.array([r[0] for r in rows], dtype=float)
+    fut = np.array([r[1] for r in rows], dtype=float)
+    V = np.array([r[2] for r in rows], dtype=float)
+    E = frames(G, fut)
+    # tol_null = 0.6 puts |q| = 3 exactly at tol_null * sigma = 0.6 * 5 for
+    # (2, 1, 0, 0) and (1, 2, 0, 0) in Minkowski
+    for i in (7, 8):
+        vhat = np.linalg.solve(E[i], V[i])
+        assert abs(V[i] @ G[i] @ V[i]) == 0.6 * (vhat @ vhat) == 3.0
+    for tol in (1e-9, 0.6):
+        got = classify(G, E, fut, V, tol_null=tol)
+        assert isinstance(got, list)
+        want = [_classify_reference(G[i], E[i], fut[i], V[i], tol) for i in range(len(V))]
+        assert got == want
+    got = classify(G, E, fut, V)
+    assert set(got) == set(CausalClass)
+    # chart 2 declares the null future (1, 1, 0, 0): g(v, f) vanishes for
+    # v = +-(1, 1, 0, 0), so the frame time component decides the orientation
+    i = 2 * len(fixed)
+    assert V[i + 2] @ G[i + 2] @ fut[i + 2] == 0.0
+    assert got[i + 2] is CausalClass.FUTURE_NULL and got[i + 3] is CausalClass.PAST_NULL
+    one = classify(G[0], E[0], fut[0], V[0])
+    assert one is CausalClass.FUTURE_TIMELIKE
