@@ -8,8 +8,9 @@ unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
 form, so only the outer unit sphere is searched: a deterministic grid,
 scanned a fixed-size chunk of tensors at a time to bound memory, whose
-best few points seed a safeguarded Newton polish on the sphere.  The same
-kernel minimizes the quadratic of the flow null-cone check.
+best few points seed a safeguarded Newton polish on the sphere.  The
+quadratic of the flow null-cone check has a closed-form minimum on the
+sphere (the trust-region secular equation), so it needs no search.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
@@ -27,7 +28,7 @@ import numpy as np
 from .lorentz import CausalClass, classify, orthonormal_frame
 
 TOL_DP = 1e-9
-NEWTON_STEPS = 40  # Newton iteration cap per grid start
+NEWTON_STEPS = 40  # Newton iteration cap, per grid start and for the secular equation
 _POLISH_STARTS = 4
 _SCAN_CHUNK = 64  # rows per grid-scan chunk
 
@@ -90,8 +91,8 @@ def sphere_directions(d):
     """Deterministic unit-direction grid on S^(d-1).
 
     d = 1 enumerates both points, d = 2 uses 720 angles, d = 3 the
-    twice-refined icosphere with 642 vertices.  Higher d is outside the
-    supported catalog dimensions.
+    icosphere refined three times (12 -> 42 -> 162 -> 642 vertices).
+    Higher d is outside the supported catalog dimensions.
     """
     if d == 1:
         return np.array([[1.0], [-1.0]])
@@ -104,33 +105,11 @@ def sphere_directions(d):
 
 
 # ---------------------------------------------------------------------------
-# sphere minimization kernel: an objective is (scan, value, grad, hess) on
-# rows (c, a, M) = (T00, T0i, Tij); scan(gT, ...) values on grid columns,
-# value(n, ...) -> (f, w = Mn + a), grad(n, w, ...) -> (g, aux),
-# hess(U, aux, ...) -> U^T H U for the Euclidean gradient g and Hessian H
+# null-pair search on the unit sphere, on rows (c, a, M) = (T00, T0i, Tij):
+# a grid scan whose lowest points seed a Newton polish
 
 
-def _sphere_min(obj, data, steps, starts):
-    """Minimum of `obj` over unit n per row: the grid minimum, improved by
-    the Newton polish of the `starts` lowest grid points per row."""
-    N, d = data[1].shape
-    grid = sphere_directions(d)
-    k = min(starts, grid.shape[0])
-    start_idx, start_vals = _grid_scan(obj[0], grid, data, k)
-    jbest = np.argmin(start_vals, axis=1)
-    margins = start_vals[np.arange(N), jbest]
-    nhat = grid[start_idx[np.arange(N), jbest]]
-    if d >= 2 and steps > 0:
-        rows = tuple(np.repeat(x, k, axis=0) for x in data)
-        nn, f = _newton_polish(obj, rows, grid[start_idx.ravel()], steps)
-        best = np.arange(N) * k + np.argmin(f.reshape(N, k), axis=1)
-        better = f[best] < margins
-        margins = np.where(better, f[best], margins)
-        nhat[better] = nn[best][better]
-    return margins, nhat
-
-
-def _grid_scan(scan, grid, data, k):
+def _grid_scan(grid, data, k):
     """Indices and values of the k lowest grid points per row, scanned
     _SCAN_CHUNK rows at a time so no (N, G) array is built."""
     gT = np.ascontiguousarray(grid.T)
@@ -138,28 +117,30 @@ def _grid_scan(scan, grid, data, k):
     start_vals = np.empty((len(data[0]), k))
     for lo in range(0, len(data[0]), _SCAN_CHUNK):
         sl = slice(lo, lo + _SCAN_CHUNK)
-        vals = scan(gT, *(x[sl] for x in data))
+        vals = _pair_scan(gT, *(x[sl] for x in data))
         idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
         start_idx[sl] = idx
         start_vals[sl] = np.take_along_axis(vals, idx, 1)
     return start_idx, start_vals
 
 
-def _newton_polish(obj, data, nn, iters):
+def _newton_polish(data, nn, iters):
     """Newton on the sphere (tangent Hessian U^T H U - (g.n) I, a scaled gradient
     step where that is indefinite), halved up to 8 times until f decreases.
 
     Only rows that moved in the last iteration are carried into the next:
     a converged or unmoved row would repeat the same arithmetic on the same
     state, so dropping it changes no result."""
-    _, value, grad, hess = obj
     r, d = nn.shape
     eye = np.eye(min(d - 1, 2))
-    f, w = value(nn, *data)
+    f, w = _pair_value(nn, *data)
     live = np.arange(r)
     x, fl = nn, f
     for _ in range(iters):
-        g, aux = grad(x, w, *data)
+        _, a, M = data
+        nw = np.maximum(np.linalg.norm(w, axis=1), 1e-300)
+        what = w / nw[:, None]
+        g = a - np.einsum("rde,re->rd", M, what)
         gdn = np.einsum("rd,rd->r", g, x)
         gt = g - gdn[:, None] * x
         act = np.linalg.norm(gt, axis=1) > 1e-13 * (1.0 + np.abs(fl))
@@ -172,7 +153,11 @@ def _newton_polish(obj, data, nn, iters):
             u = e - np.einsum("rd,rd->r", e, x)[:, None] * x
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             U = np.stack([u, np.cross(x, u)], axis=2)
-        Ht = hess(U, aux, *data)
+        # Euclidean Hessian -(MU)^T (I - what what^T) MU / |w|, steep near
+        # the w = 0 kink
+        MU = np.einsum("rde,rek->rdk", M, U)
+        PU = MU - what[:, :, None] * np.einsum("rd,rdk->rk", what, MU)[:, None, :]
+        Ht = -np.einsum("rdk,rdl->rkl", MU, PU) / nw[:, None, None]
         Ht -= gdn[:, None, None] * eye
         gtan = np.einsum("rdk,rd->rk", U, gt)
         if d == 2:
@@ -194,7 +179,7 @@ def _newton_polish(obj, data, nn, iters):
                 break
             cand = x[todo] + t * np.einsum("rdk,rk->rd", U[todo], delta[todo])
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc, wc = value(cand, *(y[todo] for y in data))
+            fc, wc = _pair_value(cand, *(y[todo] for y in data))
             ok = fc < fl[todo]
             iok = np.flatnonzero(todo)[ok]
             x[iok] = cand[ok]
@@ -204,11 +189,6 @@ def _newton_polish(obj, data, nn, iters):
             t *= 0.5
         nn[live] = x
         f[live] = fl
-        if np.count_nonzero(moved) == 1 and len(moved) > 1:
-            # a finished row rides along with a lone live one (and stays put):
-            # einsum rounds the 2-D quadratic Hessian of a one-row batch
-            # differently
-            moved[np.argmin(moved)] = True
         live, x, fl, w = live[moved], x[moved], fl[moved], w[moved]
         if not len(live):
             break
@@ -239,35 +219,32 @@ def _pair_value(n, c, a, M):
     return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
 
 
-def _pair_grad(n, w, c, a, M):
-    nw = np.maximum(np.linalg.norm(w, axis=1), 1e-300)
-    what = w / nw[:, None]
-    return a - np.einsum("rde,re->rd", M, what), (what, nw)
-
-
-def _pair_hess(U, aux, c, a, M):
-    # -(MU)^T (I - what what^T) MU / |w|, steep near the w = 0 kink
-    what, nw = aux
-    MU = np.einsum("rde,rek->rdk", M, U)
-    PU = MU - what[:, :, None] * np.einsum("rd,rdk->rk", what, MU)[:, None, :]
-    return -np.einsum("rdk,rdl->rkl", MU, PU) / nw[:, None, None]
-
-
-_PAIR = (_pair_scan, _pair_value, _pair_grad, _pair_hess)
-
-
 def dp2_margins(That, steps=NEWTON_STEPS):
     """min over future null pairs of T(k, l) for stacked frame tensors.
 
     That has shape (N, n, n); returns (margins, nhat, mhat) where the
     witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
-    The best grid directions per tensor are Newton-polished for at most
-    `steps` iterations; steps=0 returns the grid minimum alone.
+    The _POLISH_STARTS best grid directions per tensor are Newton-polished
+    for at most `steps` iterations; steps=0 returns the grid minimum alone.
     """
     That = np.asarray(That, dtype=float)
     a = That[:, 0, 1:]
     M = That[:, 1:, 1:]
-    margins, nhat = _sphere_min(_PAIR, (That[:, 0, 0], a, M), steps, _POLISH_STARTS)
+    data = (That[:, 0, 0], a, M)
+    N, d = a.shape
+    grid = sphere_directions(d)
+    k = min(_POLISH_STARTS, grid.shape[0])
+    start_idx, start_vals = _grid_scan(grid, data, k)
+    jbest = np.argmin(start_vals, axis=1)
+    margins = start_vals[np.arange(N), jbest]
+    nhat = grid[start_idx[np.arange(N), jbest]]
+    if d >= 2 and steps > 0:
+        rows = tuple(np.repeat(x, k, axis=0) for x in data)
+        nn, f = _newton_polish(rows, grid[start_idx.ravel()], steps)
+        best = np.arange(N) * k + np.argmin(f.reshape(N, k), axis=1)
+        better = f[best] < margins
+        margins = np.where(better, f[best], margins)
+        nhat[better] = nn[best][better]
     wvec = np.einsum("nde,ne->nd", M, nhat) + a
     nwv = np.linalg.norm(wvec, axis=1)
     mhat = np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
@@ -334,33 +311,52 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
 
 def _quad_value(n, c, a, M):
     w = np.einsum("rde,re->rd", M, n) + a
-    return c + np.einsum("rd,rd->r", a + w, n), w
-
-
-_QUAD = (lambda gT, c, a, M: (c[:, None] + a @ gT
-                              + np.einsum("rdg,dg->rg", M @ gT + a[:, :, None], gT)),
-         _quad_value,
-         lambda n, w, c, a, M: (2.0 * w, None),
-         lambda U, aux, c, a, M: 2.0 * np.einsum("rdk,rde,rel->rkl", U, M, U))
+    return c + np.einsum("rd,rd->r", a + w, n)
 
 
 def null_quadratic_margins(Lhat):
     """min over future null k = e0 + n of L(k, k) = c + 2a.n + n.Mn for
-    stacked frame tensors.  One Newton start per row; a row is at the
-    global minimum exactly when M - mu I >= 0 with mu = n.(Mn + a)
-    (More-Sorensen), and rows failing that are polished from more starts."""
+    stacked frame tensors, in closed form; returns (margins, nhat).
+
+    With M = Q diag(lam) Q^T and b = Q^T a, the minimizer is n = Q y,
+    y_i = -b_i / (lam_i - lam_1 + s), where s >= 0 solves |y| = 1 (the
+    trust-region secular equation: More and Sorensen 1983; Gander, Golub
+    and von Matt 1989).  1/|y| - 1 is increasing and concave in s, so Newton
+    from the lower bound max_i |b_i| - (lam_i - lam_1) climbs to the root
+    without overshooting; it stops when no row moves.  When b is orthogonal
+    to the lowest eigenspace and |y| <= 1 at s = 0 (the hard case), s = 0
+    and the rest of the unit norm is filled along q_1.  The margin is the
+    quadratic evaluated at nhat."""
     Lhat = np.asarray(Lhat, dtype=float)
-    data = (Lhat[:, 0, 0], Lhat[:, 0, 1:], Lhat[:, 1:, 1:])
-    margins, nhat = _sphere_min(_QUAD, data, NEWTON_STEPS, 1)
-    if nhat.shape[1] >= 2:
-        mu = np.einsum("nd,nd->n", nhat, _quad_value(nhat, *data)[1])
-        lam = np.linalg.eigvalsh(data[2])[:, 0] - mu
-        bad = np.flatnonzero(lam < -1e-6 * np.maximum(1.0, np.abs(Lhat).max(axis=(1, 2))))
-        if len(bad):
-            mb, nb = _sphere_min(_QUAD, tuple(x[bad] for x in data), NEWTON_STEPS, _POLISH_STARTS)
-            lower = mb < margins[bad]
-            margins[bad[lower]], nhat[bad[lower]] = mb[lower], nb[lower]
-    return margins, nhat
+    c, a, M = Lhat[:, 0, 0], Lhat[:, 0, 1:], Lhat[:, 1:, 1:]
+    lam, Q = np.linalg.eigh(M)
+    # component-major arrays: the builtin sums below add whole components
+    # in index order, the same arithmetic for every row
+    lam, Q = lam.T, Q.transpose(1, 2, 0)
+    b = sum(Q * a.T[:, None])  # Q^T a
+    gap = lam - lam[0]
+    s = np.max(np.abs(b) - gap, axis=0)
+
+    def secular(s):
+        # t = 1 where b_i = 0 keeps y_i = 0 without a 0/0 at s = gap_i = 0
+        t = np.where(b != 0.0, gap + s, 1.0)
+        y = -b / t
+        return t, y, sum(y * y)
+
+    for _ in range(NEWTON_STEPS):
+        t, y, yy = secular(s)
+        grow = yy > 1.0
+        q = sum(y * y / t)
+        # Newton step -psi/psi' = |y|^2 (|y| - 1) / sum_i y_i^2 / t_i
+        new = s + np.where(grow, yy * (np.sqrt(yy) - 1.0) / np.where(grow, q, 1.0), 0.0)
+        if not np.any(new > s):
+            break
+        s = new
+    _, y, yy = secular(s)
+    y[0] += np.where(s == 0.0, np.sqrt(np.maximum(1.0 - yy, 0.0)), 0.0)
+    nhat = sum(np.swapaxes(Q, 0, 1) * y[:, None]).T.copy()  # Q y
+    nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
+    return _quad_value(nhat, c, a, M), nhat
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,9 @@ class SpacetimeDef:
         """Signature and orientation checks over a batch; raises on failure."""
         pts = np.asarray(pts, dtype=float)
         G = self.metric_at(pts)
-        _require_lorentzian(G, f"metric of '{self.name}'")
+        _require_lorentzian(G, f"metric of '{self.name}'", pts)
         fut = self.orientation_at(pts)
-        _require_future_causal(G, fut, f"orientation of '{self.name}'")
+        _require_future_causal(G, fut, f"orientation of '{self.name}'", pts)
 
 
 @dataclass(frozen=True)
@@ -444,7 +444,11 @@ class RelationReport:
 # batched validity helpers
 
 
-def _require_lorentzian(G, what):
+def _at_sample(pts, i):
+    return f"at sample {i}, x = {np.atleast_2d(pts)[i].tolist()}"
+
+
+def _require_lorentzian(G, what, pts):
     w = np.linalg.eigvalsh(G)
     scale = np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
     zero = np.abs(w) <= 1e-12 * scale
@@ -453,16 +457,16 @@ def _require_lorentzian(G, what):
     ok = (npos == 1) & (nneg == G.shape[-1] - 1)
     if not np.all(ok):
         i = int(np.flatnonzero(~np.atleast_1d(ok))[0])
-        raise ValueError(f"{what} loses Lorentzian signature at sample {i}")
+        raise ValueError(f"{what} loses Lorentzian signature {_at_sample(pts, i)}")
 
 
-def _require_future_causal(G, fut, what):
+def _require_future_causal(G, fut, what, pts):
     q = np.einsum("...i,...ij,...j->...", fut, G, fut)
     scale = np.einsum("...i,...i->...", fut, fut) * np.abs(G).max(axis=(-2, -1))
     ok = (scale > 0) & (q >= -TOL_NULL * scale)
     if not np.all(ok):
         i = int(np.flatnonzero(~np.atleast_1d(ok))[0])
-        raise ValueError(f"{what} is not future causal at sample {i}")
+        raise ValueError(f"{what} is not future causal {_at_sample(pts, i)}")
 
 
 def _first_outside(target, img):
@@ -543,27 +547,27 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     N = len(pts)
     try:
         G = mapdef.source.metric_at(pts)
-        _require_lorentzian(G, "source metric")
+        _require_lorentzian(G, "source metric", pts)
         fut = mapdef.source.orientation_at(pts)
-        _require_future_causal(G, fut, "source orientation")
+        _require_future_causal(G, fut, "source orientation", pts)
 
         img, J = mapdef.image_and_jacobian(pts)
         if not np.all(mapdef.target.contains(img)):
             i, coord, val, (lo, hi) = _first_outside(mapdef.target, img)
             raise ValueError(
-                f"image leaves the target domain at sample {i}: "
+                f"image leaves the target domain {_at_sample(pts, i)}: "
                 f"{coord} = {val} not in ({lo}, {hi})"
             )
         dets = np.linalg.det(J)
         jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
         if np.any(np.abs(dets) < 1e-12 * jscale):
             i = int(np.flatnonzero(np.abs(dets) < 1e-12 * jscale)[0])
-            raise SingularJacobianError(f"map Jacobian singular at sample {i}")
+            raise SingularJacobianError(f"map Jacobian singular {_at_sample(pts, i)}")
 
         Gt = mapdef.target.metric_at(img)
-        _require_lorentzian(Gt, "target metric at image")
+        _require_lorentzian(Gt, "target metric at image", pts)
         futW = mapdef.target.orientation_at(img)
-        _require_future_causal(Gt, futW, "target orientation at image")
+        _require_future_causal(Gt, futW, "target orientation at image", pts)
 
         E = frames(G, fut)
         T = np.swapaxes(J, -1, -2) @ Gt @ J
@@ -657,7 +661,7 @@ def check_conformal(mapdef, sampler):
     if not np.all(mapdef.target.contains(img)):
         i, coord, val, (lo, hi) = _first_outside(mapdef.target, img)
         raise ValueError(
-            f"image leaves the target domain at sample {i}: "
+            f"image leaves the target domain {_at_sample(pts, i)}: "
             f"{coord} = {val} not in ({lo}, {hi})"
         )
     Gt = mapdef.target.metric_at(img)

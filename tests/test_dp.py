@@ -182,7 +182,7 @@ class TestDP2:
             assert margins[i] == pytest.approx(float(mi[0]), abs=1e-12)
 
 
-def _whole_batch_scan(scan, grid, data, k):
+def _whole_batch_scan(grid, data, k):
     """The pair grid scan as one (N, G, d) einsum, the reference for the chunked scan."""
     c, a, M = data
     W = np.einsum("gd,nde->nge", grid, M) + a[:, None, :]
@@ -251,10 +251,10 @@ class TestPairGridScan:
 class TestRowIndependence:
     """A row's search result depends on that row alone, not on the batch
     around it; the Newton polish drops finished rows from its batch on
-    this basis.  Batches here hold at least two rows: a one-row batch
-    takes other summation paths (BLAS's matrix-vector product for the
-    grid scan's `a @ gT`, einsum's single-item loop for the 2-D quadratic
-    Hessian) that round differently in the last bit."""
+    this basis.  The pair search is checked in batches of at least two
+    rows: a one-row grid-scan chunk takes BLAS's matrix-vector product for
+    `a @ gT`, which rounds differently in the last bit.  The closed-form
+    quadratic has no grid scan, so it is also checked row by row."""
 
     SEARCHES = {
         "dp2_margins_grid": lambda T: dp2_margins(T, steps=0),
@@ -277,13 +277,21 @@ class TestRowIndependence:
             for g, s in zip(got, run(That[[i, i + 1]])):
                 assert np.array_equal(g[[i, i + 1]], s)
 
-    @pytest.mark.parametrize("objective", ["pair", "quad"])
     @pytest.mark.parametrize("kind,n", KINDS)
-    def test_polish_beside_finished_row(self, objective, kind, n):
+    def test_quadratic_one_row_batches(self, kind, n):
+        That = _scan_tensors(kind, n, 130, seed=79 * n)
+        m, nhat = null_quadratic_margins(That)
+        for i in range(len(That)):
+            mi, ni = null_quadratic_margins(That[i:i + 1])
+            assert mi[0] == m[i] and np.array_equal(ni[0], nhat[i])
+
+    # the id keeps naming the objective: the pair search is the polish's only one
+    @pytest.mark.parametrize("objective", ["pair"])
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_polish_beside_finished_row(self, kind, n, objective):
         # a constant objective (T = diag(1, 0, ..., 0)) has no gradient, so
         # that row is finished at once and the other row goes on as the only
         # moving one; it must end exactly as it does in the full batch
-        obj = {"pair": dp._PAIR, "quad": dp._QUAD}[objective]
         That = _scan_tensors(kind, n, 40, seed=91 * n)
         flat = np.zeros((n, n))
         flat[0, 0] = 1.0
@@ -291,14 +299,14 @@ class TestRowIndependence:
         starts = grid[np.random.default_rng(n).integers(len(grid), size=len(That))]
 
         def split(T):
-            # contiguous rows, as _sphere_min passes them: einsum's loop order
+            # contiguous rows, as dp2_margins passes them: einsum's loop order
             # (and so its rounding) can follow the operands' strides
             return tuple(np.ascontiguousarray(x) for x in (T[:, 0, 0], T[:, 0, 1:], T[:, 1:, 1:]))
 
-        nn, f = dp._newton_polish(obj, split(That), starts.copy(), dp.NEWTON_STEPS)
+        nn, f = dp._newton_polish(split(That), starts.copy(), dp.NEWTON_STEPS)
         for i in range(len(That)):
             pair = np.stack([That[i], flat])
-            ni, fi = dp._newton_polish(obj, split(pair), starts[[i, i]], dp.NEWTON_STEPS)
+            ni, fi = dp._newton_polish(split(pair), starts[[i, i]], dp.NEWTON_STEPS)
             assert np.array_equal(nn[i], ni[0]) and f[i] == fi[0]
             assert np.array_equal(ni[1], starts[i]) and fi[1] == 1.0
 
@@ -435,6 +443,58 @@ class TestConformalFactor:
         assert conformal_factor(mink_point(), T) == pytest.approx(2.0, abs=1e-9)
 
 
+def _known_quadratics(family, n, N, seed):
+    """Frame tensors L whose minimum of c + 2a.n + n.Mn over unit n is known.
+
+    The eigenvalues lam of M, a multiplier mu <= lam_1 and y are drawn
+    first and a = -Q (lam - mu) y is set, so (M - mu I) Q y = -a with
+    M - mu I >= 0: by More-Sorensen n = Q y with |y| = 1 is a minimizer and
+    the minimum is c + mu - sum_i (lam_i - mu) y_i^2.  Returns (L, want, Q,
+    y, free): the leading `free` eigen-directions of M are those along which
+    the minimizer is not unique (the hard case fills them freely)."""
+    rng = np.random.default_rng(seed)
+    d = n - 1
+    Q = np.linalg.qr(rng.normal(size=(N, d, d)))[0]
+    lam = np.sort(rng.uniform(-2.0, 2.0, (N, d)), axis=1)
+    c = rng.normal(size=N)
+    low = 2 if d == 3 else 1  # size of the lowest eigenspace in the hard cases
+    y = np.zeros((N, d))
+    free = 0
+    if family == "sphere":
+        # M = lam I and a = 0: the whole sphere attains c + lam
+        lam[:] = lam[:, :1]
+        mu = lam[:, 0]
+        free = d
+    else:
+        lam[:, 1:] += 0.1
+        if family == "generic":
+            y = rng.normal(size=(N, d))
+            mu = lam[:, 0] - rng.uniform(0.1, 1.0, N)
+        else:
+            # a orthogonal to a (for d = 3 repeated) lowest eigenspace
+            lam[:, :low] = lam[:, :1]
+            y[:, low:] = rng.normal(size=(N, d - low))
+            if family == "hard_inside":
+                # |(M - lam_1 I)^+ a| < 1: mu = lam_1, the rest of the norm
+                # lies in the lowest eigenspace
+                y *= rng.uniform(0.1, 0.9, (N, 1)) / np.linalg.norm(y, axis=1, keepdims=True)
+                mu = lam[:, 0]
+                free = low
+            else:
+                # |(M - lam_1 I)^+ a| > 1: mu < lam_1 and n = Q y is unique
+                mu = lam[:, 0] - rng.uniform(0.1, 1.0, N)
+        if family != "hard_inside":
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+    L = np.zeros((N, n, n))
+    L[:, 0, 0] = c
+    L[:, 0, 1:] = L[:, 1:, 0] = -np.einsum("nij,nj->ni", Q, (lam - mu[:, None]) * y)
+    M = np.einsum("nij,nj,nkj->nik", Q, lam, Q)
+    L[:, 1:, 1:] = 0.5 * (M + np.transpose(M, (0, 2, 1)))
+    want = c + mu - np.sum((lam - mu[:, None]) * y * y, axis=1)
+    return L, want, Q, y, free
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNullQuadratic:
     def test_metric_itself_vanishes(self):
         m, _ = null_quadratic_margins(ETA4[None])
@@ -480,3 +540,48 @@ class TestNullQuadratic:
         assert np.all(lam_min >= -1e-6 * scale)
         f = c + 2.0 * np.einsum("nd,nd->n", a, nhat) + np.einsum("nd,nd->n", nhat, Mn)
         assert np.all(np.abs(m - f) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    @pytest.mark.parametrize("family", ["sphere", "hard_inside", "hard_outside", "generic"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_closed_form(self, n, family, scale):
+        L, want, Q, y, free = _known_quadratics(family, n, 512, seed=60 + n)
+        L, want = scale * L, scale * want
+        m, nhat = null_quadratic_margins(L)
+        size = np.abs(L).max(axis=(1, 2))
+        assert np.all(np.abs(m - want) <= 1e-13 * size)
+        assert np.all(np.abs(np.linalg.norm(nhat, axis=1) - 1.0) <= 1e-15)
+        c, a, M = L[:, 0, 0], L[:, 0, 1:], L[:, 1:, 1:]
+        f = c + 2.0 * np.einsum("nd,nd->n", a, nhat) + np.einsum("nd,nde,ne->n", nhat, M, nhat)
+        assert np.all(np.abs(m - f) <= 1e-14 * size)
+        # outside the directions the hard case fills freely, nhat is Q y
+        ycomp = np.einsum("ndk,nd->nk", Q, nhat)
+        assert np.allclose(ycomp[:, free:], y[:, free:], atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    def test_two_by_two(self, scale):
+        # d = 1: n = -sign(a), or either sign when a = 0; margin c + M - 2|a|
+        rng = np.random.default_rng(61)
+        L = rng.normal(size=(512, 2, 2))
+        L[:, 1, 0] = L[:, 0, 1]
+        L[::4, 0, 1] = L[::4, 1, 0] = 0.0
+        L *= scale
+        m, nhat = null_quadratic_margins(L)
+        want = L[:, 0, 0] + L[:, 1, 1] - 2.0 * np.abs(L[:, 0, 1])
+        assert np.all(np.abs(m - want) <= 1e-15 * np.abs(L).max(axis=(1, 2)))
+        assert np.all(np.abs(nhat[:, 0]) == 1.0)
+        assert np.all(nhat[:, 0] * L[:, 0, 1] <= 0.0)
+
+    def test_capped_rows_stay_on_sphere(self):
+        # b_1 = 1e-30 beside |(M - lam_1 I)^+ a| = 1: Newton on the secular
+        # equation grows s by about 1.5x a step from 1e-30 towards its root
+        # near 1e-20, so these rows stop at the NEWTON_STEPS cap; nhat must
+        # still be a unit vector at the minimum lam_1 - 1
+        lam1 = np.array([-3.0, 0.0, 2.0])
+        L = np.zeros((3, 3, 3))
+        L[:, 1, 1], L[:, 2, 2] = lam1, lam1 + 1.0
+        L[:, 0, 1] = L[:, 1, 0] = 1e-30
+        L[:, 0, 2] = L[:, 2, 0] = -1.0
+        m, nhat = null_quadratic_margins(L)
+        assert np.all(np.abs(np.linalg.norm(nhat, axis=1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(m - (lam1 - 1.0)) <= 1e-15 * np.abs(L).max(axis=(1, 2)))

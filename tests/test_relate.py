@@ -197,8 +197,8 @@ class TestSpacetimeDef:
             metric={(0, 0): "t", (1, 1): "-1"},
             orientation=("1", "0"),
         )
-        with pytest.raises(ValueError, match="Lorentzian"):
-            st.validate_on(np.array([[-1.5, 0.0]]))
+        with pytest.raises(ValueError, match=r"Lorentzian signature at sample 1, x = \[-1\.5, 0\.0\]"):
+            st.validate_on(np.array([[1.5, 0.0], [-1.5, 0.0]]))
         st.validate_on(np.array([[1.5, 0.0]]))
 
 
@@ -480,6 +480,30 @@ class TestCheckProperCausal:
         rep = check_proper_causal(m, RegionSampler.build(st, count=32))
         assert rep.verdict is Verdict.ERROR
         assert "Lorentzian" in rep.error
+
+    @pytest.mark.parametrize("metric,orientation,xmap,message,bad", [
+        ("t + 0.5", ("1", "0"), "x", "source metric loses Lorentzian signature",
+         lambda t: t <= -0.5),
+        ("1", ("1", "t"), "x", "source orientation is not future causal",
+         lambda t: np.abs(t) > 1.0),
+        ("1", ("1", "0"), "x*(t + 0.5 + abs(t + 0.5))/6", "map Jacobian singular",
+         lambda t: t <= -0.5),
+    ], ids=["signature", "orientation", "jacobian"])
+    def test_errors_name_sample_coordinates(self, metric, orientation, xmap, message, bad):
+        st = SpacetimeDef.create(
+            name="flat2", coords=("t", "x"),
+            domain={"t": (-2.0, 2.0), "x": (-1.0, 1.0)},
+            params={},
+            metric={(0, 0): metric, (1, 1): "-1"},
+            orientation=orientation,
+        )
+        sampler = RegionSampler.build(st, count=32)
+        pts = sampler.points()
+        i = int(np.flatnonzero(bad(pts[:, 0]))[0])
+        assert i > 0
+        rep = check_proper_causal(MapDef.create(st, st, {"t": "t", "x": xmap}, {}), sampler)
+        assert rep.verdict is Verdict.ERROR
+        assert rep.error == f"{message} at sample {i}, x = {pts[i].tolist()}"
 
     def test_sampler_chart_mismatch_raises(self):
         m = ds_to_es_map(b=1.5)
