@@ -202,6 +202,10 @@ def _newton_polish(data, nn, iters):
 
 
 def _pair_scan(gT, c, a, M):
+    # a one-row a @ gT takes BLAS's matrix-vector path, which rounds
+    # differently from a longer chunk; scan a lone row as two equal rows
+    if len(c) == 1:
+        return _pair_scan(gT, *(np.repeat(x, 2, axis=0) for x in (c, a, M)))[:1]
     # W and |W|^2 summed over d in index order without FMA equal the einsum
     # "gd,nde->nge" + np.linalg.norm scan bit for bit (np.matmul would not)
     W = M[:, 0, :, None] * gT[0]

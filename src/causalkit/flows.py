@@ -2,9 +2,10 @@
 
 A flow is a coordinate family phi_s reducing to the identity at s = 0.
 Freezing s gives an ordinary self-map, so causality along the flow is
-decided by the sampled machinery in `relate`, one parameter value at a
-time.  The generator and all metric derivatives come from forward-mode
-duals; nothing here is finite-differenced.
+decided by the sampled machinery in `relate`: the parameter values share
+one sample set, one source stage and one stacked null-pair search.  The
+generator and all metric derivatives come from forward-mode duals;
+nothing here is finite-differenced.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
-from .exprcore import eval_dual, eval_expr, free_symbols, parse_expr, seed_env, substitute
+from .exprcore import eval_dual, eval_expr, parse_expr, seed_env, substitute
 from .lorentz import frames
-from .relate import MapDef, Verdict, Witness, check_proper_causal
+from .relate import (MapDef, Verdict, _at_sample, _check_relations, _check_symbols, _sample,
+                     _witnesses)
 
 IDENTITY_TOL = 1e-10
 
@@ -41,9 +43,7 @@ class FlowDef:
             raise ValueError("s_range must contain 0")
         allowed = set(st.coords) | set(self.params) | {self.s_symbol}
         for coord, e in zip(st.coords, self.exprs):
-            stray = free_symbols(e) - allowed
-            if stray:
-                raise ValueError(f"flow component '{coord}' references unknown symbols {sorted(stray)}")
+            _check_symbols(e, allowed, f"flow component '{coord}'")
 
     @classmethod
     def create(cls, spacetime, s_symbol, exprs, s_range, params=()):
@@ -69,9 +69,7 @@ class GeneratorField:
             raise ValueError("one expression per coordinate required")
         allowed = set(st.coords) | set(st.params)
         for e in self.exprs:
-            stray = free_symbols(e) - allowed
-            if stray:
-                raise ValueError(f"generator references unknown symbols {sorted(stray)}")
+            _check_symbols(e, allowed, "generator")
 
     @classmethod
     def create(cls, spacetime, exprs):
@@ -103,7 +101,7 @@ def verify_identity(flow, pts, tol=IDENTITY_TOL):
     if worst > tol:
         i = int(np.argmax(resid.max(axis=-1))) if resid.ndim > 1 else 0
         raise ValueError(
-            f"flow is not the identity at s = 0 (residual {worst:.3e} at sample {i})"
+            f"flow is not the identity at s = 0 (residual {worst:.3e} {_at_sample(pts, i)})"
         )
 
 
@@ -207,28 +205,25 @@ class SubmonoidReport:
 def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
     """Per-parameter causality of the flow and the maximal verified interval.
 
-    Runs the sampled proper-causal check at every grid value and returns
-    the largest contiguous block of holding values around s = 0 (closed
-    at the last verified grid point).  Evaluation failures count as
-    non-holding.  When every value of both signs holds, the family is
-    flagged as a group and the per-s conformal summaries are combined
-    (a sampled instance of: causal groups act conformally).
+    Runs the sampled proper-causal check at every grid value, all on one
+    sample set, and returns the largest contiguous block of holding values
+    around s = 0 (closed at the last verified grid point).  Evaluation
+    failures count as non-holding.  When every value of both signs holds,
+    the family is flagged as a group and the per-s conformal summaries are
+    combined (a sampled instance of: causal groups act conformally).
     """
-    pts = sampler.points()
+    pts = _sample(flow.spacetime, sampler)
     verify_identity(flow, pts)
     grid = sorted(float(s) for s in s_grid)
     if not any(abs(s) < 1e-15 for s in grid):
         grid = sorted(grid + [0.0])
 
-    steps = []
-    holds = []
-    conformal_flags = []
-    for s in grid:
-        r = check_proper_causal(flow_map(flow, s), sampler, tol_dp=tol_dp, threads=threads)
-        lam = r.conformal.lam_range if r.conformal is not None else None
-        steps.append(FlowStep(s, r.verdict, r.min_margin, lam))
-        holds.append(r.verdict is Verdict.HOLDS_SAMPLED)
-        conformal_flags.append(bool(r.conformal is not None and r.conformal.everywhere))
+    reports = _check_relations([flow_map(flow, s) for s in grid], pts, tol_dp, threads)
+    steps = tuple(
+        FlowStep(s, r.verdict, r.min_margin, None if r.conformal is None else r.conformal.lam_range)
+        for s, r in zip(grid, reports)
+    )
+    holds = [r.verdict is Verdict.HOLDS_SAMPLED for r in reports]
 
     i0 = min(range(len(grid)), key=lambda i: abs(grid[i]))
     if not holds[i0]:
@@ -240,8 +235,8 @@ def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
     while hi + 1 < len(grid) and holds[hi + 1]:
         hi += 1
     group = all(holds) and grid[0] < 0.0 < grid[-1]
-    conformal_group = all(conformal_flags) if group else None
-    return SubmonoidReport(tuple(steps), (grid[lo], grid[hi]), group, conformal_group, len(pts))
+    conformal_group = all(r.conformal.everywhere for r in reports) if group else None
+    return SubmonoidReport(steps, (grid[lo], grid[hi]), group, conformal_group, len(pts))
 
 
 @dataclass(frozen=True)
@@ -269,16 +264,5 @@ def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
     L = lie_derivative_metric(st, xi, pts)
     Lhat = np.swapaxes(E, -1, -2) @ L @ E
     margins, nhat = null_quadratic_margins(Lhat)
-    scale = np.maximum(1.0, np.abs(Lhat).max(axis=(1, 2)))
-    ok = margins >= -tol * scale
-
-    witnesses = ()
-    if not np.all(ok):
-        order = np.argsort(margins, kind="stable")
-        bad = order[~ok[order]][:16]
-        ones = np.ones((len(bad), 1))
-        ks = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, nhat[bad]], axis=1))
-        witnesses = tuple(
-            Witness(pts[i], (ks[r],), float(margins[i])) for r, i in enumerate(bad)
-        )
-    return NullConeReport(bool(np.all(ok)), float(margins.min()), witnesses, len(pts))
+    witnesses = _witnesses(pts, E, Lhat, margins, tol, nhat)
+    return NullConeReport(not witnesses, float(margins.min()), witnesses, len(pts))

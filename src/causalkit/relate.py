@@ -8,10 +8,12 @@ certified universally by sampling, so the verdict vocabulary is
 explicit about scope: HOLDS_SAMPLED speaks only for the points checked,
 VIOLATED carries concrete witnesses.
 
-The pipeline is batched: expressions evaluate over the whole sample
-set, Jacobians come from forward-mode duals, frames from a stacked
-eigendecomposition, and the cone check from the vectorized null-pair
-search in `dp`.
+Every relation verdict comes from one batched pipeline over a shared
+point set: a source stage (metric, signature, orientation, frames) runs
+once, a map stage per map pulls the target metric back through
+forward-mode Jacobians, and the frame tensors of all maps go through
+one vectorized null-pair search in `dp`.  A check is one map, a flow
+scan one map per parameter value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .dp import TOL_DP, DPStatus, dp2_check, dp2_margins, null_eigenvectors
 from .exprcore import (
-    EvalDomainError,
     SingularJacobianError,
     eval_dual,
     eval_expr,
@@ -61,8 +62,22 @@ class Verdict(enum.Enum):
     ERROR = "ERROR"
 
 
-def _ident(name):
-    return name.isidentifier() and not name[0].isdigit()
+def _check_symbols(expr, allowed, what):
+    stray = free_symbols(expr) - allowed
+    if stray:
+        raise ValueError(f"{what} references unknown symbols {sorted(stray)}")
+
+
+def _components(exprs, coords, params, pts):
+    """Expressions in the named coordinates evaluated at one point (n,) or a
+    batch (N, n), stacked along the last axis."""
+    pts = np.asarray(pts, dtype=float)
+    env = {name: pts[..., i] for i, name in enumerate(coords)}
+    env.update(params)
+    out = np.zeros(pts.shape[:-1] + (len(exprs),))
+    for i, e in enumerate(exprs):
+        out[..., i] = eval_expr(e, env)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +121,11 @@ class SpacetimeDef:
         for (i, j), e in self.metric.items():
             if not (0 <= j <= i < n):
                 raise ValueError(f"metric index [{i}][{j}] outside lower triangle")
-            self._check_symbols(e, allowed, f"metric[{i}][{j}]")
+            _check_symbols(e, allowed, f"metric[{i}][{j}]")
         for k, e in enumerate(self.orientation):
-            self._check_symbols(e, allowed, f"orientation[{k}]")
+            _check_symbols(e, allowed, f"orientation[{k}]")
         for e in self.exclusions:
-            self._check_symbols(e, allowed, "exclusion")
-
-    @staticmethod
-    def _check_symbols(expr, allowed, what):
-        stray = free_symbols(expr) - allowed
-        if stray:
-            raise ValueError(f"{what} references unknown symbols {sorted(stray)}")
+            _check_symbols(e, allowed, "exclusion")
 
     @classmethod
     def create(cls, name, coords, domain, params, metric, orientation, exclusions=()):
@@ -139,15 +148,11 @@ class SpacetimeDef:
     def n(self):
         return len(self.coords)
 
-    def _env(self, pts):
-        env = {name: pts[..., i] for i, name in enumerate(self.coords)}
-        env.update(self.params)
-        return env
-
     def metric_at(self, pts):
         """Metric matrix (…, n, n) at one point (n,) or a batch (N, n)."""
         pts = np.asarray(pts, dtype=float)
-        env = self._env(pts)
+        env = {name: pts[..., i] for i, name in enumerate(self.coords)}
+        env.update(self.params)
         lead = pts.shape[:-1]
         G = np.zeros(lead + (self.n, self.n))
         for (i, j), e in self.metric.items():
@@ -158,13 +163,7 @@ class SpacetimeDef:
         return G
 
     def orientation_at(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        env = self._env(pts)
-        lead = pts.shape[:-1]
-        out = np.zeros(lead + (self.n,))
-        for i, e in enumerate(self.orientation):
-            out[..., i] = eval_expr(e, env)
-        return out
+        return _components(self.orientation, self.coords, self.params, pts)
 
     def contains(self, pts):
         """Strict-interior test; broadcasts over a leading batch axis."""
@@ -204,9 +203,7 @@ class MapDef:
             raise ValueError("one expression per target coordinate required")
         allowed = set(self.source.coords) | set(self.params)
         for coord, e in zip(self.target.coords, self.exprs):
-            stray = free_symbols(e) - allowed
-            if stray:
-                raise ValueError(f"map component '{coord}' references unknown symbols {sorted(stray)}")
+            _check_symbols(e, allowed, f"map component '{coord}'")
 
     @classmethod
     def create(cls, source, target, exprs, params=()):
@@ -220,14 +217,7 @@ class MapDef:
         return cls(source, target, parsed, params)
 
     def image(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        env = {name: pts[..., i] for i, name in enumerate(self.source.coords)}
-        env.update(self.params)
-        lead = pts.shape[:-1]
-        out = np.zeros(lead + (self.target.n,))
-        for i, e in enumerate(self.exprs):
-            out[..., i] = eval_expr(e, env)
-        return out
+        return _components(self.exprs, self.source.coords, self.params, pts)
 
     def image_and_jacobian(self, pts):
         """Image points and Jacobians d(target)/d(source), batched."""
@@ -354,11 +344,9 @@ class RegionSampler:
     def _guard(self, pts):
         if not np.all(self.spacetime.contains(pts)):
             raise ValueError("sampler emitted a point outside the domain")
-        env = self.spacetime._env(pts)
-        for e in self.spacetime.exclusions:
-            vals = np.abs(np.asarray(eval_expr(e, env), dtype=float))
-            if np.min(vals) < 0.5 * self.margin:
-                raise ValueError("sampling window touches an excluded singular locus")
+        st = self.spacetime
+        if np.any(np.abs(_components(st.exclusions, st.coords, st.params, pts)) < 0.5 * self.margin):
+            raise ValueError("sampling window touches an excluded singular locus")
 
 
 @dataclass(frozen=True)
@@ -403,16 +391,21 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class ConformalSummary:
+class ConformalReport:
+    """Per-sample factor lambda of T = lambda G (NaN where there is none)."""
+
     everywhere: bool
     lam_range: tuple | None
     lambdas: np.ndarray = field(repr=False)
 
+    @property
+    def samples_checked(self):
+        return len(self.lambdas)
+
     def to_dict(self):
         return {
             "everywhere": bool(self.everywhere),
-            "lam_range": None if self.lam_range is None
-            else [float(self.lam_range[0]), float(self.lam_range[1])],
+            "lam_range": None if self.lam_range is None else [float(v) for v in self.lam_range],
         }
 
 
@@ -422,7 +415,7 @@ class RelationReport:
     samples_checked: int
     min_margin: float | None
     witnesses: tuple
-    conformal: ConformalSummary | None
+    conformal: ConformalReport | None
     error: str | None = None
 
     @property
@@ -448,35 +441,26 @@ def _at_sample(pts, i):
     return f"at sample {i}, x = {np.atleast_2d(pts)[i].tolist()}"
 
 
+def _require(ok, what, pts, exc=ValueError):
+    """Raise exc naming the first sample where ok is False."""
+    ok = np.atleast_1d(ok)
+    if not np.all(ok):
+        raise exc(f"{what} {_at_sample(pts, int(np.flatnonzero(~ok)[0]))}")
+
+
 def _require_lorentzian(G, what, pts):
     w = np.linalg.eigvalsh(G)
     scale = np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
     zero = np.abs(w) <= 1e-12 * scale
     npos = np.sum((w > 0) & ~zero, axis=-1)
     nneg = np.sum((w < 0) & ~zero, axis=-1)
-    ok = (npos == 1) & (nneg == G.shape[-1] - 1)
-    if not np.all(ok):
-        i = int(np.flatnonzero(~np.atleast_1d(ok))[0])
-        raise ValueError(f"{what} loses Lorentzian signature {_at_sample(pts, i)}")
+    _require((npos == 1) & (nneg == G.shape[-1] - 1), f"{what} loses Lorentzian signature", pts)
 
 
 def _require_future_causal(G, fut, what, pts):
     q = np.einsum("...i,...ij,...j->...", fut, G, fut)
     scale = np.einsum("...i,...i->...", fut, fut) * np.abs(G).max(axis=(-2, -1))
-    ok = (scale > 0) & (q >= -TOL_NULL * scale)
-    if not np.all(ok):
-        i = int(np.flatnonzero(~np.atleast_1d(ok))[0])
-        raise ValueError(f"{what} is not future causal {_at_sample(pts, i)}")
-
-
-def _first_outside(target, img):
-    inside = target.contains(img)
-    i = int(np.flatnonzero(~np.atleast_1d(inside))[0])
-    x = np.atleast_2d(img)[i]
-    for k, (lo, hi) in enumerate(target.domain):
-        if not (lo < x[k] < hi):
-            return i, target.coords[k], float(x[k]), (lo, hi)
-    return i, "?", float("nan"), (float("nan"), float("nan"))
+    _require((scale > 0) & (q >= -TOL_NULL * scale), f"{what} is not future causal", pts)
 
 
 def _thread_count(threads):
@@ -492,23 +476,141 @@ def _dp2_margins_split(That, threads):
     chunks = np.array_split(np.arange(len(That)), k)
     with ThreadPoolExecutor(max_workers=k) as pool:
         results = list(pool.map(lambda ix: dp2_margins(That[ix]), chunks))
-    margins = np.concatenate([r[0] for r in results])
-    nhat = np.concatenate([r[1] for r in results])
-    mhat = np.concatenate([r[2] for r in results])
-    return margins, nhat, mhat
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
-def _conformal_summary(G, T, tol=TOL_CONF):
+def _conformal(G, T, tol=TOL_CONF):
     n = G.shape[-1]
     lam = np.einsum("nii->n", np.linalg.solve(G, T)) / n
     resid = np.abs(T - lam[:, None, None] * G).max(axis=(1, 2))
     scale = np.maximum(np.abs(T).max(axis=(1, 2)), 1e-300)
     ok = (resid / scale < tol) & (lam > 0)
     lambdas = np.where(ok, lam, np.nan)
-    rng = None
-    if np.any(ok):
-        rng = (float(np.nanmin(lambdas)), float(np.nanmax(lambdas)))
-    return ConformalSummary(bool(np.all(ok)), rng, lambdas)
+    rng = (float(np.nanmin(lambdas)), float(np.nanmax(lambdas))) if np.any(ok) else None
+    return ConformalReport(bool(np.all(ok)), rng, lambdas)
+
+
+# ---------------------------------------------------------------------------
+# the relation pipeline: source stage once, map stage per map, one search
+
+
+def _sample(source, sampler):
+    if sampler.spacetime.name != source.name:
+        raise ValueError("sampler chart does not match the map source")
+    return sampler.points()
+
+
+def _image_in_target(mapdef, pts):
+    """Image points and Jacobians at a batch; raises when an image leaves
+    the target domain, naming the first such sample and coordinate."""
+    img, J = mapdef.image_and_jacobian(pts)
+    outside = ~mapdef.target.contains(img)
+    if np.any(outside):
+        i = int(np.flatnonzero(outside)[0])
+        dom = mapdef.target.domain
+        k = next(k for k, (lo, hi) in enumerate(dom) if not lo < img[i, k] < hi)
+        raise ValueError(f"image leaves the target domain {_at_sample(pts, i)}: "
+                         f"{mapdef.target.coords[k]} = {float(img[i, k])} not in {dom[k]}")
+    return img, J
+
+
+def _pullback(J, Gt):
+    """J^T G~ J, symmetrized; at one point or a batch."""
+    T = np.swapaxes(J, -1, -2) @ Gt @ J
+    return 0.5 * (T + np.swapaxes(T, -1, -2))
+
+
+def _source_stage(source, pts):
+    """Metric, future field and frames of the source chart, validated."""
+    G = source.metric_at(pts)
+    _require_lorentzian(G, "source metric", pts)
+    fut = source.orientation_at(pts)
+    _require_future_causal(G, fut, "source orientation", pts)
+    return G, fut, frames(G, fut)
+
+
+def _map_stage(mapdef, pts, G, fut, E):
+    """Frame tensor of the pullback, pushed-orientation signs and the
+    conformal summary of one map; raises on the first failing check."""
+    img, J = _image_in_target(mapdef, pts)
+    jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
+    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular", pts,
+             SingularJacobianError)
+    Gt = mapdef.target.metric_at(img)
+    _require_lorentzian(Gt, "target metric at image", pts)
+    futW = mapdef.target.orientation_at(img)
+    _require_future_causal(Gt, futW, "target orientation at image", pts)
+
+    T = _pullback(J, Gt)
+    That = np.swapaxes(E, -1, -2) @ T @ E
+    pushed = np.einsum("nai,ni->na", J, fut)
+    signs = _ORIENTATION_SIGN[_class_codes(Gt, frames(Gt, futW), futW, pushed)]
+    return That, signs, _conformal(G, T)
+
+
+def _witnesses(pts, E, That, margins, tol, *dirs):
+    """The samples whose margin is below -tol times the tensor's scale, up
+    to 16 worst-first, each frame direction n lifted to the vector E (1, n)."""
+    ok = margins >= -tol * np.maximum(1.0, np.abs(That).max(axis=(1, 2)))
+    order = np.argsort(margins, kind="stable")
+    bad = order[~ok[order]][:16]
+    ones = np.ones((len(bad), 1))
+    vecs = [np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, d[bad]], axis=1)) for d in dirs]
+    return tuple(Witness(pts[i], tuple(v[r] for v in vecs), float(margins[i]))
+                 for r, i in enumerate(bad))
+
+
+def _verdict(pts, E, That, signs, conformal, margins, nhat, mhat, tol_dp):
+    N = len(pts)
+    min_margin = float(margins.min())
+    wit = _witnesses(pts, E, That, margins, tol_dp, nhat, mhat)
+    if wit:
+        return RelationReport(Verdict.VIOLATED, N, min_margin, wit, conformal)
+
+    if np.all(signs == 1):
+        return RelationReport(Verdict.HOLDS_SAMPLED, N, min_margin, (), conformal)
+    if np.all(signs == -1):
+        return RelationReport(Verdict.TIME_REVERSED, N, min_margin, (), conformal)
+    i = int(np.flatnonzero(signs != signs[0])[0]) if signs[0] != 0 else 0
+    return RelationReport(
+        Verdict.ERROR, N, min_margin, (), conformal,
+        error="pushed orientation is inconsistent across samples "
+              f"(first breach {_at_sample(pts, i)})",
+    )
+
+
+def _check_relations(maps, pts, tol_dp, threads):
+    """One RelationReport per map; the maps share one source chart and the
+    points.  A source-stage failure is every map's ERROR, a map-stage
+    failure that map's alone; the other maps' frame tensors are searched
+    as one stacked batch, whose rows come out as they would alone."""
+    N = len(pts)
+
+    def error(e):
+        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
+
+    try:
+        G, fut, E = _source_stage(maps[0].source, pts)
+    except (ArithmeticError, ValueError) as e:
+        return [error(e)] * len(maps)
+    staged = []
+    for m in maps:
+        try:
+            staged.append(_map_stage(m, pts, G, fut, E))
+        except (ArithmeticError, ValueError) as e:
+            staged.append(error(e))
+    live = [s for s in staged if isinstance(s, tuple)]
+    try:
+        found = _dp2_margins_split(np.concatenate([s[0] for s in live]), threads) if live else ()
+    except (ArithmeticError, ValueError) as e:
+        return [error(e) if isinstance(s, tuple) else s for s in staged]
+    reports, k = [], 0
+    for s in staged:
+        if isinstance(s, tuple):
+            s = _verdict(pts, E, *s, *(x[k:k + N] for x in found), tol_dp)
+            k += N
+        reports.append(s)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +628,7 @@ def pullback_metric(mapdef, x):
     scale = max(1.0, float(np.max(np.abs(J))))
     if abs(np.linalg.det(J)) < 1e-12 * scale ** J.shape[0]:
         raise SingularJacobianError(f"map Jacobian singular at {x.tolist()}")
-    Gt = mapdef.target.metric_at(img)
-    T = J.T @ Gt @ J
-    return 0.5 * (T + T.T)
+    return _pullback(J, mapdef.target.metric_at(img))
 
 
 def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
@@ -541,72 +641,7 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     TIME_REVERSED; evaluation, domain, signature, orientation, or
     Jacobian failures yield ERROR carrying the first failure.
     """
-    if sampler.spacetime.name != mapdef.source.name:
-        raise ValueError("sampler chart does not match the map source")
-    pts = sampler.points()
-    N = len(pts)
-    try:
-        G = mapdef.source.metric_at(pts)
-        _require_lorentzian(G, "source metric", pts)
-        fut = mapdef.source.orientation_at(pts)
-        _require_future_causal(G, fut, "source orientation", pts)
-
-        img, J = mapdef.image_and_jacobian(pts)
-        if not np.all(mapdef.target.contains(img)):
-            i, coord, val, (lo, hi) = _first_outside(mapdef.target, img)
-            raise ValueError(
-                f"image leaves the target domain {_at_sample(pts, i)}: "
-                f"{coord} = {val} not in ({lo}, {hi})"
-            )
-        dets = np.linalg.det(J)
-        jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
-        if np.any(np.abs(dets) < 1e-12 * jscale):
-            i = int(np.flatnonzero(np.abs(dets) < 1e-12 * jscale)[0])
-            raise SingularJacobianError(f"map Jacobian singular {_at_sample(pts, i)}")
-
-        Gt = mapdef.target.metric_at(img)
-        _require_lorentzian(Gt, "target metric at image", pts)
-        futW = mapdef.target.orientation_at(img)
-        _require_future_causal(Gt, futW, "target orientation at image", pts)
-
-        E = frames(G, fut)
-        T = np.swapaxes(J, -1, -2) @ Gt @ J
-        T = 0.5 * (T + np.transpose(T, (0, 2, 1)))
-        That = np.swapaxes(E, -1, -2) @ T @ E
-        margins, nhat, mhat = _dp2_margins_split(That, threads)
-
-        pushed = np.einsum("nai,ni->na", J, fut)
-        Ew = frames(Gt, futW)
-        signs = _ORIENTATION_SIGN[_class_codes(Gt, Ew, futW, pushed)]
-        conformal = _conformal_summary(G, T)
-    except (EvalDomainError, SingularJacobianError, ArithmeticError, ValueError) as e:
-        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
-
-    scale = np.maximum(1.0, np.abs(That).max(axis=(1, 2)))
-    ok = margins >= -tol_dp * scale
-    min_margin = float(margins.min())
-
-    if not np.all(ok):
-        order = np.argsort(margins, kind="stable")
-        bad = order[~ok[order]][:16]
-        ones = np.ones((len(bad), 1))
-        ks = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, nhat[bad]], axis=1))
-        ls = np.einsum("nij,nj->ni", E[bad], np.concatenate([ones, mhat[bad]], axis=1))
-        wit = tuple(
-            Witness(pts[i], (ks[r], ls[r]), float(margins[i]))
-            for r, i in enumerate(bad)
-        )
-        return RelationReport(Verdict.VIOLATED, N, min_margin, wit, conformal)
-
-    if np.all(signs == 1):
-        return RelationReport(Verdict.HOLDS_SAMPLED, N, min_margin, (), conformal)
-    if np.all(signs == -1):
-        return RelationReport(Verdict.TIME_REVERSED, N, min_margin, (), conformal)
-    i = int(np.flatnonzero(signs != signs[0])[0]) if signs[0] != 0 else 0
-    return RelationReport(
-        Verdict.ERROR, N, min_margin, (), conformal,
-        error=f"pushed orientation is inconsistent across samples (first breach at sample {i})",
-    )
+    return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp, threads)[0]
 
 
 def canonical_null_directions(mapdef, x):
@@ -637,38 +672,12 @@ def canonical_null_directions(mapdef, x):
     return res
 
 
-@dataclass(frozen=True)
-class ConformalReport:
-    everywhere: bool
-    lam_range: tuple | None
-    lambdas: np.ndarray = field(repr=False)
-    samples_checked: int = 0
-
-    def to_dict(self):
-        return {
-            "everywhere": bool(self.everywhere),
-            "lam_range": None if self.lam_range is None
-            else [float(self.lam_range[0]), float(self.lam_range[1])],
-            "samples_checked": int(self.samples_checked),
-        }
-
-
 def check_conformal(mapdef, sampler):
     """Per-sample conformal factor of the pullback, with overall flag."""
     pts = sampler.points()
     G = mapdef.source.metric_at(pts)
-    img, J = mapdef.image_and_jacobian(pts)
-    if not np.all(mapdef.target.contains(img)):
-        i, coord, val, (lo, hi) = _first_outside(mapdef.target, img)
-        raise ValueError(
-            f"image leaves the target domain {_at_sample(pts, i)}: "
-            f"{coord} = {val} not in ({lo}, {hi})"
-        )
-    Gt = mapdef.target.metric_at(img)
-    T = np.swapaxes(J, -1, -2) @ Gt @ J
-    T = 0.5 * (T + np.transpose(T, (0, 2, 1)))
-    s = _conformal_summary(G, T)
-    return ConformalReport(s.everywhere, s.lam_range, s.lambdas, len(pts))
+    img, J = _image_in_target(mapdef, pts)
+    return _conformal(G, _pullback(J, mapdef.target.metric_at(img)))
 
 
 @dataclass(frozen=True)
@@ -687,29 +696,27 @@ class IsoReport:
             "backward": self.backward.to_dict(),
             "time_reversed": bool(self.time_reversed),
             "inverse_verified": bool(self.inverse_verified),
-            "conformal": None if self.conformal is None else self.conformal.to_dict(),
+            "conformal": None if self.conformal is None
+            else {**self.conformal.to_dict(), "samples_checked": self.conformal.samples_checked},
         }
 
 
 def check_isomorphism(fwd, bwd, sampler_fwd, sampler_bwd, tol_dp=TOL_DP, threads=None):
-    """Proper-causal check in both directions; conformal factor when
-    the backward map is numerically the inverse of the forward one."""
-    rf = check_proper_causal(fwd, sampler_fwd, tol_dp=tol_dp, threads=threads)
+    """Proper-causal check in both directions; the forward check's
+    conformal summary when the backward map is numerically its inverse."""
+    pts = _sample(fwd.source, sampler_fwd)
+    rf = _check_relations([fwd], pts, tol_dp, threads)[0]
     rb = check_proper_causal(bwd, sampler_bwd, tol_dp=tol_dp, threads=threads)
     holds = {Verdict.HOLDS_SAMPLED, Verdict.TIME_REVERSED}
     iso = rf.verdict in holds and rb.verdict in holds
     reversed_ = Verdict.TIME_REVERSED in (rf.verdict, rb.verdict)
 
     inverse_ok = False
-    conf = None
     if iso:
-        pts = sampler_fwd.points()
         back = bwd.image(fwd.image(pts))
         resid = np.abs(back - pts) / np.maximum(1.0, np.abs(pts))
         inverse_ok = bool(np.max(resid) < 1e-8)
-        if inverse_ok:
-            conf = check_conformal(fwd, sampler_fwd)
-    return IsoReport(iso, rf, rb, reversed_, inverse_ok, conf)
+    return IsoReport(iso, rf, rb, reversed_, inverse_ok, rf.conformal if inverse_ok else None)
 
 
 def curve_pushforward_check(mapdef, curve, u_values):

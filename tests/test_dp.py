@@ -251,10 +251,10 @@ class TestPairGridScan:
 class TestRowIndependence:
     """A row's search result depends on that row alone, not on the batch
     around it; the Newton polish drops finished rows from its batch on
-    this basis.  The pair search is checked in batches of at least two
-    rows: a one-row grid-scan chunk takes BLAS's matrix-vector product for
-    `a @ gT`, which rounds differently in the last bit.  The closed-form
-    quadratic has no grid scan, so it is also checked row by row."""
+    this basis, and a flow's parameter values share one stacked search on
+    it.  Both searches are also checked row by row: a one-row grid-scan
+    chunk is scanned as two equal rows, because BLAS's matrix-vector
+    product for `a @ gT` rounds differently in the last bit."""
 
     SEARCHES = {
         "dp2_margins_grid": lambda T: dp2_margins(T, steps=0),
@@ -284,6 +284,15 @@ class TestRowIndependence:
         for i in range(len(That)):
             mi, ni = null_quadratic_margins(That[i:i + 1])
             assert mi[0] == m[i] and np.array_equal(ni[0], nhat[i])
+
+    @pytest.mark.parametrize("steps", [0, dp.NEWTON_STEPS])
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_pair_one_row_batches(self, kind, n, steps):
+        That = _scan_tensors(kind, n, 100, seed=83 * n)
+        got = dp2_margins(That, steps=steps)
+        for i in range(len(That)):
+            for g, s in zip(got, dp2_margins(That[i:i + 1], steps=steps)):
+                assert np.array_equal(g[i], s[0])
 
     # the id keeps naming the objective: the pair search is the polish's only one
     @pytest.mark.parametrize("objective", ["pair"])

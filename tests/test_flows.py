@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from causalkit import relate
+from causalkit.dp import dp2_margins
 from causalkit.flows import (
     FlowDef,
     GeneratorField,
@@ -19,6 +21,7 @@ from causalkit.relate import (
     SpacetimeDef,
     Verdict,
     canonical_null_directions,
+    check_proper_causal,
     compose_maps,
 )
 
@@ -114,6 +117,18 @@ class TestVerifyIdentity:
             st, "s", {"t": "t + s + 0.1", "x": "x", "y": "y", "z": "z"}, (-1.0, 1.0))
         with pytest.raises(ValueError, match="not the identity"):
             verify_identity(fl, np.array([[0.0, 0.0, 0.0, 0.0]]))
+
+    def test_message_names_worst_sample_coordinates(self):
+        st = mink4()
+        fl = FlowDef.create(
+            st, "s", {"t": "t + s + 0.01*x^2", "x": "x", "y": "y", "z": "z"}, (-1.0, 1.0))
+        pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                        [0.0, 3.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as err:
+            verify_identity(fl, pts)
+        assert str(err.value) == (
+            "flow is not the identity at s = 0 (residual 9.000e-02 "
+            "at sample 2, x = [0.0, 3.0, 0.0, 0.0])")
 
 
 class TestGenerator:
@@ -255,6 +270,102 @@ class TestCheckSubmonoid:
         assert d["group"] is True
         assert len(d["steps"]) == 3
         assert d["steps"][0]["verdict"] == "HOLDS_SAMPLED"
+
+
+def bounded_expansion():
+    """2-D chart ds^2 = dt^2 - e^(t/2) dx^2 with t bounded to (-3, 3).
+
+    The time shift by s sends null vectors to causal ones exactly when the
+    scale factor does not grow, so s < 0 holds, s > 0 violates, and
+    |s| > 2 carries the sampled window t in (-1, 1) out of the chart.
+    """
+    st = SpacetimeDef.create(
+        name="bounded", coords=("t", "x"),
+        domain={"t": (-3.0, 3.0), "x": (-1.0, 1.0)},
+        params={}, metric={(0, 0): "1", (1, 1): "-exp(t/2)"},
+        orientation=("1", "0"))
+    fl = FlowDef.create(st, "s", {"t": "t + s", "x": "x"}, (-3.0, 3.0))
+    return fl, RegionSampler.build(st, count=64, window={"t": (-1.0, 1.0)})
+
+
+class TestSharedPipeline:
+    """check_submonoid runs every flow value through one source stage and
+    one stacked search; each value must come out as its own check does."""
+
+    S_GRID = [k / 2.0 for k in range(-4, 5)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("count", [64, 65, 128])
+    def test_steps_match_per_value_checks(self, count, threads):
+        st = vaidya("2 - tanh(t)")
+        fl = FlowDef.create(
+            st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"}, (-2.0, 2.0))
+        samp = vaidya_sampler(st, count=count)
+        rep = check_submonoid(fl, self.S_GRID, samp, threads=threads)
+        assert {s.verdict for s in rep.steps} == {Verdict.HOLDS_SAMPLED, Verdict.VIOLATED}
+        for step in rep.steps:
+            r = check_proper_causal(flow_map(fl, step.s), samp, threads=threads)
+            assert step.verdict is r.verdict
+            assert step.min_margin == r.min_margin
+            assert step.lam_range == r.conformal.lam_range
+
+    def test_failing_values_keep_their_own_error(self):
+        fl, samp = bounded_expansion()
+        grid = [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5]
+        maps = [flow_map(fl, s) for s in grid]
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, 1)
+        for m, r in zip(maps, stacked):
+            assert r.to_dict() == check_proper_causal(m, samp).to_dict()
+        verdicts = [r.verdict for r in stacked]
+        assert verdicts == [Verdict.ERROR] + [Verdict.HOLDS_SAMPLED] * 3 \
+            + [Verdict.VIOLATED] * 2 + [Verdict.ERROR]
+        assert stacked[0].error.startswith("image leaves the target domain at sample")
+        assert "t = " in stacked[-1].error and "not in (-3.0, 3.0)" in stacked[-1].error
+
+        rep = check_submonoid(fl, grid, samp)
+        assert [s.verdict for s in rep.steps] == verdicts
+        assert rep.interval == (-1.0, 0.0)
+        assert [s.min_margin for s in rep.steps] == [r.min_margin for r in stacked]
+
+    def test_source_failure_is_every_values_error(self):
+        st = SpacetimeDef.create(
+            name="flipper", coords=("t", "x"),
+            domain={"t": (-2.0, -1.0), "x": (-1.0, 1.0)},
+            params={}, metric={(0, 0): "t", (1, 1): "-1"}, orientation=("1", "0"))
+        fl = FlowDef.create(st, "s", {"t": "t", "x": "x + s"}, (-1.0, 1.0))
+        samp = RegionSampler.build(st, count=32)
+        maps = [flow_map(fl, s) for s in (-0.5, 0.0, 0.5)]
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, 1)
+        for m, r in zip(maps, stacked):
+            assert r.verdict is Verdict.ERROR and "Lorentzian" in r.error
+            assert r.to_dict() == check_proper_causal(m, samp).to_dict()
+
+    def test_one_search_per_scan(self, monkeypatch):
+        calls = []
+
+        def counting(That, *args, **kwargs):
+            calls.append(len(That))
+            return dp2_margins(That, *args, **kwargs)
+
+        monkeypatch.setattr(relate, "dp2_margins", counting)
+        st = vaidya("2 - tanh(t)")
+        fl = FlowDef.create(
+            st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"}, (-2.0, 2.0))
+        check_submonoid(fl, self.S_GRID, vaidya_sampler(st, count=64), threads=1)
+        assert calls == [9 * 64]
+
+    def test_points_drawn_once(self, monkeypatch):
+        draws = []
+        points = RegionSampler.points
+
+        def counting(self):
+            draws.append(self.count)
+            return points(self)
+
+        monkeypatch.setattr(RegionSampler, "points", counting)
+        st = mink4()
+        check_submonoid(translation_flow(st), self.S_GRID, RegionSampler.build(st, count=64))
+        assert draws == [64]
 
 
 class TestCanonicalDirectionsUnderFlow:

@@ -1,5 +1,6 @@
 """Tests for chart definitions, sampling, and the sampled causal checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -505,6 +506,23 @@ class TestCheckProperCausal:
         assert rep.verdict is Verdict.ERROR
         assert rep.error == f"{message} at sample {i}, x = {pts[i].tolist()}"
 
+    def test_inconsistent_orientation_names_sample_coordinates(self):
+        # t -> |t - 0.3| keeps every cone (|dt'/dt| = 1) but pushes the
+        # future field to the past below t = 0.3 and to the future above
+        st = SpacetimeDef.create(
+            name="flat2", coords=("t", "x"),
+            domain={"t": (-2.0, 2.0), "x": (-1.0, 1.0)},
+            params={}, metric={(0, 0): "1", (1, 1): "-1"}, orientation=("1", "0"))
+        sampler = RegionSampler.build(st, count=32, window={"t": (-1.0, 1.0)})
+        pts = sampler.points()
+        i = int(np.flatnonzero(pts[:, 0] > 0.3)[0])
+        assert pts[0, 0] < 0.3 and i > 0
+        rep = check_proper_causal(MapDef.create(st, st, {"t": "abs(t - 0.3)", "x": "x"}, {}),
+                                  sampler)
+        assert rep.verdict is Verdict.ERROR
+        assert rep.error == ("pushed orientation is inconsistent across samples "
+                             f"(first breach at sample {i}, x = {pts[i].tolist()})")
+
     def test_sampler_chart_mismatch_raises(self):
         m = ds_to_es_map(b=1.5)
         with pytest.raises(ValueError, match="sampler chart"):
@@ -621,6 +639,16 @@ class TestCheckConformal:
         assert not rep.everywhere
         assert rep.lam_range is None
 
+    def test_one_type_with_derived_sample_count(self):
+        st = mink4()
+        m = MapDef.create(st, st, {"t": "2*t", "x": "2*x", "y": "2*y", "z": "2*z"}, {})
+        samp = RegionSampler.build(st, count=64)
+        rep = check_conformal(m, samp)
+        assert [f.name for f in dataclasses.fields(rep)] == ["everywhere", "lam_range", "lambdas"]
+        assert rep.samples_checked == len(rep.lambdas) == 64
+        assert rep.to_dict() == {"everywhere": True, "lam_range": [4.0, 4.0]}
+        assert type(check_proper_causal(m, samp).conformal) is type(rep)
+
 
 class TestCheckIsomorphism:
     def test_exterior_iso_without_exact_inverse(self):
@@ -652,6 +680,44 @@ class TestCheckIsomorphism:
         assert rep.conformal is not None
         assert rep.conformal.everywhere
         assert rep.conformal.lam_range == pytest.approx((4.0, 4.0))
+
+    def test_conformal_is_the_forward_checks_own(self):
+        # u -> e^u, v -> e^v in null coordinates (ds^2 = du dv) is conformal
+        # with a factor e^(u+v) that varies from sample to sample
+        def null_chart(name, lo, hi):
+            return SpacetimeDef.create(
+                name=name, coords=("u", "v"), domain={"u": (lo, hi), "v": (lo, hi)},
+                params={}, metric={(1, 0): "0.5"}, orientation=("1", "1"))
+
+        src, tgt = null_chart("null_src", -1.0, 1.0), null_chart("null_tgt", 0.1, 3.0)
+        fwd = MapDef.create(src, tgt, {"u": "exp(u)", "v": "exp(v)"}, {})
+        bwd = MapDef.create(tgt, src, {"u": "log(u)", "v": "log(v)"}, {})
+        sf = RegionSampler.build(src, count=128)
+        sb = RegionSampler.build(tgt, count=96, window={"u": (0.4, 2.7), "v": (0.4, 2.7)})
+        rep = check_isomorphism(fwd, bwd, sf, sb)
+        want = check_conformal(fwd, sf)
+        assert rep.isomorphic and rep.inverse_verified
+        assert np.array_equal(rep.conformal.lambdas, want.lambdas)
+        assert rep.conformal.lam_range == want.lam_range
+        assert want.lam_range[1] > 2.0 * want.lam_range[0]
+        assert rep.to_dict()["conformal"] == {**want.to_dict(), "samples_checked": 128}
+
+    def test_each_sampler_drawn_once(self, monkeypatch):
+        draws = []
+        points = RegionSampler.points
+
+        def counting(self):
+            draws.append(self.seed)
+            return points(self)
+
+        monkeypatch.setattr(RegionSampler, "points", counting)
+        st = mink4()
+        fwd = MapDef.create(st, st, {"t": "2*t", "x": "2*x", "y": "2*y", "z": "2*z"}, {})
+        bwd = MapDef.create(st, st, {"t": "t/2", "x": "x/2", "y": "y/2", "z": "z/2"}, {})
+        rep = check_isomorphism(fwd, bwd, RegionSampler.build(st, count=64),
+                                RegionSampler.build(st, count=64, seed=1))
+        assert rep.conformal is not None
+        assert draws == [0, 1]
 
     def test_not_isomorphic_when_one_direction_fails(self):
         fwd = exterior_map(b=3.0, M=1.0, c=2.0, a=2.0)
