@@ -19,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defio import serialize_flow, serialize_map, serialize_spacetime
-from .dp import TOL_DP
+from .dp import TOL_CONF, TOL_DP
 from .exprcore import eval_expr, parse_expr
 from .flows import FlowDef, check_submonoid
 from .relate import (
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
-    TOL_CONF,
     MapDef,
     RegionSampler,
     SpacetimeDef,

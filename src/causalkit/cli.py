@@ -27,13 +27,12 @@ from .catalog import (
     spacetime_digest,
 )
 from .defio import load_flow, load_map, load_spacetime, serialize_spacetime
-from .dp import TOL_DP
+from .dp import TOL_CONF, TOL_DP
 from .exprcore import EvalDomainError, SingularJacobianError, eval_expr, parse_expr
 from .flows import check_submonoid
 from .relate import (
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
-    TOL_CONF,
     RegionSampler,
     Verdict,
     _thread_count,

@@ -28,6 +28,7 @@ import numpy as np
 from .lorentz import CausalClass, classify, orthonormal_frame
 
 TOL_DP = 1e-9
+TOL_CONF = 1e-8
 NEWTON_STEPS = 40  # Newton iteration cap, per grid start and for the secular equation
 _POLISH_STARTS = 4
 _SCAN_CHUNK = 64  # rows per grid-scan chunk
@@ -491,19 +492,22 @@ def dp_zero_test(point, T, X, tol=1e-8, frame=None):
     return value_zero, eigen
 
 
-def conformal_factor(point, T, tol=1e-8, frame=None):
-    """Positive lambda with T = lambda * G, or None.
+def conformal_lambdas(G, T, tol=TOL_CONF):
+    """Per-row positive lambda with T = lambda G, NaN where there is none.
 
-    The fit is the generalized trace tr(G^-1 T)/n; acceptance compares
-    the residual in frame components against `tol`.
+    The fit is the generalized trace tr(G^-1 T)/n; it is accepted when the
+    residual max|T - lambda G| in coordinates is below `tol` times max|T|.
     """
-    G = point.metric.matrix
-    n = point.metric.dim
-    T = _check_sym(T, n)
-    E = orthonormal_frame(point) if frame is None else frame
-    lam = float(np.trace(np.linalg.solve(G, T))) / n
-    That = E.T @ T @ E
-    resid = np.max(np.abs(That - lam * np.diag([1.0] + [-1.0] * (n - 1))))
-    if resid <= tol * max(1.0, float(np.max(np.abs(That)))) and lam > 0.0:
-        return lam
-    return None
+    n = G.shape[-1]
+    lam = np.einsum("nii->n", np.linalg.solve(G, T)) / n
+    resid = np.abs(T - lam[:, None, None] * G).max(axis=(1, 2))
+    scale = np.maximum(np.abs(T).max(axis=(1, 2)), 1e-300)
+    return np.where((resid / scale < tol) & (lam > 0), lam, np.nan)
+
+
+def conformal_factor(point, T, tol=TOL_CONF):
+    """Positive lambda with T = lambda * G at one point, or None: the
+    one-row case of `conformal_lambdas`."""
+    T = _check_sym(T, point.metric.dim)
+    lam = float(conformal_lambdas(point.metric.matrix[None], T[None], tol)[0])
+    return None if np.isnan(lam) else lam

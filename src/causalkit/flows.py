@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
-from .exprcore import eval_dual, eval_expr, parse_expr, seed_env, substitute
-from .lorentz import frames
-from .relate import (MapDef, Verdict, _at_sample, _check_relations, _check_symbols, _sample,
-                     _witnesses)
+from .exprcore import eval_dual, parse_expr, seed_env, substitute
+from .relate import (MapDef, Verdict, _at_sample, _check_relations, _check_symbols, _components,
+                     _sample, _source_stage, _witnesses)
 
 IDENTITY_TOL = 1e-10
 
@@ -83,13 +82,7 @@ class GeneratorField:
         return cls(spacetime, tuple(parse_expr(src, symbols) for src in exprs))
 
     def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        env = {name: pts[..., i] for i, name in enumerate(self.spacetime.coords)}
-        env.update(self.spacetime.params)
-        out = np.zeros(pts.shape)
-        for i, e in enumerate(self.exprs):
-            out[..., i] = eval_expr(e, env)
-        return out
+        return _components(self.exprs, self.spacetime.coords, self.spacetime.params, pts)
 
 
 def verify_identity(flow, pts, tol=IDENTITY_TOL):
@@ -257,10 +250,8 @@ class NullConeReport:
 
 def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
     """Sign of (L_xi g)(k, k) minimized over future null k at each sample."""
-    pts = sampler.points()
-    G = st.metric_at(pts)
-    fut = st.orientation_at(pts)
-    E = frames(G, fut)
+    pts = _sample(st, sampler)
+    E = _source_stage(st, pts)[2]
     L = lie_derivative_metric(st, xi, pts)
     Lhat = np.swapaxes(E, -1, -2) @ L @ E
     margins, nhat = null_quadratic_margins(Lhat)

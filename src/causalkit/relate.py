@@ -10,10 +10,13 @@ VIOLATED carries concrete witnesses.
 
 Every relation verdict comes from one batched pipeline over a shared
 point set: a source stage (metric, signature, orientation, frames) runs
-once, a map stage per map pulls the target metric back through
-forward-mode Jacobians, and the frame tensors of all maps go through
-one vectorized null-pair search in `dp`.  A check is one map, a flow
-scan one map per parameter value.
+once, a map-image stage per map (target domain, Jacobian, target metric
+and orientation) feeds the pullback through forward-mode Jacobians, and
+the frame tensors of all maps go through one vectorized null-pair search
+in `dp`.  A check is one map, a flow scan one map per parameter value.
+The stages are the only code that validates a chart or a map at points:
+the conformal, null-cone and curve checks run them on their samples, and
+the single-point queries on a one-sample batch.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import TOL_DP, DPStatus, dp2_check, dp2_margins, null_eigenvectors
+from .dp import TOL_DP, DPStatus, conformal_lambdas, dp2_check, dp2_margins, null_eigenvectors
 from .exprcore import (
+    EvalDomainError,
     SingularJacobianError,
     eval_dual,
     eval_expr,
@@ -38,14 +42,13 @@ from .exprcore import (
 from .lorentz import (
     TOL_NULL,
     CausalClass,
+    MetricValue,
     OrientedPoint,
     _class_codes,
     classify,
     frames,
-    validate_metric,
 )
 
-TOL_CONF = 1e-8
 DEFAULT_SAMPLES = 4096
 DEFAULT_MARGIN = 1e-3
 INF_WINDOW = 10.0
@@ -178,15 +181,13 @@ class SpacetimeDef:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"point {x.tolist()} outside the domain of '{self.name}'")
-        return OrientedPoint(x, validate_metric(self.metric_at(x)), self.orientation_at(x))
+        G, fut = _chart_check(self, f"'{self.name}'", x[None])
+        return OrientedPoint(x, MetricValue(self.n, G[0]), fut[0])
 
     def validate_on(self, pts):
         """Signature and orientation checks over a batch; raises on failure."""
         pts = np.asarray(pts, dtype=float)
-        G = self.metric_at(pts)
-        _require_lorentzian(G, f"metric of '{self.name}'", pts)
-        fut = self.orientation_at(pts)
-        _require_future_causal(G, fut, f"orientation of '{self.name}'", pts)
+        _chart_check(self, f"'{self.name}'", pts)
 
 
 @dataclass(frozen=True)
@@ -448,19 +449,15 @@ def _require(ok, what, pts, exc=ValueError):
         raise exc(f"{what} {_at_sample(pts, int(np.flatnonzero(~ok)[0]))}")
 
 
-def _require_lorentzian(G, what, pts):
-    w = np.linalg.eigvalsh(G)
-    scale = np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
-    zero = np.abs(w) <= 1e-12 * scale
-    npos = np.sum((w > 0) & ~zero, axis=-1)
-    nneg = np.sum((w < 0) & ~zero, axis=-1)
-    _require((npos == 1) & (nneg == G.shape[-1] - 1), f"{what} loses Lorentzian signature", pts)
-
-
-def _require_future_causal(G, fut, what, pts):
-    q = np.einsum("...i,...ij,...j->...", fut, G, fut)
-    scale = np.einsum("...i,...i->...", fut, fut) * np.abs(G).max(axis=(-2, -1))
-    _require((scale > 0) & (q >= -TOL_NULL * scale), f"{what} is not future causal", pts)
+def _named(pts, fn, *args):
+    """fn(*args) for the batch pts; an expression-domain error at a sample
+    also names the sample's coordinates."""
+    try:
+        return fn(*args)
+    except EvalDomainError as e:
+        if e.index is not None:
+            e.args = (f"{e}, x = {np.atleast_2d(pts)[e.index].tolist()}",)
+        raise
 
 
 def _thread_count(threads):
@@ -479,31 +476,65 @@ def _dp2_margins_split(That, threads):
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
-def _conformal(G, T, tol=TOL_CONF):
-    n = G.shape[-1]
-    lam = np.einsum("nii->n", np.linalg.solve(G, T)) / n
-    resid = np.abs(T - lam[:, None, None] * G).max(axis=(1, 2))
-    scale = np.maximum(np.abs(T).max(axis=(1, 2)), 1e-300)
-    ok = (resid / scale < tol) & (lam > 0)
-    lambdas = np.where(ok, lam, np.nan)
+def _conformal(G, T):
+    lambdas = conformal_lambdas(G, T)
+    ok = ~np.isnan(lambdas)
     rng = (float(np.nanmin(lambdas)), float(np.nanmax(lambdas))) if np.any(ok) else None
     return ConformalReport(bool(np.all(ok)), rng, lambdas)
 
 
 # ---------------------------------------------------------------------------
-# the relation pipeline: source stage once, map stage per map, one search
+# the stages: the only code that validates a chart or a map at points.
+# The source stage runs once per sample set, the map-image stage per map,
+# and the frame tensors of all maps go through one search
 
 
 def _sample(source, sampler):
     if sampler.spacetime.name != source.name:
-        raise ValueError("sampler chart does not match the map source")
+        raise ValueError(f"sampler chart '{sampler.spacetime.name}' does not match "
+                         f"the source chart '{source.name}'")
     return sampler.points()
 
 
-def _image_in_target(mapdef, pts):
-    """Image points and Jacobians at a batch; raises when an image leaves
-    the target domain, naming the first such sample and coordinate."""
-    img, J = mapdef.image_and_jacobian(pts)
+def _source_point(source, x):
+    """One source point as a one-sample batch; raises outside the domain."""
+    x = np.asarray(x, dtype=float)
+    if not source.contains(x):
+        raise ValueError(f"point {x.tolist()} outside the source domain")
+    return x[None]
+
+
+def _chart_check(chart, what, pts, img=None):
+    """Metric and future field of a chart at the samples pts, or at their
+    images img in it, validated; raises naming the first failing sample."""
+    at, where = (pts, "") if img is None else (img, " at image")
+    G = _named(pts, chart.metric_at, at)
+    w = np.linalg.eigvalsh(G)
+    zero = np.abs(w) <= 1e-12 * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
+    npos = np.sum((w > 0) & ~zero, axis=-1)
+    nneg = np.sum((w < 0) & ~zero, axis=-1)
+    _require((npos == 1) & (nneg == G.shape[-1] - 1),
+             f"{what} metric{where} loses Lorentzian signature", pts)
+    fut = _named(pts, chart.orientation_at, at)
+    q = np.einsum("...i,...ij,...j->...", fut, G, fut)
+    scale = np.einsum("...i,...i->...", fut, fut) * np.abs(G).max(axis=(-2, -1))
+    _require((scale > 0) & (q >= -TOL_NULL * scale),
+             f"{what} orientation{where} is not future causal", pts)
+    return G, fut
+
+
+def _source_stage(source, pts):
+    """Metric, future field and frames of the source chart, validated."""
+    G, fut = _chart_check(source, "source", pts)
+    return G, fut, frames(G, fut)
+
+
+def _image_stage(mapdef, pts):
+    """Jacobian, target metric and target future field of a map at a batch,
+    validated: the image stays in the target domain (the message names the
+    coordinate and its interval), the Jacobian is regular, the target chart
+    is valid at the image."""
+    img, J = _named(pts, mapdef.image_and_jacobian, pts)
     outside = ~mapdef.target.contains(img)
     if np.any(outside):
         i = int(np.flatnonzero(outside)[0])
@@ -511,7 +542,10 @@ def _image_in_target(mapdef, pts):
         k = next(k for k, (lo, hi) in enumerate(dom) if not lo < img[i, k] < hi)
         raise ValueError(f"image leaves the target domain {_at_sample(pts, i)}: "
                          f"{mapdef.target.coords[k]} = {float(img[i, k])} not in {dom[k]}")
-    return img, J
+    jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
+    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular", pts,
+             SingularJacobianError)
+    return (J,) + _chart_check(mapdef.target, "target", pts, img)
 
 
 def _pullback(J, Gt):
@@ -520,27 +554,10 @@ def _pullback(J, Gt):
     return 0.5 * (T + np.swapaxes(T, -1, -2))
 
 
-def _source_stage(source, pts):
-    """Metric, future field and frames of the source chart, validated."""
-    G = source.metric_at(pts)
-    _require_lorentzian(G, "source metric", pts)
-    fut = source.orientation_at(pts)
-    _require_future_causal(G, fut, "source orientation", pts)
-    return G, fut, frames(G, fut)
-
-
 def _map_stage(mapdef, pts, G, fut, E):
     """Frame tensor of the pullback, pushed-orientation signs and the
     conformal summary of one map; raises on the first failing check."""
-    img, J = _image_in_target(mapdef, pts)
-    jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
-    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular", pts,
-             SingularJacobianError)
-    Gt = mapdef.target.metric_at(img)
-    _require_lorentzian(Gt, "target metric at image", pts)
-    futW = mapdef.target.orientation_at(img)
-    _require_future_causal(Gt, futW, "target orientation at image", pts)
-
+    J, Gt, futW = _image_stage(mapdef, pts)
     T = _pullback(J, Gt)
     That = np.swapaxes(E, -1, -2) @ T @ E
     pushed = np.einsum("nai,ni->na", J, fut)
@@ -619,16 +636,8 @@ def _check_relations(maps, pts, tol_dp, threads):
 
 def pullback_metric(mapdef, x):
     """Pullback of the target metric at one source point: J^T G~ J."""
-    x = np.asarray(x, dtype=float)
-    if not mapdef.source.contains(x):
-        raise ValueError(f"point {x.tolist()} outside the source domain")
-    img, J = mapdef.image_and_jacobian(x)
-    if not mapdef.target.contains(img):
-        raise ValueError(f"image {img.tolist()} outside the target domain")
-    scale = max(1.0, float(np.max(np.abs(J))))
-    if abs(np.linalg.det(J)) < 1e-12 * scale ** J.shape[0]:
-        raise SingularJacobianError(f"map Jacobian singular at {x.tolist()}")
-    return _pullback(J, mapdef.target.metric_at(img))
+    J, Gt, _ = _image_stage(mapdef, _source_point(mapdef.source, x))
+    return _pullback(J, Gt)[0]
 
 
 def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
@@ -651,20 +660,21 @@ def canonical_null_directions(mapdef, x):
     reported direction is cross-checked by classifying its push-forward
     in the target chart.
     """
-    x = np.asarray(x, dtype=float)
-    p = mapdef.source.point(x)
-    T = pullback_metric(mapdef, x)
-    verdict = dp2_check(p, T)
+    pts = _source_point(mapdef.source, x)
+    G, fut, E = _source_stage(mapdef.source, pts)
+    J, Gt, futW = _image_stage(mapdef, pts)
+    p = OrientedPoint(pts[0], MetricValue(mapdef.source.n, G[0]), fut[0])
+    T = _pullback(J, Gt)[0]
+    verdict = dp2_check(p, T, frame=E[0])
     if verdict.status is not DPStatus.IN_DP_PLUS:
         raise ValueError(
             f"canonical null directions need an InDPplus pullback, got "
             f"{verdict.status.value} (margin {verdict.margin:.3e})"
         )
-    res = null_eigenvectors(p, T)
-    img, J = mapdef.image_and_jacobian(x)
-    q = mapdef.target.point(img)
+    res = null_eigenvectors(p, T, frame=E[0])
+    Ew = frames(Gt, futW)[0]
     for lam, v in res.pairs:
-        cls = classify(q.metric.matrix, frames(q.metric.matrix, q.future), q.future, J @ v)
+        cls = classify(Gt[0], Ew, futW[0], J[0] @ v)
         if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
             raise ArithmeticError(
                 f"push-forward of a reported null direction classifies {cls.value}"
@@ -674,10 +684,10 @@ def canonical_null_directions(mapdef, x):
 
 def check_conformal(mapdef, sampler):
     """Per-sample conformal factor of the pullback, with overall flag."""
-    pts = sampler.points()
-    G = mapdef.source.metric_at(pts)
-    img, J = _image_in_target(mapdef, pts)
-    return _conformal(G, _pullback(J, mapdef.target.metric_at(img)))
+    pts = _sample(mapdef.source, sampler)
+    G = _source_stage(mapdef.source, pts)[0]
+    J, Gt, _ = _image_stage(mapdef, pts)
+    return _conformal(G, _pullback(J, Gt))
 
 
 @dataclass(frozen=True)
@@ -744,9 +754,7 @@ def curve_pushforward_check(mapdef, curve, u_values):
     if not np.all(inside):
         i = int(np.flatnonzero(~inside)[0])
         raise ValueError(f"curve leaves the source domain at u = {u[i]}")
-    G = mapdef.source.metric_at(pts)
-    fut = mapdef.source.orientation_at(pts)
-    E = frames(G, fut)
+    G, fut, E = _source_stage(mapdef.source, pts)
     classes = classify(G, E, fut, tan)
     for i, c in enumerate(classes):
         if c is not CausalClass.FUTURE_TIMELIKE:
@@ -754,13 +762,7 @@ def curve_pushforward_check(mapdef, curve, u_values):
                 f"curve tangent must be future timelike; classifies {c.value} at u = {u[i]}"
             )
 
-    img, J = mapdef.image_and_jacobian(pts)
-    if not np.all(mapdef.target.contains(img)):
-        i = int(np.flatnonzero(~np.atleast_1d(mapdef.target.contains(img)))[0])
-        raise ValueError(f"curve image leaves the target domain at u = {u[i]}")
-    Gt = mapdef.target.metric_at(img)
-    futW = mapdef.target.orientation_at(img)
-    Ew = frames(Gt, futW)
+    J, Gt, futW = _image_stage(mapdef, pts)
     pushed = np.einsum("nai,ni->na", J, tan)
-    out = classify(Gt, Ew, futW, pushed)
+    out = classify(Gt, frames(Gt, futW), futW, pushed)
     return all(c is CausalClass.FUTURE_TIMELIKE for c in out)

@@ -266,7 +266,7 @@ class TestCnd:
                           files["schwid.cm"],
                           "--point", "t=0, r=1, theta=1.5, phi=1"], capsys)
         assert rc == 2
-        assert "outside the domain" in err
+        assert "outside the source domain" in err
 
     def test_json_lists_pairs(self, files, tmp_path, capsys):
         p = tmp_path / "cnd.json"

@@ -397,6 +397,12 @@ class TestNullConeNonneg:
         assert abs(rep.min_margin) < 1e-12
         assert rep.samples_checked == 128
 
+    def test_sampler_chart_mismatch_raises(self):
+        # a sampler of another chart would be read as this chart's coordinates
+        xi = GeneratorField.create(mink4(), ("1", "0", "0", "0"))
+        with pytest.raises(ValueError, match="sampler chart 'vaidya' does not match"):
+            null_cone_nonneg(mink4(), xi, vaidya_sampler(vaidya()))
+
     def test_mass_loss_nonnegative(self):
         st = vaidya("2 - tanh(t)")
         xi = GeneratorField.create(st, ("1", "0", "0", "0"))

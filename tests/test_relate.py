@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from causalkit import relate
-from causalkit.dp import DPStatus, dp2_check
-from causalkit.exprcore import UnknownIdentifierError
-from causalkit.lorentz import CausalClass, classify, frames
+from causalkit.catalog import builtin, builtin_names, default_window
+from causalkit.dp import DPStatus, conformal_factor, dp2_check
+from causalkit.exprcore import UnknownIdentifierError, to_text
+from causalkit.flows import GeneratorField, null_cone_nonneg
+from causalkit.lorentz import CausalClass, MetricValue, OrientedPoint, classify, frames
 from causalkit.relate import (
     MapDef,
     RegionSampler,
@@ -124,6 +126,31 @@ def exterior_map(b, M=1.0, c=3.0, a=2.5):
 
 def ds_sampler(st, count=512, seed=0, t_window=(-3.0, 3.0)):
     return RegionSampler.build(st, count=count, seed=seed, window={"t": t_window})
+
+
+SAMPLED_ENTRIES = ("check", "conformal", "null_cone", "curve")
+MAP_ENTRIES = ("check", "conformal", "curve")
+
+
+def first_error(entry, st, m, sampler):
+    """The error one sampled entry point reports on chart st (map m), and
+    the points it checked: the sampler's, or for the curve entry the curve
+    (t, 0) through the sampler's t values."""
+    pts = sampler.points()
+    if entry == "check":
+        rep = check_proper_causal(m, sampler)
+        assert rep.verdict is Verdict.ERROR
+        return rep.error, pts
+    with pytest.raises((ValueError, ArithmeticError)) as err:
+        if entry == "conformal":
+            check_conformal(m, sampler)
+        elif entry == "null_cone":
+            null_cone_nonneg(st, GeneratorField.create(st, ("1", "0")), sampler)
+        else:
+            curve_pushforward_check(m, ("u", "0"), pts[:, 0])
+    if entry == "curve":
+        pts = np.stack([pts[:, 0], np.zeros(len(pts))], axis=1)
+    return str(err.value), pts
 
 
 class TestSpacetimeDef:
@@ -382,6 +409,14 @@ class TestPullbackMetric:
         with pytest.raises(ValueError, match="outside the source"):
             pullback_metric(m, np.array([0.0, 2.0, PI / 2, 1.0]))
 
+    def test_image_outside_target_names_sample_and_coordinate(self):
+        m = MapDef.create(mink4(), schwarzschild(c=3.0),
+                          {"t": "t", "r": "x", "theta": "2", "phi": "3"}, {})
+        with pytest.raises(ValueError) as err:
+            pullback_metric(m, np.array([0.0, 1.0, 0.0, 0.0]))
+        assert str(err.value) == ("image leaves the target domain at sample 0, "
+                                  "x = [0.0, 1.0, 0.0, 0.0]: r = 1.0 not in (3.0, inf)")
+
     def test_cone_margin_matches_closed_form(self):
         # pulled-back frame tensor is diag(b^2, -s, -s, -s) with
         # s = 1/cosh(t)^2, so the pair minimum is b^2 - s
@@ -482,15 +517,27 @@ class TestCheckProperCausal:
         assert rep.verdict is Verdict.ERROR
         assert "Lorentzian" in rep.error
 
-    @pytest.mark.parametrize("metric,orientation,xmap,message,bad", [
-        ("t + 0.5", ("1", "0"), "x", "source metric loses Lorentzian signature",
-         lambda t: t <= -0.5),
-        ("1", ("1", "t"), "x", "source orientation is not future causal",
-         lambda t: np.abs(t) > 1.0),
-        ("1", ("1", "0"), "x*(t + 0.5 + abs(t + 0.5))/6", "map Jacobian singular",
-         lambda t: t <= -0.5),
-    ], ids=["signature", "orientation", "jacobian"])
-    def test_errors_name_sample_coordinates(self, metric, orientation, xmap, message, bad):
+    @pytest.mark.parametrize("metric,orientation,xmap,message,bad,entry", [
+        pytest.param(*case, entry, id=name if entry == "check" else f"{name}-{entry}")
+        for name, case, entries in [
+            ("signature", ("t + 0.5", ("1", "0"), "x", "source metric loses Lorentzian signature",
+                           lambda t: t <= -0.5), SAMPLED_ENTRIES),
+            ("orientation", ("1", ("1", "t"), "x", "source orientation is not future causal",
+                             lambda t: np.abs(t) > 1.0), SAMPLED_ENTRIES),
+            ("jacobian", ("1", ("1", "0"), "x*(t + 0.5 + abs(t + 0.5))/6", "map Jacobian singular",
+                          lambda t: t <= -0.5), MAP_ENTRIES),
+            ("metric_domain", ("sqrt(t + 0.5)", ("1", "0"), "x",
+                               "sqrt of negative value in 'sqrt(t + 0.5)'",
+                               lambda t: t < -0.5), SAMPLED_ENTRIES),
+            ("map_domain", ("1", ("1", "0"), "x*sqrt(t + 0.5)",
+                            "sqrt of negative value in 'sqrt(t + 0.5)'",
+                            lambda t: t < -0.5), MAP_ENTRIES),
+        ]
+        for entry in entries
+    ])
+    def test_errors_name_sample_coordinates(self, metric, orientation, xmap, message, bad, entry):
+        # every sampled entry point validates the chart and the map the same
+        # way and names the first failing sample and its coordinates
         st = SpacetimeDef.create(
             name="flat2", coords=("t", "x"),
             domain={"t": (-2.0, 2.0), "x": (-1.0, 1.0)},
@@ -502,9 +549,9 @@ class TestCheckProperCausal:
         pts = sampler.points()
         i = int(np.flatnonzero(bad(pts[:, 0]))[0])
         assert i > 0
-        rep = check_proper_causal(MapDef.create(st, st, {"t": "t", "x": xmap}, {}), sampler)
-        assert rep.verdict is Verdict.ERROR
-        assert rep.error == f"{message} at sample {i}, x = {pts[i].tolist()}"
+        error, at = first_error(entry, st, MapDef.create(st, st, {"t": "t", "x": xmap}, {}),
+                                sampler)
+        assert error == f"{message} at sample {i}, x = {at[i].tolist()}"
 
     def test_inconsistent_orientation_names_sample_coordinates(self):
         # t -> |t - 0.3| keeps every cone (|dt'/dt| = 1) but pushes the
@@ -648,6 +695,45 @@ class TestCheckConformal:
         assert rep.samples_checked == len(rep.lambdas) == 64
         assert rep.to_dict() == {"everywhere": True, "lam_range": [4.0, 4.0]}
         assert type(check_proper_causal(m, samp).conformal) is type(rep)
+
+    def test_sampler_chart_mismatch_raises(self):
+        # de Sitter samples read as Minkowski coordinates would pass
+        st = mink4()
+        m = MapDef.create(st, st, {"t": "2*t", "x": "2*x", "y": "2*y", "z": "2*z"}, {})
+        with pytest.raises(ValueError, match="sampler chart 'de_sitter' does not match"):
+            check_conformal(m, ds_sampler(de_sitter(), count=16))
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_one_criterion_with_conformal_factor(self, name):
+        # pullbacks T = 2.5 G + eps c P straddle the tolerance; the one-point
+        # conformal_factor must accept and reject exactly the rows that
+        # check_conformal does, with the same factor
+        st = builtin(name)
+        sampler = RegionSampler.build(st, count=40, window=default_window(st))
+        pts = sampler.points()
+        G, fut = st.metric_at(pts), st.orientation_at(pts)
+        c = float(np.median(np.abs(G).max(axis=(1, 2))))
+        rng = np.random.default_rng(5)
+        n = st.n
+        accepted = 0
+        for eps in (0.0, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
+            A = rng.normal(size=(n, n))
+            P = A + A.T
+            metric = {(i, j): f"2.5*({to_text(st.metric[i, j]) if (i, j) in st.metric else 0})"
+                              f" + ({float(eps * c * P[i, j])!r})"
+                      for i in range(n) for j in range(i + 1)}
+            tgt = SpacetimeDef.create(
+                f"{name}_perturbed", st.coords, dict(zip(st.coords, st.domain)), st.params,
+                metric, [to_text(e) for e in st.orientation])
+            m = MapDef.create(st, tgt, {x: x for x in st.coords})
+            lambdas = check_conformal(m, sampler).lambdas
+            for i, x in enumerate(pts):
+                p = OrientedPoint(x, MetricValue(n, G[i]), fut[i])
+                lam = conformal_factor(p, pullback_metric(m, x))
+                assert (lam is None) == bool(np.isnan(lambdas[i])), (eps, i)
+                assert lam is None or lam == lambdas[i], (eps, i)
+                accepted += lam is not None
+        assert 0 < accepted < 7 * len(pts)
 
 
 class TestCheckIsomorphism:
