@@ -252,6 +252,13 @@ def map_digest(m):
             "sha256": _digest(serialize_map(m))}
 
 
+def relation_inputs(src, tgt, **maps):
+    """Inputs block of a relation report: both charts, then each named map."""
+    inputs = {"source": spacetime_digest(src), "target": spacetime_digest(tgt)}
+    inputs.update((key, map_digest(m)) for key, m in maps.items())
+    return inputs
+
+
 def flow_digest(f):
     return {"spacetime": f.spacetime.name, "sha256": _digest(serialize_flow(f))}
 
@@ -278,7 +285,8 @@ class ScenarioOutcome:
 
 
 class _Run:
-    """Collects the common report fields for one scenario execution."""
+    """One run's sampling plan, tolerances, thread count and clock; the one
+    builder of the canonical report envelope."""
 
     def __init__(self, samples, seed, scheme, margin, tol_dp, threads):
         self.samples = int(samples)
@@ -290,6 +298,8 @@ class _Run:
         self.started = time.perf_counter()
 
     def sampler(self, st, count=None, seed=None, window=None):
+        """Sampler of chart st; the window defaults to the builtin's
+        `default_window`, and {} samples the full declared domain."""
         return RegionSampler.build(
             st, count=self.samples if count is None else count,
             scheme=self.scheme, seed=self.seed if seed is None else seed,
@@ -297,23 +307,26 @@ class _Run:
             window=default_window(st) if window is None else window,
         )
 
-    def report(self, name, inputs, result, expected, matched):
+    def report(self, kind, inputs, result, sampled=True, **extra):
+        """The canonical report; `timing_s` is recorded only with more than
+        one thread, so `--threads 1` reports stay byte-stable."""
         elapsed = None
         if self.threads > 1:
             elapsed = round(time.perf_counter() - self.started, 6)
+        sampler = None
+        if sampled:
+            sampler = {"scheme": self.scheme, "seed": self.seed,
+                       "count": self.samples, "margin": self.margin}
         return {
             "tool": {"name": "causalkit", "version": TOOL_VERSION},
-            "kind": "scenario",
-            "name": name,
+            "kind": kind,
             "inputs": inputs,
-            "sampler": {"scheme": self.scheme, "seed": self.seed,
-                        "count": self.samples, "margin": self.margin},
+            "sampler": sampler,
             "tolerances": {"tol_dp": self.tol_dp, "tol_conf": TOL_CONF},
             "threads": self.threads,
             "timing_s": elapsed,
             "result": result,
-            "expected": expected,
-            "matched": matched,
+            **extra,
         }
 
 
@@ -352,15 +365,10 @@ def _scenario_desitter(run, params):
         expected = Verdict.ERROR.value
     else:
         expected = _verdict_expectation(b * b * alpha * alpha - a * a, b)
-    inputs = {
-        "source": spacetime_digest(src), "target": spacetime_digest(tgt),
-        "map": map_digest(m), "params": {"alpha": alpha, "a": a, "b": b},
-    }
-    report = run.report("desitter_to_einstein", inputs, rep.to_dict(),
-                        expected, rep.verdict.value == expected)
-    return ScenarioOutcome("desitter_to_einstein", report,
-                           rep.verdict.value == expected,
-                           rep.verdict is Verdict.HOLDS_SAMPLED)
+    inputs = dict(relation_inputs(src, tgt, map=m),
+                  params={"alpha": alpha, "a": a, "b": b})
+    return (inputs, rep, expected, rep.verdict.value == expected,
+            rep.verdict is Verdict.HOLDS_SAMPLED)
 
 
 def _exterior_pieces(run, params, name):
@@ -412,15 +420,10 @@ def _scenario_mink_to_schw(run, params):
     rep = check_proper_causal(fwd, samp, tol_dp=run.tol_dp, threads=run.threads)
     expected = Verdict.ERROR.value if b == 0.0 else _verdict_expectation(
         _exterior_scan_fwd(run, M, c, b, a), b)
-    inputs = {
-        "source": spacetime_digest(src), "target": spacetime_digest(tgt),
-        "map": map_digest(fwd), "params": {"M": M, "c": c, "b": b, "a": a},
-    }
-    report = run.report("minkowski_to_schwarzschild", inputs, rep.to_dict(),
-                        expected, rep.verdict.value == expected)
-    return ScenarioOutcome("minkowski_to_schwarzschild", report,
-                           rep.verdict.value == expected,
-                           rep.verdict is Verdict.HOLDS_SAMPLED)
+    inputs = dict(relation_inputs(src, tgt, map=fwd),
+                  params={"M": M, "c": c, "b": b, "a": a})
+    return (inputs, rep, expected, rep.verdict.value == expected,
+            rep.verdict is Verdict.HOLDS_SAMPLED)
 
 
 def _scenario_schw_to_mink(run, params):
@@ -428,15 +431,10 @@ def _scenario_schw_to_mink(run, params):
     samp = run.sampler(tgt, window={"r": (c, 50.0)})
     rep = check_proper_causal(bwd, samp, tol_dp=run.tol_dp, threads=run.threads)
     expected = _verdict_expectation(_exterior_scan_bwd(run, M, c, a), 1.0)
-    inputs = {
-        "source": spacetime_digest(tgt), "target": spacetime_digest(src),
-        "map": map_digest(bwd), "params": {"M": M, "c": c, "a": a},
-    }
-    report = run.report("schwarzschild_to_minkowski", inputs, rep.to_dict(),
-                        expected, rep.verdict.value == expected)
-    return ScenarioOutcome("schwarzschild_to_minkowski", report,
-                           rep.verdict.value == expected,
-                           rep.verdict is Verdict.HOLDS_SAMPLED)
+    inputs = dict(relation_inputs(tgt, src, map=bwd),
+                  params={"M": M, "c": c, "a": a})
+    return (inputs, rep, expected, rep.verdict.value == expected,
+            rep.verdict is Verdict.HOLDS_SAMPLED)
 
 
 def _scenario_schw_iso(run, params):
@@ -449,15 +447,9 @@ def _scenario_schw_iso(run, params):
         and _exterior_scan_fwd(run, M, c, b, a) >= 0
         and _exterior_scan_bwd(run, M, c, a) >= 0
     )
-    inputs = {
-        "source": spacetime_digest(src), "target": spacetime_digest(tgt),
-        "forward": map_digest(fwd), "backward": map_digest(bwd),
-        "params": {"M": M, "c": c, "b": b, "a": a},
-    }
-    matched = rep.isomorphic == expected
-    report = run.report("schwarzschild_iso", inputs, rep.to_dict(),
-                        expected, matched)
-    return ScenarioOutcome("schwarzschild_iso", report, matched, rep.isomorphic)
+    inputs = dict(relation_inputs(src, tgt, forward=fwd, backward=bwd),
+                  params={"M": M, "c": c, "b": b, "a": a})
+    return inputs, rep, expected, rep.isomorphic == expected, rep.isomorphic
 
 
 def _scenario_frw(run, params, map_path):
@@ -481,15 +473,9 @@ def _scenario_frw(run, params, map_path):
         regime = "accelerating"
     else:
         regime = "marginal"
-    inputs = {
-        "source": spacetime_digest(src), "target": spacetime_digest(m.target),
-        "map": map_digest(m),
-        "params": {"gamma": gamma, "C": C},
-        "expansion_regime": regime,
-    }
-    report = run.report("frw_candidate", inputs, rep.to_dict(), None, None)
-    return ScenarioOutcome("frw_candidate", report, None,
-                           rep.verdict is Verdict.HOLDS_SAMPLED)
+    inputs = dict(relation_inputs(src, m.target, map=m),
+                  params={"gamma": gamma, "C": C}, expansion_regime=regime)
+    return inputs, rep, None, None, rep.verdict is Verdict.HOLDS_SAMPLED
 
 
 def _scenario_vaidya(run, params):
@@ -534,10 +520,11 @@ def _scenario_vaidya(run, params):
         "spacetime": spacetime_digest(st), "flow": flow_digest(fl),
         "params": {"M": mass},
     }
-    report = run.report("vaidya_flow", inputs, rep.to_dict(), expected, matched)
-    return ScenarioOutcome("vaidya_flow", report, matched, matched)
+    return inputs, rep, expected, matched, matched
 
 
+# each runner returns (inputs, report object, expected, matched, positive);
+# run_scenario turns them into the canonical report and the outcome
 _SCENARIOS = {
     "desitter_to_einstein": _scenario_desitter,
     "minkowski_to_schwarzschild": _scenario_mink_to_schw,
@@ -567,7 +554,12 @@ def run_scenario(name, samples=DEFAULT_SAMPLES, seed=0, scheme="halton",
     run = _Run(samples, seed, scheme, margin, tol_dp, threads)
     params = dict(params or {})
     if name == "frw_candidate":
-        return _SCENARIOS[name](run, params, map_path)
-    if map_path is not None:
+        pieces = _SCENARIOS[name](run, params, map_path)
+    elif map_path is not None:
         raise ValueError(f"scenario '{name}' does not take a map file")
-    return _SCENARIOS[name](run, params)
+    else:
+        pieces = _SCENARIOS[name](run, params)
+    inputs, rep, expected, matched, positive = pieces
+    report = run.report("scenario", inputs, rep.to_dict(), name=name,
+                        expected=expected, matched=matched)
+    return ScenarioOutcome(name, report, matched, positive)

@@ -13,29 +13,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from .catalog import (
     TOOL_VERSION,
+    _Run,
     canonical_json,
     flow_digest,
-    map_digest,
+    relation_inputs,
     run_scenario,
     scenario_names,
     spacetime_digest,
 )
 from .defio import load_flow, load_map, load_spacetime, serialize_spacetime
-from .dp import TOL_CONF, TOL_DP
+from .dp import TOL_DP
 from .exprcore import EvalDomainError, SingularJacobianError, eval_expr, parse_expr
 from .flows import check_submonoid
 from .relate import (
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
-    RegionSampler,
     Verdict,
-    _thread_count,
     canonical_null_directions,
     check_isomorphism,
     check_proper_causal,
@@ -162,30 +160,12 @@ def _expect_direction(m, src, tgt, label="map"):
             f"expected '{src.name}' -> '{tgt.name}'")
 
 
-def _sampler(args, st, seed=None):
-    return RegionSampler.build(
-        st, count=args.samples, scheme=args.scheme,
-        seed=args.seed if seed is None else seed, margin=args.margin)
-
-
-def _envelope(kind, args, threads, started, inputs, result, sampled=True):
-    elapsed = None
-    if threads > 1:
-        elapsed = round(time.perf_counter() - started, 6)
-    sampler = None
-    if sampled:
-        sampler = {"scheme": args.scheme, "seed": args.seed,
-                   "count": args.samples, "margin": args.margin}
-    return {
-        "tool": {"name": "causalkit", "version": TOOL_VERSION},
-        "kind": kind,
-        "inputs": inputs,
-        "sampler": sampler,
-        "tolerances": {"tol_dp": args.tol, "tol_conf": TOL_CONF},
-        "threads": threads,
-        "timing_s": elapsed,
-        "result": result,
-    }
+def _run(args):
+    """The run of one subcommand; its clock starts here.  Subcommands pass
+    `window={}`: they sample each chart's full declared domain, not a
+    builtin's default window."""
+    return _Run(args.samples, args.seed, args.scheme, args.margin, args.tol,
+                args.threads)
 
 
 def _emit(args, lines, envelope):
@@ -240,13 +220,10 @@ def _cmd_check(args):
     src, tgt, reg = _load_endpoints(args.source, args.target)
     m = load_map(args.map, reg)
     _expect_direction(m, src, tgt)
-    threads = _thread_count(args.threads)
-    started = time.perf_counter()
-    rep = check_proper_causal(m, _sampler(args, src), tol_dp=args.tol,
-                              threads=threads)
-    inputs = {"source": spacetime_digest(src), "target": spacetime_digest(tgt),
-              "map": map_digest(m)}
-    env = _envelope("check", args, threads, started, inputs, rep.to_dict())
+    run = _run(args)
+    rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp,
+                              threads=run.threads)
+    env = run.report("check", relation_inputs(src, tgt, map=m), rep.to_dict())
     _emit(args, _relation_lines(rep, src.coords), env)
     return _verdict_exit(rep.verdict)
 
@@ -257,13 +234,12 @@ def _cmd_iso(args):
     bwd = load_map(args.backward, reg)
     _expect_direction(fwd, src, tgt, "forward map")
     _expect_direction(bwd, tgt, src, "backward map")
-    threads = _thread_count(args.threads)
-    started = time.perf_counter()
-    rep = check_isomorphism(fwd, bwd, _sampler(args, src), _sampler(args, tgt),
-                            tol_dp=args.tol, threads=threads)
-    inputs = {"source": spacetime_digest(src), "target": spacetime_digest(tgt),
-              "forward": map_digest(fwd), "backward": map_digest(bwd)}
-    env = _envelope("iso", args, threads, started, inputs, rep.to_dict())
+    run = _run(args)
+    rep = check_isomorphism(fwd, bwd, run.sampler(src, window={}),
+                            run.sampler(tgt, window={}), tol_dp=run.tol_dp,
+                            threads=run.threads)
+    env = run.report("iso", relation_inputs(src, tgt, forward=fwd, backward=bwd),
+                     rep.to_dict())
     lines = [
         f"isomorphic: {'yes' if rep.isomorphic else 'no'}",
         _direction_line("forward", rep.forward),
@@ -312,8 +288,7 @@ def _cmd_cnd(args):
     m = load_map(args.map, reg)
     _expect_direction(m, src, tgt)
     x = _parse_point(args.point, src)
-    threads = _thread_count(args.threads)
-    started = time.perf_counter()
+    run = _run(args)
     note = None
     try:
         res = canonical_null_directions(m, x)
@@ -346,9 +321,8 @@ def _cmd_cnd(args):
             comps = ", ".join(f"{float(c):.9g}" for c in v)
             lines.append(f"  lambda = {float(lam):.9g}   direction: ({comps})")
         code = EXIT_POSITIVE
-    inputs = {"source": spacetime_digest(src), "target": spacetime_digest(tgt),
-              "map": map_digest(m)}
-    env = _envelope("cnd", args, threads, started, inputs, result, sampled=False)
+    env = run.report("cnd", relation_inputs(src, tgt, map=m), result,
+                     sampled=False)
     _emit(args, lines, env)
     return code
 
@@ -360,12 +334,11 @@ def _cmd_flow(args):
         raise ValueError("--steps must be at least 1")
     lo, hi = fl.s_range
     grid = [float(s) for s in np.linspace(lo, hi, args.steps)]
-    threads = _thread_count(args.threads)
-    started = time.perf_counter()
-    rep = check_submonoid(fl, grid, _sampler(args, st), tol_dp=args.tol,
-                          threads=threads)
-    inputs = {"spacetime": spacetime_digest(st), "flow": flow_digest(fl)}
-    env = _envelope("flow", args, threads, started, inputs, rep.to_dict())
+    run = _run(args)
+    rep = check_submonoid(fl, grid, run.sampler(st, window={}), tol_dp=run.tol_dp,
+                          threads=run.threads)
+    env = run.report("flow", {"spacetime": spacetime_digest(st),
+                              "flow": flow_digest(fl)}, rep.to_dict())
     lines = []
     for step in rep.steps:
         extra = "" if step.min_margin is None else \

@@ -568,7 +568,8 @@ def eval_dual(expr, env):
         out = Dual(out, np.zeros(np.shape(out) + (k,)))
     _check_finite(out.value, expr)
     if not np.all(np.isfinite(out.deriv)):
-        raise EvalDomainError("non-finite derivative", expr)
+        bad = ~np.all(np.isfinite(out.deriv), axis=-1)
+        raise EvalDomainError("non-finite derivative", expr, _first_bad(bad))
     return out
 
 

@@ -292,6 +292,8 @@ class RegionSampler:
     @classmethod
     def build(cls, spacetime, count=DEFAULT_SAMPLES, scheme="halton", seed=0,
               margin=DEFAULT_MARGIN, window=None, inf_window=INF_WINDOW):
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         window = dict(window or {})
         stray = set(window) - set(spacetime.coords)
         if stray:
@@ -451,11 +453,15 @@ def _require(ok, what, pts, exc=ValueError):
 
 def _named(pts, fn, *args):
     """fn(*args) for the batch pts; an expression-domain error at a sample
-    also names the sample's coordinates."""
+    also names the sample's coordinates.  An error without an index came
+    from a constant sub-expression, which fails at every sample: it names
+    sample 0."""
     try:
         return fn(*args)
     except EvalDomainError as e:
-        if e.index is not None:
+        if e.index is None:
+            e.args = (f"{e} {_at_sample(pts, 0)}",)
+        else:
             e.args = (f"{e}, x = {np.atleast_2d(pts)[e.index].tolist()}",)
         raise
 

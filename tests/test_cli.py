@@ -169,16 +169,6 @@ class TestCheck:
         assert rep["sampler"] == {"scheme": "halton", "seed": 0,
                                   "count": 256, "margin": 1e-3}
 
-    def test_json_byte_stable_at_one_thread(self, files, tmp_path, capsys):
-        blobs = []
-        for i in range(2):
-            p = tmp_path / f"r{i}.json"
-            run(["check", files["mink.st"], files["mink.st"],
-                 files["dilate.cm"], "--samples", "512", "--threads", "1",
-                 "--json", str(p)], capsys)
-            blobs.append(p.read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_threads_flag_records_timing(self, files, tmp_path, capsys):
         p = tmp_path / "r.json"
         rc, _, _ = run(["check", files["mink.st"], files["mink.st"],
@@ -211,6 +201,47 @@ class TestCheck:
         rc, _, err = run(["check", files["mink.st"], files["mink.st"]], capsys)
         assert rc == 2
         assert "usage error" in err
+
+
+# one run per report kind; 512 samples take the margin search past the
+# 256-row batch size below which it stays serial
+REPORT_ARGV = {
+    "check": lambda f: ["check", f["mink.st"], f["mink.st"], f["dilate.cm"]],
+    "iso": lambda f: ["iso", f["mink.st"], f["mink.st"], f["dilate.cm"], f["halve.cm"]],
+    "cnd": lambda f: ["cnd", f["mink.st"], f["mink.st"], f["dilate.cm"],
+                      "--point", "t=0,x=1,y=0,z=0"],
+    "flow": lambda f: ["flow", f["vaidya.st"], f["vshift.fl"]],
+    "scenario": lambda f: ["scenario", "desitter_to_einstein"],
+}
+
+ENVELOPE_KEYS = {"tool", "kind", "inputs", "sampler", "tolerances", "threads",
+                 "timing_s", "result"}
+
+
+def report_bytes(kind, files, path, threads, capsys):
+    run(REPORT_ARGV[kind](files) + ["--samples", "512", "--threads", threads,
+                                    "--json", str(path)], capsys)
+    return path.read_bytes()
+
+
+class TestReport:
+    @pytest.mark.parametrize("kind", REPORT_ARGV)
+    def test_json_byte_stable_at_one_thread(self, kind, files, tmp_path, capsys):
+        blobs = [report_bytes(kind, files, tmp_path / f"r{i}.json", "1", capsys)
+                 for i in range(2)]
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("kind", REPORT_ARGV)
+    def test_threads_change_only_threads_and_timing(self, kind, files, tmp_path, capsys):
+        one, two = (json.loads(report_bytes(kind, files, tmp_path / f"t{n}.json", n, capsys))
+                    for n in ("1", "2"))
+        extra = {"name", "expected", "matched"} if kind == "scenario" else set()
+        assert set(one) == set(two) == ENVELOPE_KEYS | extra
+        assert one["kind"] == kind
+        assert (one.pop("threads"), two.pop("threads")) == (1, 2)
+        assert one.pop("timing_s") is None
+        assert isinstance(two.pop("timing_s"), float)
+        assert one == two
 
 
 class TestIso:
@@ -339,6 +370,13 @@ class TestScenario:
         assert rep["result"]["interval"] == [0.0, 2.0]
         assert rep["inputs"]["params"] == {"M": "3 - tanh(t)"}
         assert "interval: [0, 2]" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_sample_count_below_one_exits_2(self, samples, capsys):
+        rc, _, err = run(["scenario", "desitter_to_einstein", "--samples", samples],
+                         capsys)
+        assert rc == 2
+        assert f"sample count must be at least 1, got {samples}" in err
 
     def test_frw_requires_map_file(self, files, capsys):
         rc, _, err = run(["scenario", "frw_candidate", "--samples", "64"],

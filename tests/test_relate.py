@@ -301,6 +301,13 @@ class TestRegionSampler:
         b = RegionSampler.build(st, count=128, seed=1).points()
         assert not np.array_equal(a[1:], b[1:])
 
+    @pytest.mark.parametrize("scheme", ["halton", "grid"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_raises(self, scheme, count):
+        # an empty or negative sample set is bad input for both schemes
+        with pytest.raises(ValueError, match=f"sample count must be at least 1, got {count}"):
+            RegionSampler.build(mink4(), count=count, scheme=scheme)
+
     def test_first_point_is_center(self):
         st = de_sitter()
         pts = ds_sampler(st, count=64).points()
@@ -532,6 +539,11 @@ class TestCheckProperCausal:
             ("map_domain", ("1", ("1", "0"), "x*sqrt(t + 0.5)",
                             "sqrt of negative value in 'sqrt(t + 0.5)'",
                             lambda t: t < -0.5), MAP_ENTRIES),
+            # the derivative -1e308*200*sin(200 t) overflows off t = 0
+            ("map_derivative", ("1", ("1", "0"), "(1e308*cos(200*t))/1e308 + x",
+                                "non-finite derivative in '1e+308*cos(200.0*t)/1e+308 + x'",
+                                lambda t: np.abs(200.0 * np.sin(200.0 * t))
+                                > np.finfo(float).max / 1e308), MAP_ENTRIES),
         ]
         for entry in entries
     ])
@@ -552,6 +564,31 @@ class TestCheckProperCausal:
         error, at = first_error(entry, st, MapDef.create(st, st, {"t": "t", "x": xmap}, {}),
                                 sampler)
         assert error == f"{message} at sample {i}, x = {at[i].tolist()}"
+
+    @pytest.mark.parametrize("metric10,xmap,message,entry", [
+        pytest.param(*case, entry, id=f"{name}-{entry}")
+        for name, case, entries in [
+            ("derivative", (None, "(1e308*sin(200*t))/1e308 + x",
+                            "non-finite derivative in '1e+308*sin(200.0*t)/1e+308 + x'"),
+             MAP_ENTRIES),
+            ("constant", ("1/(1 - 1)", "x", "division by zero in '1.0/(1.0 - 1.0)'"),
+             SAMPLED_ENTRIES),
+        ]
+        for entry in entries
+    ])
+    def test_sample_zero_domain_errors_name_the_sample(self, metric10, xmap, message, entry):
+        # the derivative overflows at the centre sample t = 0 already; a
+        # constant sub-expression fails at every sample and carries no index
+        metric = {(0, 0): "1", (1, 1): "-1"}
+        if metric10 is not None:
+            metric[(1, 0)] = metric10
+        st = SpacetimeDef.create(
+            name="flat2", coords=("t", "x"),
+            domain={"t": (-2.0, 2.0), "x": (-1.0, 1.0)},
+            params={}, metric=metric, orientation=("1", "0"))
+        error, at = first_error(entry, st, MapDef.create(st, st, {"t": "t", "x": xmap}, {}),
+                                RegionSampler.build(st, count=32))
+        assert error == f"{message} at sample 0, x = {at[0].tolist()}"
 
     def test_inconsistent_orientation_names_sample_coordinates(self):
         # t -> |t - 0.3| keeps every cone (|dt'/dt| = 1) but pushes the
