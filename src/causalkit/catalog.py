@@ -391,12 +391,15 @@ def _exterior_pieces(run, params, name):
 
 
 def _exterior_sampler(run, src, a):
-    main = 3 * run.samples // 4
-    return UnionSampler((
-        run.sampler(src, count=main, window={"R": (a, 50.0)}),
-        run.sampler(src, count=run.samples - main, seed=run.seed + 1,
-                    window={"R": (a, a + 1.0)}),
-    ))
+    # three quarters of the samples, and at least one, in the main window; the
+    # rest, if any, in the band at the excision (a count below 1 stays as given,
+    # for the sampler to reject)
+    main = min(run.samples, max(1, 3 * run.samples // 4))
+    parts = [run.sampler(src, count=main, window={"R": (a, 50.0)})]
+    if run.samples > main:
+        parts.append(run.sampler(src, count=run.samples - main, seed=run.seed + 1,
+                                 window={"R": (a, a + 1.0)}))
+    return UnionSampler(tuple(parts))
 
 
 def _exterior_scan_fwd(run, M, c, b, a):

@@ -26,9 +26,9 @@ from .catalog import (
     scenario_names,
     spacetime_digest,
 )
-from .defio import load_flow, load_map, load_spacetime, serialize_spacetime
+from .defio import load_flow, load_map, load_spacetime, parse_number, serialize_spacetime
 from .dp import TOL_DP
-from .exprcore import EvalDomainError, SingularJacobianError, eval_expr, parse_expr
+from .exprcore import EvalDomainError, SingularJacobianError
 from .flows import check_submonoid
 from .relate import (
     DEFAULT_MARGIN,
@@ -207,9 +207,11 @@ def _relation_lines(rep, coords):
 
 
 def _direction_line(tag, rep):
-    extra = "" if rep.min_margin is None else f", min margin {rep.min_margin:.6e}"
-    err = f" ({rep.error})" if rep.error else ""
-    return f"{tag}: {rep.verdict.value}{extra}{err}"
+    """One direction of an iso report, from the report's JSON data."""
+    m = rep["min_margin"]
+    extra = "" if m is None else f", min margin {m:.6e}"
+    err = f" ({rep['error']})" if rep["error"] else ""
+    return f"{tag}: {rep['verdict']}{extra}{err}"
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,8 @@ def _cmd_iso(args):
                      rep.to_dict())
     lines = [
         f"isomorphic: {'yes' if rep.isomorphic else 'no'}",
-        _direction_line("forward", rep.forward),
-        _direction_line("backward", rep.backward),
+        _direction_line("forward", env["result"]["forward"]),
+        _direction_line("backward", env["result"]["backward"]),
         f"time reversed: {'yes' if rep.time_reversed else 'no'}; "
         f"inverse verified: {'yes' if rep.inverse_verified else 'no'}",
     ]
@@ -256,13 +258,6 @@ def _cmd_iso(args):
     return EXIT_POSITIVE if rep.isomorphic else EXIT_NEGATIVE
 
 
-def _number(text):
-    try:
-        return float(text)
-    except ValueError:
-        return float(eval_expr(parse_expr(text, ()), {}))
-
-
 def _parse_point(text, st):
     values = {}
     for chunk in text.split(","):
@@ -272,7 +267,7 @@ def _parse_point(text, st):
         name = name.strip()
         if name in values:
             raise ValueError(f"--point sets '{name}' twice")
-        values[name] = _number(val.strip())
+        values[name] = parse_number(val)
     missing = [c for c in st.coords if c not in values]
     extra = [k for k in values if k not in st.coords]
     if missing or extra:
@@ -372,19 +367,17 @@ def _parse_params(pairs):
 
 def _result_lines(result):
     if "isomorphic" in result:
-        lines = [f"isomorphic: {'yes' if result['isomorphic'] else 'no'}"]
-        for tag in ("forward", "backward"):
-            r = result[tag]
-            m = r.get("min_margin")
-            extra = "" if m is None else f", min margin {m:.6e}"
-            lines.append(f"{tag}: {r['verdict']}{extra}")
-        return lines
+        return [f"isomorphic: {'yes' if result['isomorphic'] else 'no'}",
+                _direction_line("forward", result["forward"]),
+                _direction_line("backward", result["backward"])]
     if "steps" in result:
         lines = [f"s = {s['s']:<8g} {s['verdict']}" for s in result["steps"]]
         lines.append(f"interval: [{result['interval'][0]:g}, "
                      f"{result['interval'][1]:g}]")
         return lines
     lines = [f"verdict: {result['verdict']}"]
+    if result["error"]:
+        lines.append(f"  {result['error']}")
     m = result.get("min_margin")
     if m is not None:
         lines.append(f"min margin: {m:.6e}")

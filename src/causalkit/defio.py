@@ -44,16 +44,20 @@ def _entries(text):
         yield lineno, key.strip(), value.strip()
 
 
-def _number(token, lineno):
-    token = token.strip()
+def parse_number(text):
+    """A float literal or a constant expression such as `pi/2`."""
+    text = text.strip()
     try:
-        return float(token)
+        return float(text)
     except ValueError:
-        pass
+        return float(eval_expr(parse_expr(text, ()), {}))
+
+
+def _number(token, lineno):
     try:
-        return float(eval_expr(parse_expr(token, ()), {}))
+        return parse_number(token)
     except (ParseError, ArithmeticError) as e:
-        raise DefFileError(lineno, f"bad number '{token}': {e}") from e
+        raise DefFileError(lineno, f"bad number '{token.strip()}': {e}") from e
 
 
 def _interval(value, lineno):
@@ -83,6 +87,14 @@ def _parse_with(src, symbols, lineno, what):
         raise DefFileError(lineno, f"{what}: {e}") from e
 
 
+def _build(cls, *args):
+    """cls(*args); a failed check of the definition becomes a DefFileError."""
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise DefFileError(None, str(e)) from e
+
+
 def parse_spacetime(text):
     name = None
     dim = None
@@ -93,11 +105,14 @@ def parse_spacetime(text):
     orientation_src = None
     exclude_src = []
     lines = {}
+    seen = set()
 
     for lineno, key, value in _entries(text):
+        if key in ("name", "dim", "coords", "orientation"):
+            if key in seen:
+                raise DefFileError(lineno, f"duplicate '{key}'")
+            seen.add(key)
         if key == "name":
-            if name is not None:
-                raise DefFileError(lineno, "duplicate 'name'")
             name = value
         elif key == "dim":
             try:
@@ -128,8 +143,6 @@ def parse_spacetime(text):
             metric_src[(i, j)] = value
             lines[("metric", i, j)] = lineno
         elif key == "orientation":
-            if orientation_src is not None:
-                raise DefFileError(lineno, "duplicate 'orientation'")
             orientation_src = _bracket_list(value, lineno)
             lines[("orientation",)] = lineno
         elif key == "exclude":
@@ -168,44 +181,31 @@ def parse_spacetime(text):
         _parse_with(src, symbols, lines[("exclude", k)], "exclude")
         for k, src in enumerate(exclude_src)
     )
-    try:
-        return SpacetimeDef(
-            name, tuple(coords),
-            tuple(domains[c] for c in coords),
-            params, metric, orientation, exclusions,
-        )
-    except ValueError as e:
-        raise DefFileError(None, str(e)) from e
+    return _build(SpacetimeDef, name, tuple(coords), tuple(domains[c] for c in coords),
+                  params, metric, orientation, exclusions)
 
 
 def _parse_map_entries(text, kinds):
-    source = target = None
-    params = {}
-    comps = {}
-    extra = {}
-    lines = {}
+    """The keys of a map or flow file, each at most once: `source`, `target`,
+    `map <coord>` and the extra `kinds` as (text, line), `param <name>` as
+    numbers."""
+    entries, params, comps = {}, {}, {}
     for lineno, key, value in _entries(text):
-        if key == "source":
-            source = value
-        elif key == "target":
-            target = value
-        elif m := _PARAM_KEY.match(key):
-            params[m.group(1)] = _number(value, lineno)
+        if m := _PARAM_KEY.match(key):
+            table, name, what = params, m.group(1), f"parameter '{m.group(1)}'"
         elif m := _MAP_KEY.match(key):
-            cname = m.group(1)
-            if cname in comps:
-                raise DefFileError(lineno, f"duplicate map component '{cname}'")
-            comps[cname] = value
-            lines[cname] = lineno
-        elif key in kinds:
-            extra[key] = (value, lineno)
+            table, name, what = comps, m.group(1), f"map component '{m.group(1)}'"
+        elif key in ("source", "target") + kinds:
+            table, name, what = entries, key, f"'{key}'"
         else:
             raise DefFileError(lineno, f"unknown key '{key}'")
-    if source is None:
-        raise DefFileError(None, "missing 'source'")
-    if target is None:
-        raise DefFileError(None, "missing 'target'")
-    return source, target, params, comps, extra, lines
+        if name in table:
+            raise DefFileError(lineno, f"duplicate {what}")
+        table[name] = _number(value, lineno) if table is params else (value, lineno)
+    for key in ("source", "target"):
+        if key not in entries:
+            raise DefFileError(None, f"missing '{key}'")
+    return entries, params, comps
 
 
 def _resolve(name, spacetimes, what):
@@ -215,62 +215,50 @@ def _resolve(name, spacetimes, what):
     return spacetimes[name]
 
 
-def parse_map(text, spacetimes):
-    """Parse a map file; `spacetimes` maps names to SpacetimeDef."""
-    source, target, params, comps, extra, lines = _parse_map_entries(text, ())
-    src = _resolve(source, spacetimes, "source")
-    tgt = _resolve(target, spacetimes, "target")
-    missing = [c for c in tgt.coords if c not in comps]
+def _map_body(comps, chart, symbols, build):
+    """build(exprs) for the `map <coord>` lines of a map or flow file, one
+    per coordinate of `chart` in its order, each parsed in `symbols`."""
+    missing = [c for c in chart.coords if c not in comps]
     if missing:
         raise DefFileError(None, f"missing map components for {missing}")
-    stray = [c for c in comps if c not in tgt.coords]
+    stray = [c for c in comps if c not in chart.coords]
     if stray:
-        raise DefFileError(lines[stray[0]], f"'{stray[0]}' is not a coordinate of '{tgt.name}'")
-    symbols = tuple(src.coords) + tuple(params)
-    exprs = tuple(
-        _parse_with(comps[c], symbols, lines[c], f"map {c}") for c in tgt.coords
-    )
-    try:
-        return MapDef(src, tgt, exprs, params)
-    except ValueError as e:
-        raise DefFileError(None, str(e)) from e
+        raise DefFileError(comps[stray[0]][1], f"'{stray[0]}' is not a coordinate of '{chart.name}'")
+    exprs = tuple(_parse_with(comps[c][0], symbols, comps[c][1], f"map {c}") for c in chart.coords)
+    return _build(build, exprs)
+
+
+def parse_map(text, spacetimes):
+    """Parse a map file; `spacetimes` maps names to SpacetimeDef."""
+    entries, params, comps = _parse_map_entries(text, ())
+    src = _resolve(entries["source"][0], spacetimes, "source")
+    tgt = _resolve(entries["target"][0], spacetimes, "target")
+    return _map_body(comps, tgt, tuple(src.coords) + tuple(params),
+                     lambda exprs: MapDef(src, tgt, exprs, params))
 
 
 def parse_flow(text, spacetimes):
     """Parse a flow file: a self-map family with `flow_param` and `s_range`."""
-    source, target, params, comps, extra, lines = _parse_map_entries(
-        text, ("flow_param", "s_range")
-    )
+    entries, params, comps = _parse_map_entries(text, ("flow_param", "s_range"))
+    source, target = entries["source"][0], entries["target"][0]
     if source != target:
         raise DefFileError(None, f"a flow must be a self-map; source '{source}' differs from target '{target}'")
     st = _resolve(source, spacetimes, "flow")
-    if "flow_param" not in extra:
+    if "flow_param" not in entries:
         raise DefFileError(None, "missing 'flow_param'")
-    if "s_range" not in extra:
+    if "s_range" not in entries:
         raise DefFileError(None, "missing 's_range'")
-    s_symbol, s_line = extra["flow_param"]
+    s_symbol, s_line = entries["flow_param"]
     if not s_symbol.isidentifier():
         raise DefFileError(s_line, f"bad flow parameter name '{s_symbol}'")
-    rng_src, rng_line = extra["s_range"]
+    rng_src, rng_line = entries["s_range"]
     s_range = _interval(rng_src, rng_line)
     if not (math.isfinite(s_range[0]) and math.isfinite(s_range[1])):
         raise DefFileError(rng_line, "s_range must be finite")
     if not s_range[0] <= 0.0 <= s_range[1]:
         raise DefFileError(rng_line, "s_range must contain 0")
-    missing = [c for c in st.coords if c not in comps]
-    if missing:
-        raise DefFileError(None, f"missing map components for {missing}")
-    stray = [c for c in comps if c not in st.coords]
-    if stray:
-        raise DefFileError(lines[stray[0]], f"'{stray[0]}' is not a coordinate of '{st.name}'")
-    symbols = tuple(st.coords) + tuple(params) + (s_symbol,)
-    exprs = tuple(
-        _parse_with(comps[c], symbols, lines[c], f"map {c}") for c in st.coords
-    )
-    try:
-        return FlowDef(st, s_symbol, exprs, s_range, params)
-    except ValueError as e:
-        raise DefFileError(None, str(e)) from e
+    return _map_body(comps, st, tuple(st.coords) + tuple(params) + (s_symbol,),
+                     lambda exprs: FlowDef(st, s_symbol, exprs, s_range, params))
 
 
 # ---------------------------------------------------------------------------

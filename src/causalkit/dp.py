@@ -296,17 +296,17 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     n = point.metric.dim
     T = _check_sym(T, n)
     That = E.T @ T @ E
-    margin, nhat, mhat = dp2_margins(That[None])
-    margin = float(margin[0])
+    # T and -T in one search; its rows come out as they would alone
+    margins, nhat, mhat = dp2_margins(np.stack([That, -That]))
+    margin, minus_margin = float(margins[0]), float(margins[1])
     tol = tol_dp * max(1.0, float(np.max(np.abs(That))))
     k = E @ np.concatenate([[1.0], nhat[0]])
     l = E @ np.concatenate([[1.0], mhat[0]])
 
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
-    minus_margin, _, _ = dp2_margins(-That[None])
-    if float(minus_margin[0]) >= -tol:
-        return DPVerdict(DPStatus.IN_DP_MINUS, margin, (k, l), bool(abs(minus_margin[0]) <= tol))
+    if minus_margin >= -tol:
+        return DPVerdict(DPStatus.IN_DP_MINUS, margin, (k, l), bool(abs(minus_margin) <= tol))
     return DPVerdict(DPStatus.NOT_DP, margin, (k, l), False)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
-from .exprcore import eval_dual, parse_expr, seed_env, substitute
+from .exprcore import parse_expr, seed_env, substitute
 from .relate import (MapDef, Verdict, _at_sample, _check_relations, _check_symbols, _components,
-                     _sample, _source_stage, _witnesses)
+                     _dual_components, _Report, _sample, _source_stage, _witnesses)
 
 IDENTITY_TOL = 1e-10
 
@@ -114,12 +114,8 @@ def flow_map(flow, s):
 
 def generator(flow, pts):
     """d(phi_s)/ds at s = 0, one row per point."""
-    pts = np.asarray(pts, dtype=float)
     env = seed_env(flow.spacetime.coords, pts, flow.params, extra={flow.s_symbol: 0.0})
-    out = np.zeros(pts.shape)
-    for i, e in enumerate(flow.exprs):
-        out[..., i] = eval_dual(e, env).deriv[..., -1]
-    return out
+    return _dual_components(flow.exprs, env)[1][..., -1]
 
 
 def lie_derivative_metric(st, xi, pts):
@@ -133,27 +129,8 @@ def lie_derivative_metric(st, xi, pts):
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
     P = pts[None] if single else pts
-    n = st.n
-    lead = P.shape[:-1]
-
-    env = seed_env(st.coords, P, st.params)
-    G = np.zeros(lead + (n, n))
-    dG = np.zeros(lead + (n, n, n))
-    for (i, j), e in st.metric.items():
-        r = eval_dual(e, env)
-        G[..., i, j] = r.value
-        dG[..., i, j, :] = r.deriv
-        if i != j:
-            G[..., j, i] = r.value
-            dG[..., j, i, :] = r.deriv
-
-    xiv = np.zeros(lead + (n,))
-    dxi = np.zeros(lead + (n, n))
-    for c, e in enumerate(xi.exprs):
-        r = eval_dual(e, env)
-        xiv[..., c] = r.value
-        dxi[..., c, :] = r.deriv
-
+    G, dG = st.metric_partials_at(P)
+    xiv, dxi = _dual_components(xi.exprs, seed_env(st.coords, P, st.params))
     lie = np.einsum("...c,...abc->...ab", xiv, dG)
     lie += np.einsum("...cb,...ca->...ab", G, dxi)
     lie += np.einsum("...ac,...cb->...ab", G, dxi)
@@ -161,38 +138,20 @@ def lie_derivative_metric(st, xi, pts):
 
 
 @dataclass(frozen=True)
-class FlowStep:
+class FlowStep(_Report):
     s: float
     verdict: Verdict
     min_margin: float | None
     lam_range: tuple | None
 
-    def to_dict(self):
-        return {
-            "s": float(self.s),
-            "verdict": self.verdict.value,
-            "min_margin": None if self.min_margin is None else float(self.min_margin),
-            "lam_range": None if self.lam_range is None
-            else [float(self.lam_range[0]), float(self.lam_range[1])],
-        }
-
 
 @dataclass(frozen=True)
-class SubmonoidReport:
+class SubmonoidReport(_Report):
     steps: tuple
     interval: tuple
     group: bool
     conformal_group: bool | None
     samples_checked: int
-
-    def to_dict(self):
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "interval": [float(self.interval[0]), float(self.interval[1])],
-            "group": bool(self.group),
-            "conformal_group": self.conformal_group,
-            "samples_checked": int(self.samples_checked),
-        }
 
 
 def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
@@ -233,19 +192,11 @@ def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
 
 
 @dataclass(frozen=True)
-class NullConeReport:
+class NullConeReport(_Report):
     nonnegative: bool
     min_margin: float
     witnesses: tuple
     samples_checked: int
-
-    def to_dict(self):
-        return {
-            "nonnegative": bool(self.nonnegative),
-            "min_margin": float(self.min_margin),
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "samples_checked": int(self.samples_checked),
-        }
 
 
 def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):

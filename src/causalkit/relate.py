@@ -21,6 +21,7 @@ the single-point queries on a one-sample batch.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ import numpy as np
 
 from .dp import TOL_DP, DPStatus, conformal_lambdas, dp2_check, dp2_margins, null_eigenvectors
 from .exprcore import (
+    Dual,
     EvalDomainError,
     SingularJacobianError,
     eval_dual,
@@ -81,6 +83,21 @@ def _components(exprs, coords, params, pts):
     for i, e in enumerate(exprs):
         out[..., i] = eval_expr(e, env)
     return out
+
+
+def _dual_components(exprs, env):
+    """Values (..., m) and derivative rows (..., m, k) of expressions on a
+    Dual environment (see `seed_env`); a constant component, whose Dual is
+    a scalar, is broadcast to the batch."""
+    seed = next(v for v in env.values() if isinstance(v, Dual))
+    lead, k = seed.value.shape, seed.deriv.shape[-1]
+    vals = np.zeros(lead + (len(exprs),))
+    rows = np.zeros(lead + (len(exprs), k))
+    for i, e in enumerate(exprs):
+        r = eval_dual(e, env)
+        vals[..., i] = r.value
+        rows[..., i, :] = r.deriv
+    return vals, rows
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +170,24 @@ class SpacetimeDef:
 
     def metric_at(self, pts):
         """Metric matrix (…, n, n) at one point (n,) or a batch (N, n)."""
-        pts = np.asarray(pts, dtype=float)
-        env = {name: pts[..., i] for i, name in enumerate(self.coords)}
-        env.update(self.params)
-        lead = pts.shape[:-1]
-        G = np.zeros(lead + (self.n, self.n))
-        for (i, j), e in self.metric.items():
-            val = eval_expr(e, env)
-            G[..., i, j] = val
-            if i != j:
-                G[..., j, i] = val
-        return G
+        return self._symmetric(_components(tuple(self.metric.values()), self.coords,
+                                           self.params, pts))
+
+    def metric_partials_at(self, pts):
+        """Metric (…, n, n) and its coordinate partials (…, n, n, n), the
+        last axis indexing the coordinate, by dual seeding."""
+        vals, rows = _dual_components(tuple(self.metric.values()),
+                                      seed_env(self.coords, pts, self.params))
+        dG = self._symmetric(np.swapaxes(rows, -1, -2))
+        return self._symmetric(vals), np.moveaxis(dG, -3, -1)
+
+    def _symmetric(self, entries):
+        """Symmetric matrices (…, n, n) from the `metric` entries stacked in
+        key order along the last axis; entries not given are zero."""
+        out = np.zeros(entries.shape[:-1] + (self.n, self.n))
+        for e, (i, j) in enumerate(self.metric):
+            out[..., i, j] = out[..., j, i] = entries[..., e]
+        return out
 
     def orientation_at(self, pts):
         return _components(self.orientation, self.coords, self.params, pts)
@@ -222,17 +246,7 @@ class MapDef:
 
     def image_and_jacobian(self, pts):
         """Image points and Jacobians d(target)/d(source), batched."""
-        pts = np.asarray(pts, dtype=float)
-        env = seed_env(self.source.coords, pts, self.params)
-        lead = pts.shape[:-1]
-        n = self.source.n
-        img = np.zeros(lead + (self.target.n,))
-        J = np.zeros(lead + (self.target.n, n))
-        for i, e in enumerate(self.exprs):
-            r = eval_dual(e, env)
-            img[..., i] = r.value
-            J[..., i, :] = r.deriv
-        return img, J
+        return _dual_components(self.exprs, seed_env(self.source.coords, pts, self.params))
 
 
 def compose_maps(f, g):
@@ -379,22 +393,41 @@ class UnionSampler:
 # reports
 
 
+def _json_value(v):
+    """A report value as plain JSON data: a report by the name of each field
+    (per-sample arrays, declared with repr=False, stay out), an enum by its
+    value, sequences and arrays as lists, numpy scalars as Python numbers."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: _json_value(getattr(v, f.name)) for f in dataclasses.fields(v) if f.repr}
+    if isinstance(v, enum.Enum):
+        return v.value
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
+
+
+class _Report:
+    """Base of the result dataclasses: `to_dict` is the report's JSON data."""
+
+    def to_dict(self):
+        return _json_value(self)
+
+
 @dataclass(frozen=True)
-class Witness:
+class Witness(_Report):
     point: np.ndarray
     vectors: tuple
     margin: float
 
-    def to_dict(self):
-        return {
-            "point": [float(v) for v in self.point],
-            "vectors": [[float(c) for c in v] for v in self.vectors],
-            "margin": float(self.margin),
-        }
-
 
 @dataclass(frozen=True)
-class ConformalReport:
+class ConformalReport(_Report):
     """Per-sample factor lambda of T = lambda G (NaN where there is none)."""
 
     everywhere: bool
@@ -405,15 +438,9 @@ class ConformalReport:
     def samples_checked(self):
         return len(self.lambdas)
 
-    def to_dict(self):
-        return {
-            "everywhere": bool(self.everywhere),
-            "lam_range": None if self.lam_range is None else [float(v) for v in self.lam_range],
-        }
-
 
 @dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Report):
     verdict: Verdict
     samples_checked: int
     min_margin: float | None
@@ -424,16 +451,6 @@ class RelationReport:
     @property
     def holds(self):
         return self.verdict is Verdict.HOLDS_SAMPLED
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict.value,
-            "samples_checked": int(self.samples_checked),
-            "min_margin": None if self.min_margin is None else float(self.min_margin),
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "conformal": None if self.conformal is None else self.conformal.to_dict(),
-            "error": self.error,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +714,7 @@ def check_conformal(mapdef, sampler):
 
 
 @dataclass(frozen=True)
-class IsoReport:
+class IsoReport(_Report):
     isomorphic: bool
     forward: RelationReport
     backward: RelationReport
@@ -706,15 +723,10 @@ class IsoReport:
     conformal: ConformalReport | None
 
     def to_dict(self):
-        return {
-            "isomorphic": bool(self.isomorphic),
-            "forward": self.forward.to_dict(),
-            "backward": self.backward.to_dict(),
-            "time_reversed": bool(self.time_reversed),
-            "inverse_verified": bool(self.inverse_verified),
-            "conformal": None if self.conformal is None
-            else {**self.conformal.to_dict(), "samples_checked": self.conformal.samples_checked},
-        }
+        out = super().to_dict()
+        if self.conformal is not None:
+            out["conformal"]["samples_checked"] = self.conformal.samples_checked
+        return out
 
 
 def check_isomorphism(fwd, bwd, sampler_fwd, sampler_bwd, tol_dp=TOL_DP, threads=None):
@@ -748,13 +760,8 @@ def curve_pushforward_check(mapdef, curve, u_values):
     if len(exprs) != mapdef.source.n:
         raise ValueError("one curve component per source coordinate required")
     u = np.atleast_1d(np.asarray(u_values, dtype=float))
-    env = seed_env(("u",), u[:, None])
-    pts = np.zeros((len(u), mapdef.source.n))
-    tan = np.zeros_like(pts)
-    for i, e in enumerate(exprs):
-        r = eval_dual(e, env)
-        pts[:, i] = r.value
-        tan[:, i] = r.deriv[..., 0]
+    pts, tan = _dual_components(exprs, seed_env(("u",), u[:, None]))
+    tan = tan[..., 0]
 
     inside = mapdef.source.contains(pts)
     if not np.all(inside):

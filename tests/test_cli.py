@@ -371,6 +371,26 @@ class TestScenario:
         assert rep["inputs"]["params"] == {"M": "3 - tanh(t)"}
         assert "interval: [0, 2]" in out
 
+    @pytest.mark.parametrize("name", ["minkowski_to_schwarzschild", "schwarzschild_iso"])
+    def test_exterior_one_sample(self, name, tmp_path, capsys):
+        p = tmp_path / "one.json"
+        rc, _, err = run(["scenario", name, "--samples", "1", "--threads", "1",
+                          "--json", str(p)], capsys)
+        assert rc == 0, err
+        result = json.loads(p.read_text())["result"]
+        for rep in (result["forward"], result["backward"]) if "forward" in result else (result,):
+            assert rep["samples_checked"] == 1
+
+    def test_error_reason_in_text(self, capsys):
+        rc, out, _ = run(["scenario", "desitter_to_einstein", "--param", "b=0",
+                          "--samples", "64", "--threads", "1"], capsys)
+        assert rc == 1
+        assert "verdict: ERROR\n  map Jacobian singular at sample 0, x = [" in out
+        rc, out, _ = run(["scenario", "schwarzschild_iso", "--param", "b=0",
+                          "--samples", "64", "--threads", "1"], capsys)
+        assert rc == 1
+        assert "forward: ERROR (map Jacobian singular at sample 0, x = [" in out
+
     @pytest.mark.parametrize("samples", ["0", "-4"])
     def test_sample_count_below_one_exits_2(self, samples, capsys):
         rc, _, err = run(["scenario", "desitter_to_einstein", "--samples", samples],

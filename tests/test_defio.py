@@ -77,6 +77,14 @@ class TestParseSpacetime:
             parse_spacetime(text)
         assert exc.value.lineno == len(SPHERE_TEXT.splitlines()) + 1
 
+    @pytest.mark.parametrize("line", ["dim = 4", "coords = [t, chi, theta, phi]"],
+                             ids=["dim", "coords"])
+    def test_duplicate_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(DefFileError, match=f"duplicate '{key}'") as exc:
+            parse_spacetime(SPHERE_TEXT + line + "\n")
+        assert exc.value.lineno == 19
+
     def test_duplicate_metric_entry(self):
         text = SPHERE_TEXT + "metric[0][0] = 2\n"
         with pytest.raises(DefFileError, match="duplicate metric\\[0\\]\\[0\\]"):
@@ -156,6 +164,16 @@ class TestParseMap:
         with pytest.raises(DefFileError, match="missing 'source'"):
             parse_map("target = cyl\n", self.charts())
 
+    @pytest.mark.parametrize("line, what", [
+        ("source = cyl", "'source'"),
+        ("target = cyl", "'target'"),
+        ("param b = 2", "parameter 'b'"),
+    ], ids=["source", "target", "param"])
+    def test_duplicate_key(self, line, what):
+        with pytest.raises(DefFileError, match=f"duplicate {what}") as exc:
+            parse_map(MAP_TEXT + line + "\n", self.charts())
+        assert exc.value.lineno == 8
+
 
 FLOW_TEXT = """\
 source = cyl
@@ -201,6 +219,14 @@ class TestParseFlow:
         text = FLOW_TEXT.replace("s_range = (-2, 2)", "s_range = (-inf, 2)")
         with pytest.raises(DefFileError, match="finite"):
             parse_flow(text, self.charts())
+
+    @pytest.mark.parametrize("line", ["flow_param = u", "s_range = (-1, 1)"],
+                             ids=["flow_param", "s_range"])
+    def test_duplicate_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(DefFileError, match=f"duplicate '{key}'") as exc:
+            parse_flow(FLOW_TEXT + line + "\n", self.charts())
+        assert exc.value.lineno == 9
 
 
 class TestRoundTrip:

@@ -108,6 +108,18 @@ class TestDP2:
         assert v.status is DPStatus.IN_DP_MINUS
         assert v.margin == pytest.approx(-4.0, abs=1e-9)
 
+    def test_one_search_per_check(self, monkeypatch):
+        calls = []
+
+        def counting(That, *args, **kwargs):
+            calls.append(len(That))
+            return dp2_margins(That, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "dp2_margins", counting)
+        v = dp2_check(mink_point(), np.diag([1.0, 2.0, 2.0, 2.0]))
+        assert v.status is DPStatus.NOT_DP
+        assert calls == [2]
+
     def test_null_square_boundary(self):
         k = np.array([1.0, 1.0, 0.0, 0.0])
         v = dp2_check(mink_point(), null_square(k))
