@@ -357,8 +357,7 @@ def _scenario_desitter(run, params):
     m = MapDef.create(src, tgt,
                       {"t": "b*t", "chi": "chi", "theta": "theta", "phi": "phi"},
                       {"b": b})
-    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp,
-                              threads=run.threads)
+    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp)
     # pair minimum of the pullback in the source frame: b^2 - a^2/(alpha cosh(t/alpha))^2,
     # smallest at t = 0
     if b == 0.0:
@@ -420,7 +419,7 @@ def _exterior_scan_bwd(run, M, c, a):
 def _scenario_mink_to_schw(run, params):
     M, c, b, a, src, tgt, fwd, _ = _exterior_pieces(run, params, "minkowski_to_schwarzschild")
     samp = _exterior_sampler(run, src, a)
-    rep = check_proper_causal(fwd, samp, tol_dp=run.tol_dp, threads=run.threads)
+    rep = check_proper_causal(fwd, samp, tol_dp=run.tol_dp)
     expected = Verdict.ERROR.value if b == 0.0 else _verdict_expectation(
         _exterior_scan_fwd(run, M, c, b, a), b)
     inputs = dict(relation_inputs(src, tgt, map=fwd),
@@ -432,7 +431,7 @@ def _scenario_mink_to_schw(run, params):
 def _scenario_schw_to_mink(run, params):
     M, c, _, a, src, tgt, _, bwd = _exterior_pieces(run, params, "schwarzschild_to_minkowski")
     samp = run.sampler(tgt, window={"r": (c, 50.0)})
-    rep = check_proper_causal(bwd, samp, tol_dp=run.tol_dp, threads=run.threads)
+    rep = check_proper_causal(bwd, samp, tol_dp=run.tol_dp)
     expected = _verdict_expectation(_exterior_scan_bwd(run, M, c, a), 1.0)
     inputs = dict(relation_inputs(tgt, src, map=bwd),
                   params={"M": M, "c": c, "a": a})
@@ -444,7 +443,7 @@ def _scenario_schw_iso(run, params):
     M, c, b, a, src, tgt, fwd, bwd = _exterior_pieces(run, params, "schwarzschild_iso")
     sf = _exterior_sampler(run, src, a)
     sb = run.sampler(tgt, window={"r": (c, 50.0)})
-    rep = check_isomorphism(fwd, bwd, sf, sb, tol_dp=run.tol_dp, threads=run.threads)
+    rep = check_isomorphism(fwd, bwd, sf, sb, tol_dp=run.tol_dp)
     expected = bool(
         b != 0.0
         and _exterior_scan_fwd(run, M, c, b, a) >= 0
@@ -468,8 +467,7 @@ def _scenario_frw(run, params, map_path):
     if m.source.name != "frw_flat":
         raise ValueError(
             f"frw_candidate expects a map out of 'frw_flat', got '{m.source.name}'")
-    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp,
-                              threads=run.threads)
+    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp)
     if gamma > -1.0 / 3.0:
         regime = "decelerating"
     elif gamma < -1.0 / 3.0:
@@ -492,8 +490,7 @@ def _scenario_vaidya(run, params):
         st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"},
         (-2.0, 2.0))
     s_grid = [k / 2.0 for k in range(-4, 5)]
-    rep = check_submonoid(fl, s_grid, run.sampler(st), tol_dp=run.tol_dp,
-                          threads=run.threads)
+    rep = check_submonoid(fl, s_grid, run.sampler(st), tol_dp=run.tol_dp)
 
     # the time shift is proper causal exactly when no sampled instant
     # gains mass: max_t (M(t+s) - M(t)) <= 0 over the window

@@ -67,8 +67,10 @@ def _add_common(p):
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CAUSALKIT_THREADS or 1); "
-                        "1 guarantees byte-stable output")
+                   help="thread setting recorded in the report (default: "
+                        "CAUSALKIT_THREADS or 1); the search runs serially, and "
+                        "above 1 the report records timing_s. 1 guarantees "
+                        "byte-stable output")
     p.add_argument("--scheme", choices=("halton", "grid"), default="halton",
                    help="sampling scheme (default %(default)s)")
 
@@ -223,8 +225,7 @@ def _cmd_check(args):
     m = load_map(args.map, reg)
     _expect_direction(m, src, tgt)
     run = _run(args)
-    rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp,
-                              threads=run.threads)
+    rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp)
     env = run.report("check", relation_inputs(src, tgt, map=m), rep.to_dict())
     _emit(args, _relation_lines(rep, src.coords), env)
     return _verdict_exit(rep.verdict)
@@ -238,8 +239,7 @@ def _cmd_iso(args):
     _expect_direction(bwd, tgt, src, "backward map")
     run = _run(args)
     rep = check_isomorphism(fwd, bwd, run.sampler(src, window={}),
-                            run.sampler(tgt, window={}), tol_dp=run.tol_dp,
-                            threads=run.threads)
+                            run.sampler(tgt, window={}), tol_dp=run.tol_dp)
     env = run.report("iso", relation_inputs(src, tgt, forward=fwd, backward=bwd),
                      rep.to_dict())
     lines = [
@@ -330,8 +330,7 @@ def _cmd_flow(args):
     lo, hi = fl.s_range
     grid = [float(s) for s in np.linspace(lo, hi, args.steps)]
     run = _run(args)
-    rep = check_submonoid(fl, grid, run.sampler(st, window={}), tol_dp=run.tol_dp,
-                          threads=run.threads)
+    rep = check_submonoid(fl, grid, run.sampler(st, window={}), tol_dp=run.tol_dp)
     env = run.report("flow", {"spacetime": spacetime_digest(st),
                               "flow": flow_digest(fl)}, rep.to_dict())
     lines = []

@@ -6,15 +6,25 @@ every pair of future-directed null k, l.  Both conditions are decided
 in an orthonormal frame where future null vectors are k = e0 + n, n a
 unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
-form, so only the outer unit sphere is searched: a deterministic grid,
-scanned a fixed-size chunk of tensors at a time to bound memory, whose
-best few points seed a safeguarded Newton polish on the sphere.  The
-quadratic of the flow null-cone check has a closed-form minimum on the
-sphere (the trust-region secular equation), so it needs no search.
+form.
+
+Bounds first, search last.  One eigen-decomposition of the spatial block
+gives two bounds on the pair margin: the diagonal pairs k = l (the
+null-cone quadratic, minimized on the sphere in closed form by the
+trust-region secular equation) from above, and the same problem relaxed
+to a ball from below.  Where they meet, which is always the case when the
+spatial block is negative semidefinite (every near-conformal pullback),
+the margin is closed form.  Only the other rows are searched on the
+outer unit sphere: a deterministic grid, scanned a fixed-size chunk of
+tensors at a time to bound memory, whose best few points seed a
+safeguarded Newton polish on the sphere.  The flow null-cone check needs
+the quadratic alone.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
-margin clears -tol; the minus variant is decided by re-running on -T.
+margin clears -tol.  The minus variant is decided on -T, which is
+searched only when T fails and the bounds of -T straddle the band
+[-tol, tol]; otherwise they decide it.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ TOL_CONF = 1e-8
 NEWTON_STEPS = 40  # Newton iteration cap, per grid start and for the secular equation
 _POLISH_STARTS = 4
 _SCAN_CHUNK = 64  # rows per grid-scan chunk
+_CLOSED = 1e-12  # bound gap, relative to max|That|, below which a row's margin is closed form
 
 
 class DPStatus(enum.Enum):
@@ -202,6 +213,11 @@ def _newton_polish(data, nn, iters):
 # e0 + m of T(e0 + n, e0 + m) is c + a.n - |Mn + a|
 
 
+def _rows(That):
+    """(c, a, M) = (T00, T0i, Tij) of stacked frame tensors."""
+    return That[:, 0, 0], That[:, 0, 1:], That[:, 1:, 1:]
+
+
 def _pair_scan(gT, c, a, M):
     # a one-row a @ gT takes BLAS's matrix-vector path, which rounds
     # differently from a longer chunk; scan a lone row as two equal rows
@@ -224,19 +240,12 @@ def _pair_value(n, c, a, M):
     return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
 
 
-def dp2_margins(That, steps=NEWTON_STEPS):
-    """min over future null pairs of T(k, l) for stacked frame tensors.
-
-    That has shape (N, n, n); returns (margins, nhat, mhat) where the
-    witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
-    The _POLISH_STARTS best grid directions per tensor are Newton-polished
-    for at most `steps` iterations; steps=0 returns the grid minimum alone.
-    """
-    That = np.asarray(That, dtype=float)
-    a = That[:, 0, 1:]
-    M = That[:, 1:, 1:]
-    data = (That[:, 0, 0], a, M)
-    N, d = a.shape
+def _pair_search(data, steps):
+    """Grid scan and Newton polish of the pair margin on rows (c, a, M):
+    the _POLISH_STARTS best grid directions per row are polished for at
+    most `steps` iterations; steps=0 keeps the grid minimum.  Returns
+    (margins, nhat)."""
+    N, d = data[1].shape
     grid = sphere_directions(d)
     k = min(_POLISH_STARTS, grid.shape[0])
     start_idx, start_vals = _grid_scan(grid, data, k)
@@ -250,10 +259,68 @@ def dp2_margins(That, steps=NEWTON_STEPS):
         better = f[best] < margins
         margins = np.where(better, f[best], margins)
         nhat[better] = nn[best][better]
+    return margins, nhat
+
+
+def _pair_bounds(That):
+    """Bounds on the pair margin of each row from one `eigh` of M.
+
+    With p = (n + m)/2 and q = (n - m)/2 (p orthogonal to q, |p|^2 + |q|^2
+    = 1), T(e0 + n, e0 + m) = c + 2a.p + p.Mp - q.Mq.  The diagonal pairs
+    q = 0 give the upper bound ub, the null-cone quadratic at its sphere
+    minimizer nhat.  Bounding -q.Mq below by -lam_max (1 - |p|^2) gives the
+    lower bound lb, the minimum over the ball |p| <= 1 of c - lam_max + 2a.p
+    + p.(M + lam_max I)p.  That objective equals the quadratic on the
+    sphere, so lb = ub unless the ball minimum is interior, which needs
+    M + lam_max I > 0 and |(M + lam_max I)^-1 a| < 1.  A row is closed when
+    ub - lb <= _CLOSED times its scale max|That|; its margin is then the pair
+    value at nhat.  Returns (lb, ub, nhat, closed)."""
+    c, a, M = _rows(That)
+    lam, b, nhat = _sphere_quadratic(a, M)
+    ub = _quad_value(nhat, c, a, M)
+    A = lam + lam[-1]
+    # |b_i| < A_i for every i is needed for an interior minimum; testing it
+    # first keeps b / A from overflowing where A is tiny
+    inside = (A[0] > 0.0) & np.all(np.abs(b) < A, axis=0)
+    y = np.where(inside, b, 0.0) / np.where(inside, A, 1.0)
+    inside &= sum(y * y) < 1.0
+    lb = np.where(inside, c - lam[-1] - sum(b * y), ub)
+    closed = ub - lb <= _CLOSED * np.abs(That).max(axis=(1, 2))
+    return lb, ub, nhat, closed
+
+
+def _partner(nhat, a, M):
+    """The second slot's minimizer mhat = -(M nhat + a)/|M nhat + a|, or
+    nhat where that vanishes."""
     wvec = np.einsum("nde,ne->nd", M, nhat) + a
     nwv = np.linalg.norm(wvec, axis=1)
-    mhat = np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
-    return margins, nhat, mhat
+    return np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
+
+
+def dp2_margins(That, steps=NEWTON_STEPS):
+    """min over future null pairs of T(k, l) for stacked frame tensors.
+
+    That has shape (N, n, n); returns (margins, nhat, mhat) where the
+    witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
+    Bounds first: on the rows where the bounds of `_pair_bounds` meet, the
+    margin is closed form.  Only the other rows are searched: the
+    _POLISH_STARTS best grid directions per tensor are Newton-polished for
+    at most `steps` iterations.  steps=0 returns the grid minimum alone, on
+    every row.  Each row's result depends on that row alone.
+    """
+    That = np.asarray(That, dtype=float)
+    data = _rows(That)
+    N, d = data[1].shape
+    if steps > 0:
+        _, _, nhat, closed = _pair_bounds(That)
+        todo = np.flatnonzero(~closed)
+        margins = _pair_value(nhat, *data)[0]
+    else:
+        todo = np.arange(N)
+        margins, nhat = np.empty(N), np.empty((N, d))
+    if len(todo):
+        margins[todo], nhat[todo] = _pair_search(tuple(x[todo] for x in data), steps)
+    return margins, nhat, _partner(nhat, *data[1:])
 
 
 def _check_sym(T, n):
@@ -296,22 +363,38 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     n = point.metric.dim
     T = _check_sym(T, n)
     That = E.T @ T @ E
-    # T and -T in one search; its rows come out as they would alone
-    margins, nhat, mhat = dp2_margins(np.stack([That, -That]))
-    margin, minus_margin = float(margins[0]), float(margins[1])
     tol = tol_dp * max(1.0, float(np.max(np.abs(That))))
-    k = E @ np.concatenate([[1.0], nhat[0]])
-    l = E @ np.concatenate([[1.0], mhat[0]])
+    # T and -T share the bounds.  A row is searched only where they leave
+    # it open: T's unless closed, -T's only when T fails and -T's bounds
+    # straddle the band [-tol, tol].  Otherwise -T's pair value at nhat
+    # lies between its bounds, on the side of the band that decides.
+    both = np.stack([That, -That])
+    data = _rows(both)
+    lb, ub, nhat, closed = _pair_bounds(both)
+    margins = _pair_value(nhat, *data)[0]
 
+    def search(i):
+        margins[i:i + 1], nhat[i:i + 1] = _pair_search(tuple(x[i:i + 1] for x in data),
+                                                       NEWTON_STEPS)
+
+    if not closed[0]:
+        search(0)
+    margin = float(margins[0])
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
+    if not closed[1] and lb[1] <= tol and ub[1] >= -tol:
+        search(1)
+    minus_margin = float(margins[1])
+    k = E @ np.concatenate([[1.0], nhat[0]])
+    l = E @ np.concatenate([[1.0], _partner(nhat, *data[1:])[0]])
     if minus_margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_MINUS, margin, (k, l), bool(abs(minus_margin) <= tol))
     return DPVerdict(DPStatus.NOT_DP, margin, (k, l), False)
 
 
 # ---------------------------------------------------------------------------
-# single-sphere quadratic minimum (used by the flow null-cone check)
+# single-sphere quadratic minimum: the flow null-cone check and the pair
+# margin's bounds
 
 
 def _quad_value(n, c, a, M):
@@ -319,26 +402,27 @@ def _quad_value(n, c, a, M):
     return c + np.einsum("rd,rd->r", a + w, n)
 
 
-def null_quadratic_margins(Lhat):
-    """min over future null k = e0 + n of L(k, k) = c + 2a.n + n.Mn for
-    stacked frame tensors, in closed form; returns (margins, nhat).
+def _sphere_quadratic(a, M):
+    """Minimizer over unit n of 2a.n + n.Mn for stacked (a, M), in closed
+    form; returns (lam, b, nhat) with the eigenvalues lam of M (ascending)
+    and b = Q^T a, both component-major (d, N).
 
-    With M = Q diag(lam) Q^T and b = Q^T a, the minimizer is n = Q y,
+    With M = Q diag(lam) Q^T, the minimizer is n = Q y,
     y_i = -b_i / (lam_i - lam_1 + s), where s >= 0 solves |y| = 1 (the
     trust-region secular equation: More and Sorensen 1983; Gander, Golub
     and von Matt 1989).  1/|y| - 1 is increasing and concave in s, so Newton
     from the lower bound max_i |b_i| - (lam_i - lam_1) climbs to the root
     without overshooting; it stops when no row moves.  When b is orthogonal
     to the lowest eigenspace and |y| <= 1 at s = 0 (the hard case), s = 0
-    and the rest of the unit norm is filled along q_1.  The margin is the
-    quadratic evaluated at nhat."""
-    Lhat = np.asarray(Lhat, dtype=float)
-    c, a, M = Lhat[:, 0, 0], Lhat[:, 0, 1:], Lhat[:, 1:, 1:]
+    and the rest of the unit norm is filled along q_1."""
     lam, Q = np.linalg.eigh(M)
     # component-major arrays: the builtin sums below add whole components
     # in index order, the same arithmetic for every row
     lam, Q = lam.T, Q.transpose(1, 2, 0)
     b = sum(Q * a.T[:, None])  # Q^T a
+    # a subnormal b_i is rounding residue; as zero it keeps every y_i^2 / t_i
+    # below the overflow threshold (|y_i| <= 1 and t_i >= |b_i|)
+    b = np.where(np.abs(b) >= np.finfo(float).tiny, b, 0.0)
     gap = lam - lam[0]
     s = np.max(np.abs(b) - gap, axis=0)
 
@@ -361,6 +445,16 @@ def null_quadratic_margins(Lhat):
     y[0] += np.where(s == 0.0, np.sqrt(np.maximum(1.0 - yy, 0.0)), 0.0)
     nhat = sum(np.swapaxes(Q, 0, 1) * y[:, None]).T.copy()  # Q y
     nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
+    return lam, b, nhat
+
+
+def null_quadratic_margins(Lhat):
+    """min over future null k = e0 + n of L(k, k) = c + 2a.n + n.Mn for
+    stacked frame tensors, in closed form (`_sphere_quadratic`); returns
+    (margins, nhat).  The margin is the quadratic evaluated at nhat."""
+    Lhat = np.asarray(Lhat, dtype=float)
+    c, a, M = _rows(Lhat)
+    nhat = _sphere_quadratic(a, M)[2]
     return _quad_value(nhat, c, a, M), nhat
 
 

@@ -609,7 +609,8 @@ def jacobian(exprs, coords, point, params=None, check_singular=True, det_tol=1e-
     point = np.asarray(point, dtype=float)
     env = seed_env(coords, point, params)
     rows = [eval_dual(e, env) for e in exprs]
-    J = np.stack([r.deriv for r in rows], axis=-2)
+    # a constant component's derivative row is (n,) even on a batch
+    J = np.stack([np.broadcast_to(r.deriv, point.shape) for r in rows], axis=-2)
     if check_singular and J.shape[-1] == J.shape[-2] and J.ndim == 2:
         scale = max(1.0, float(np.max(np.abs(J))))
         if abs(np.linalg.det(J)) < det_tol * scale ** J.shape[-1]:

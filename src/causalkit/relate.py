@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -489,14 +488,12 @@ def _thread_count(threads):
     return max(1, int(os.environ.get("CAUSALKIT_THREADS", "1")))
 
 
-def _dp2_margins_split(That, threads):
-    k = _thread_count(threads)
-    if k <= 1 or len(That) < 256:
-        return dp2_margins(That)
-    chunks = np.array_split(np.arange(len(That)), k)
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        results = list(pool.map(lambda ix: dp2_margins(That[ix]), chunks))
-    return tuple(np.concatenate(parts) for parts in zip(*results))
+def _dp2_margins_split(That):
+    """The one null-pair search of a relation check, over the stacked
+    frame tensors of all its maps (the stage the benchmark harness times
+    under this name).  It runs serially whatever the thread setting: with
+    the bounds first, two threads no longer beat one."""
+    return dp2_margins(That)
 
 
 def _conformal(G, T):
@@ -619,7 +616,7 @@ def _verdict(pts, E, That, signs, conformal, margins, nhat, mhat, tol_dp):
     )
 
 
-def _check_relations(maps, pts, tol_dp, threads):
+def _check_relations(maps, pts, tol_dp):
     """One RelationReport per map; the maps share one source chart and the
     points.  A source-stage failure is every map's ERROR, a map-stage
     failure that map's alone; the other maps' frame tensors are searched
@@ -641,7 +638,7 @@ def _check_relations(maps, pts, tol_dp, threads):
             staged.append(error(e))
     live = [s for s in staged if isinstance(s, tuple)]
     try:
-        found = _dp2_margins_split(np.concatenate([s[0] for s in live]), threads) if live else ()
+        found = _dp2_margins_split(np.concatenate([s[0] for s in live])) if live else ()
     except (ArithmeticError, ValueError) as e:
         return [error(e) if isinstance(s, tuple) else s for s in staged]
     reports, k = [], 0
@@ -671,9 +668,10 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     target.  Any cone violation yields VIOLATED with up to 16 witnesses
     sorted worst-first; a consistently past-pointing push yields
     TIME_REVERSED; evaluation, domain, signature, orientation, or
-    Jacobian failures yield ERROR carrying the first failure.
+    Jacobian failures yield ERROR carrying the first failure.  `threads`
+    is accepted for compatibility; the search runs serially.
     """
-    return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp, threads)[0]
+    return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp)[0]
 
 
 def canonical_null_directions(mapdef, x):
@@ -731,10 +729,11 @@ class IsoReport(_Report):
 
 def check_isomorphism(fwd, bwd, sampler_fwd, sampler_bwd, tol_dp=TOL_DP, threads=None):
     """Proper-causal check in both directions; the forward check's
-    conformal summary when the backward map is numerically its inverse."""
+    conformal summary when the backward map is numerically its inverse.
+    `threads` is accepted for compatibility; the search runs serially."""
     pts = _sample(fwd.source, sampler_fwd)
-    rf = _check_relations([fwd], pts, tol_dp, threads)[0]
-    rb = check_proper_causal(bwd, sampler_bwd, tol_dp=tol_dp, threads=threads)
+    rf = _check_relations([fwd], pts, tol_dp)[0]
+    rb = check_proper_causal(bwd, sampler_bwd, tol_dp=tol_dp)
     holds = {Verdict.HOLDS_SAMPLED, Verdict.TIME_REVERSED}
     iso = rf.verdict in holds and rb.verdict in holds
     reversed_ = Verdict.TIME_REVERSED in (rf.verdict, rb.verdict)

@@ -17,6 +17,8 @@ from causalkit.catalog import (
     scenario_names,
     spacetime_digest,
 )
+import causalkit.dp as dp
+import causalkit.relate as relate
 from causalkit.relate import RegionSampler, Verdict
 
 FRW_MAP = """\
@@ -244,6 +246,47 @@ class TestVaidyaScenario:
         assert out.exit_code == 0
         assert out.matched is True
         assert out.report["result"]["interval"] == [-2.0, 0.0]
+
+
+class TestClosedFormRows:
+    """Every packaged scenario's frame tensors lie where the DP+ bounds
+    meet, so no row is searched, and the closed-form margins agree with
+    the grid+Newton search."""
+
+    RUNS = [
+        ("desitter_to_einstein", {"b": 0.95}, None),
+        ("desitter_to_einstein", {"b": 1.0}, None),
+        ("desitter_to_einstein", {"b": 1.5}, None),
+        ("minkowski_to_schwarzschild", {}, None),
+        ("schwarzschild_to_minkowski", {}, None),
+        ("schwarzschild_iso", {}, None),
+        ("vaidya_flow", {}, None),
+        ("frw_candidate", {}, "40.0"),
+        ("frw_candidate", {}, "1.0"),
+    ]
+
+    @pytest.mark.parametrize("name,params,k", RUNS)
+    def test_every_row_closed(self, monkeypatch, tmp_path, name, params, k):
+        map_path = None
+        if k is not None:
+            map_path = tmp_path / "frw.map"
+            map_path.write_text(FRW_MAP.replace("param k = 40.0", f"param k = {k}"))
+        captured = []
+        search = relate._dp2_margins_split
+
+        def capture(That):
+            captured.append(That)
+            return search(That)
+
+        monkeypatch.setattr(relate, "_dp2_margins_split", capture)
+        run_scenario(name, samples=256, params=params,
+                     map_path=None if map_path is None else str(map_path))
+        That = np.concatenate(captured)
+        assert np.all(dp._pair_bounds(That)[3])
+        margins = dp.dp2_margins(That)[0]
+        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
+        scale = np.abs(That).max(axis=(1, 2))
+        assert np.all(np.abs(margins - searched) <= 1e-14 * scale)
 
 
 class TestReportShape:

@@ -109,16 +109,28 @@ class TestDP2:
         assert v.margin == pytest.approx(-4.0, abs=1e-9)
 
     def test_one_search_per_check(self, monkeypatch):
+        # a check searches only the rows its bounds leave open
         calls = []
+        search = dp._pair_search
 
-        def counting(That, *args, **kwargs):
-            calls.append(len(That))
-            return dp2_margins(That, *args, **kwargs)
+        def counting(data, steps):
+            calls.append(len(data[0]))
+            return search(data, steps)
 
-        monkeypatch.setattr(dp, "dp2_margins", counting)
-        v = dp2_check(mink_point(), np.diag([1.0, 2.0, 2.0, 2.0]))
-        assert v.status is DPStatus.NOT_DP
-        assert calls == [2]
+        monkeypatch.setattr(dp, "_pair_search", counting)
+        cases = [
+            # T's bounds leave it open; -T's meet
+            (np.diag([1.0, 2.0, 2.0, 2.0]), DPStatus.NOT_DP, False, [1]),
+            # T's bounds meet; -T's leave the band [-tol, tol] open
+            (-null_square(np.array([1.0, 1.0, 0.0, 0.0])), DPStatus.IN_DP_MINUS, True, [1]),
+            # T's bounds meet and T holds: -T is not needed
+            (ETA4, DPStatus.IN_DP_PLUS, True, []),
+        ]
+        for T, status, boundary, rows in cases:
+            calls.clear()
+            v = dp2_check(mink_point(), T)
+            assert (v.status, v.boundary) == (status, boundary)
+            assert calls == rows
 
     def test_null_square_boundary(self):
         k = np.array([1.0, 1.0, 0.0, 0.0])
@@ -330,6 +342,79 @@ class TestRowIndependence:
             ni, fi = dp._newton_polish(split(pair), starts[[i, i]], dp.NEWTON_STEPS)
             assert np.array_equal(nn[i], ni[0]) and f[i] == fi[0]
             assert np.array_equal(ni[1], starts[i]) and fi[1] == 1.0
+
+
+class TestBoundsFirst:
+    """Rows whose DP+ bounds meet take the closed form; elsewhere the
+    margin is the grid+Newton search's, and the check's status is the
+    full two-row search's."""
+
+    KINDS = TestRowIndependence.KINDS
+
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_closed_rows_match_search(self, kind, n):
+        That = _scan_tensors(kind, n, 2000, seed=97 * n)
+        margins, nhat, mhat = dp2_margins(That)
+        closed = dp._pair_bounds(That)[3]
+        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
+        scale = np.abs(That).max(axis=(1, 2))
+        assert np.any(closed)
+        assert np.all(np.abs(margins - searched)[closed] <= 1e-14 * scale[closed])
+        assert np.array_equal(margins[~closed], searched[~closed])
+        # the closed witness pair attains the margin
+        c, a, M = dp._rows(That)
+        pair = (c + np.einsum("nd,nd->n", a, nhat + mhat)
+                + np.einsum("nd,nde,ne->n", nhat, M, mhat))
+        assert np.all(np.abs(pair - margins)[closed] <= 1e-14 * scale[closed])
+        assert np.allclose(np.linalg.norm(mhat, axis=1), 1.0, atol=1e-15)
+
+    def test_closed_exactly_when_ball_minimum_on_sphere(self):
+        # M = I: the ball problem has M + lam_max I = 2I and its minimizer
+        # -a/2 is interior exactly when |a| < 2, whatever each component
+        That = np.zeros((3, 4, 4))
+        That[:, 1:, 1:] = np.eye(3)
+        That[:, 0, 1] = That[:, 1, 0] = [1.5, 0.5, 2.5]
+        That[:, 0, 2] = That[:, 2, 0] = [1.5, 0.0, 0.0]
+        lb, ub, _, closed = dp._pair_bounds(That)
+        assert closed.tolist() == [True, False, True]
+        # interior: lb = -lam_max - |a|^2 / 2, ub = 1 - 2|a|
+        assert lb[1] == pytest.approx(-1.125, abs=1e-15) and ub[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_always_closed_when_spatial_block_negative(self):
+        # M <= 0 makes the ball objective concave: its minimum is on the sphere
+        rng = np.random.default_rng(98)
+        That = _scan_tensors("symmetric", 4, 500, seed=99)
+        B = rng.normal(size=(500, 3, 3))
+        That[:, 1:, 1:] = -np.einsum("nij,nkj->nik", B, B)
+        assert np.all(dp._pair_bounds(That)[3])
+
+    @staticmethod
+    def _full_search_verdict(T, tol_dp=dp.TOL_DP):
+        m = dp._pair_search(dp._rows(np.stack([T, -T])), dp.NEWTON_STEPS)[0]
+        tol = tol_dp * max(1.0, float(np.abs(T).max()))
+        if m[0] >= -tol:
+            return DPStatus.IN_DP_PLUS, bool(abs(m[0]) <= tol)
+        if m[1] >= -tol:
+            return DPStatus.IN_DP_MINUS, bool(abs(m[1]) <= tol)
+        return DPStatus.NOT_DP, False
+
+    def test_check_matches_full_search(self):
+        rng = np.random.default_rng(100)
+        A = rng.normal(size=(150, 4, 4))
+        plus = _scan_tensors("causal_squares", 4, 150, seed=101)
+        # exact-zero margins: null squares along axes, the metric, and sums
+        nulls = [null_square(np.array(k)) for k in
+                 ([1.0, 1.0, 0.0, 0.0], [1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 1.0])]
+        zero = nulls + [ETA4, 2.0 * ETA4, ETA4 + nulls[0], nulls[1] + nulls[2]]
+        tensors = (list(0.5 * (A + np.transpose(A, (0, 2, 1)))) + list(plus) + list(-plus)
+                   + zero + [-T for T in zero])
+        p = mink_point()
+        statuses = set()
+        for T in tensors:
+            v = dp2_check(p, T, frame=np.eye(4))
+            assert (v.status, v.boundary) == self._full_search_verdict(T)
+            statuses.add((v.status, v.boundary))
+        assert len(statuses) == 5  # every status, and both boundary flags where they exist
 
 
 class TestPairMinOracle:
@@ -592,6 +677,16 @@ class TestNullQuadratic:
         assert np.all(np.abs(m - want) <= 1e-15 * np.abs(L).max(axis=(1, 2)))
         assert np.all(np.abs(nhat[:, 0]) == 1.0)
         assert np.all(nhat[:, 0] * L[:, 0, 1] <= 0.0)
+
+    def test_subnormal_linear_term(self):
+        # b_1 = 5e-324 in a doubly degenerate lowest eigenspace: s starts at
+        # 5e-324, where y_1^2 / t_1 overflowed; the margin is lam_1 + c = 0
+        L = np.diag([1.0, -0.25, -1.0, -1.0])
+        L[0, 1] = L[1, 0] = 5.1e-17
+        L[0, 2] = L[2, 0] = -5e-324
+        m, nhat = null_quadratic_margins(L[None])
+        assert abs(m[0]) <= 1e-15 and abs(np.linalg.norm(nhat[0]) - 1.0) <= 1e-15
+        assert abs(dp2_margins(L[None])[0][0]) <= 1e-15
 
     def test_capped_rows_stay_on_sphere(self):
         # b_1 = 1e-30 beside |(M - lam_1 I)^+ a| = 1: Newton on the secular

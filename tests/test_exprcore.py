@@ -189,6 +189,15 @@ def test_jacobian_batched():
     assert np.allclose(J[1], [[4.0, 3.0], [0.0, 8.0]])
 
 
+def test_jacobian_batched_constant_component():
+    # a constant component has a zero derivative row at every point
+    exprs = [parse_expr("t", {"t", "x"}), parse_expr("0", {"t", "x"})]
+    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    J = jacobian(exprs, ["t", "x"], pts, check_singular=False)
+    assert J.shape == (2, 2, 2)
+    assert np.array_equal(J, [[[1.0, 0.0], [0.0, 0.0]]] * 2)
+
+
 def test_jacobian_singular_raises():
     exprs = [parse_expr("t + x", {"t", "x"}), parse_expr("t + x", {"t", "x"})]
     with pytest.raises(SingularJacobianError):

@@ -1,11 +1,18 @@
-"""Property tests of the DP decision (hypothesis, seeded examples)."""
+"""Property tests of the DP decision, map composition and expression
+printing (hypothesis, seeded examples)."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import causalkit.dp as dp
+from causalkit.catalog import builtin, default_window
 from causalkit.dp import dp2_check, dp2_margins
+from causalkit.exprcore import (
+    FUNCTIONS, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym, parse_expr, to_text,
+)
 from causalkit.lorentz import OrientedPoint, validate_metric
+from causalkit.relate import MapDef, RegionSampler, Verdict, check_proper_causal, compose_maps
 
 ETA4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -36,6 +43,53 @@ def symmetric_tensors(draw, n=4):
     return A + A.T
 
 
+def _boost(rapidity, theta, phi):
+    u = np.array([np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)])
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    boost = np.eye(4)
+    boost[0, 0] = ch
+    boost[0, 1:] = boost[1:, 0] = sh * u
+    boost[1:, 1:] += (ch - 1.0) * np.outer(u, u)
+    return boost
+
+
+@st.composite
+def causal_minkowski_maps(draw):
+    """x -> B (a (t + e sin t), c1 x, c2 y, c3 z) on Minkowski, with B a
+    boost and 0 < c_i <= a (1 - |e|): the pullback diag(a^2 (1 + e cos t)^2,
+    -c_i^2) of the inner map is in DP+ and B is a time-orientation
+    preserving isometry, so the map is proper causal."""
+    e = draw(st.floats(-0.3, 0.3))
+    a = draw(st.floats(0.5, 2.0))
+    c = [draw(st.floats(0.2, 1.0)) * a * (1.0 - abs(e)) for _ in range(3)]
+    B = _boost(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, np.pi)),
+               draw(st.floats(0.0, 2.0 * np.pi)))
+    inner = [f"{a!r}*(t + ({e!r})*sin(t))", f"{c[0]!r}*x", f"{c[1]!r}*y", f"{c[2]!r}*z"]
+    mk = builtin("minkowski")
+    exprs = {name: " + ".join(f"({float(B[i, j])!r})*({inner[j]})" for j in range(4))
+             for i, name in enumerate(mk.coords)}
+    return MapDef.create(mk, mk, exprs)
+
+
+_NAMES = ("t", "x", "r_2")
+
+
+def _expr_trees():
+    # the trees the parser builds: numbers are finite and non-negative (a
+    # minus sign parses as Neg), and identifiers are neither pi nor a function
+    leaves = st.one_of(st.floats(0.0, 1e6).map(lambda v: Num(abs(v))),
+                       st.sampled_from(_NAMES).map(Sym))
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.builds(lambda op, l, r: op(l, r), st.sampled_from((Add, Sub, Mul, Div, Pow)),
+                      children, children),
+            st.builds(Call, st.sampled_from(FUNCTIONS), children))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
 class TestProperties:
     @PROPERTY
     @given(dp_plus_tensors(), dp_plus_tensors())
@@ -56,11 +110,29 @@ class TestProperties:
         plus, minus = dp2_margins(np.stack([T, -T]))[0]
         band = 1e-6 * max(1.0, np.abs(T).max())
         assume(abs(plus) > band and abs(minus) > band)
-        u = np.array([np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)])
-        ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-        boost = np.eye(4)
-        boost[0, 0] = ch
-        boost[0, 1:] = boost[1:, 0] = sh * u
-        boost[1:, 1:] += (ch - 1.0) * np.outer(u, u)
+        boost = _boost(rapidity, theta, phi)
         assert np.allclose(boost.T @ ETA4 @ boost, ETA4, atol=1e-12)
         assert dp2_check(p, T, frame=boost).status is dp2_check(p, T).status
+
+    @PROPERTY
+    @given(st.one_of(symmetric_tensors(), dp_plus_tensors(), dp_plus_tensors().map(lambda T: -T)))
+    def test_search_between_bounds(self, T):
+        # LB <= grid+Newton margin <= UB: the bounds share no code with the search
+        lb, ub, _, _ = dp._pair_bounds(T[None])
+        m = dp._pair_search(dp._rows(T[None]), dp.NEWTON_STEPS)[0]
+        eps = 1e-12 * np.abs(T).max()
+        assert lb[0] - eps <= m[0] <= ub[0] + eps
+
+    @PROPERTY
+    @given(causal_minkowski_maps(), causal_minkowski_maps())
+    def test_composition_stays_causal(self, f, g):
+        # the paper's composition property: proper causal maps compose
+        mk = builtin("minkowski")
+        sampler = RegionSampler.build(mk, count=64, seed=3, window=default_window(mk))
+        for m in (f, g, compose_maps(f, g)):
+            assert check_proper_causal(m, sampler).verdict is Verdict.HOLDS_SAMPLED
+
+    @PROPERTY
+    @given(_expr_trees())
+    def test_print_parse_round_trip(self, e):
+        assert parse_expr(to_text(e), _NAMES) == e
