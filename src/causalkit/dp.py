@@ -17,8 +17,8 @@ spatial block is negative semidefinite (every near-conformal pullback),
 the margin is closed form.  Only the other rows are searched on the
 outer unit sphere: a deterministic grid, scanned a fixed-size chunk of
 tensors at a time to bound memory, whose best few points seed a
-safeguarded Newton polish on the sphere.  The flow null-cone check needs
-the quadratic alone.
+safeguarded Newton polish on the sphere.  The flow null-cone check and
+the null eigenvectors (its zeros) need the quadratic alone.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
@@ -43,6 +43,7 @@ NEWTON_STEPS = 40  # Newton iteration cap, per grid start and for the secular eq
 _POLISH_STARTS = 4
 _SCAN_CHUNK = 64  # rows per grid-scan chunk
 _CLOSED = 1e-12  # bound gap, relative to max|That|, below which a row's margin is closed form
+_SANDWICH = 1e-12  # slack, relative to max|That|, of lb <= margin <= ub on a searched row
 
 
 class DPStatus(enum.Enum):
@@ -57,6 +58,15 @@ class DPVerdict:
     margin: float
     witness: tuple | None
     boundary: bool
+
+
+class SandwichError(RuntimeError):
+    """A searched pair margin left the closed-form bounds of row `index`:
+    an internal fault, whatever the input."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -276,7 +286,7 @@ def _pair_bounds(That):
     ub - lb <= _CLOSED times its scale max|That|; its margin is then the pair
     value at nhat.  Returns (lb, ub, nhat, closed)."""
     c, a, M = _rows(That)
-    lam, b, nhat = _sphere_quadratic(a, M)
+    lam, b, nhat, _ = _sphere_quadratic(a, M)
     ub = _quad_value(nhat, c, a, M)
     A = lam + lam[-1]
     # |b_i| < A_i for every i is needed for an interior minimum; testing it
@@ -297,6 +307,25 @@ def _partner(nhat, a, M):
     return np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
 
 
+def _search_rows(That, todo, lb, ub, margins, nhat, steps=NEWTON_STEPS):
+    """Search the rows `todo` of That into margins and nhat, which hold the
+    pair at the bounds' nhat on entry, in place.  The polish can stall short
+    of a flat hard-case minimum, so where it ends more than _SANDWICH
+    max|That| above ub that pair is kept; a margin as far below lb raises
+    SandwichError."""
+    found, fn = _pair_search(tuple(x[todo] for x in _rows(That)), steps)
+    lb, ub = lb[todo], ub[todo]
+    eps = _SANDWICH * np.abs(That[todo]).max(axis=(1, 2))
+    keep = found > ub + eps
+    found[keep], fn[keep] = margins[todo[keep]], nhat[todo[keep]]
+    out = np.flatnonzero(~((lb - eps <= found) & (found <= ub + eps)))
+    if len(out):
+        j = out[0]
+        raise SandwichError(f"searched pair margin {found[j]:.17g} of row {todo[j]} left "
+                            f"its bounds [{lb[j]:.17g}, {ub[j]:.17g}]", int(todo[j]))
+    margins[todo], nhat[todo] = found, fn
+
+
 def dp2_margins(That, steps=NEWTON_STEPS):
     """min over future null pairs of T(k, l) for stacked frame tensors.
 
@@ -305,21 +334,22 @@ def dp2_margins(That, steps=NEWTON_STEPS):
     Bounds first: on the rows where the bounds of `_pair_bounds` meet, the
     margin is closed form.  Only the other rows are searched: the
     _POLISH_STARTS best grid directions per tensor are Newton-polished for
-    at most `steps` iterations.  steps=0 returns the grid minimum alone, on
-    every row.  Each row's result depends on that row alone.
+    at most `steps` iterations and held to the row's bounds
+    (`_search_rows`).  steps=0 returns the grid minimum alone, on every row.
+    Each row's result depends on that row alone.
     """
     That = np.asarray(That, dtype=float)
     data = _rows(That)
-    N, d = data[1].shape
-    if steps > 0:
-        _, _, nhat, closed = _pair_bounds(That)
-        todo = np.flatnonzero(~closed)
-        margins = _pair_value(nhat, *data)[0]
+    if steps == 0:
+        # contiguous copies, as `_search_rows` passes its rows: einsum's loop
+        # order (and so its rounding) can follow the operands' strides
+        margins, nhat = _pair_search(tuple(x.copy() for x in data), 0)
     else:
-        todo = np.arange(N)
-        margins, nhat = np.empty(N), np.empty((N, d))
-    if len(todo):
-        margins[todo], nhat[todo] = _pair_search(tuple(x[todo] for x in data), steps)
+        lb, ub, nhat, closed = _pair_bounds(That)
+        margins = _pair_value(nhat, *data)[0]
+        todo = np.flatnonzero(~closed)
+        if len(todo):
+            _search_rows(That, todo, lb, ub, margins, nhat, steps)
     return margins, nhat, _partner(nhat, *data[1:])
 
 
@@ -373,17 +403,13 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     lb, ub, nhat, closed = _pair_bounds(both)
     margins = _pair_value(nhat, *data)[0]
 
-    def search(i):
-        margins[i:i + 1], nhat[i:i + 1] = _pair_search(tuple(x[i:i + 1] for x in data),
-                                                       NEWTON_STEPS)
-
     if not closed[0]:
-        search(0)
+        _search_rows(both, np.array([0]), lb, ub, margins, nhat)
     margin = float(margins[0])
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
     if not closed[1] and lb[1] <= tol and ub[1] >= -tol:
-        search(1)
+        _search_rows(both, np.array([1]), lb, ub, margins, nhat)
     minus_margin = float(margins[1])
     k = E @ np.concatenate([[1.0], nhat[0]])
     l = E @ np.concatenate([[1.0], _partner(nhat, *data[1:])[0]])
@@ -404,8 +430,9 @@ def _quad_value(n, c, a, M):
 
 def _sphere_quadratic(a, M):
     """Minimizer over unit n of 2a.n + n.Mn for stacked (a, M), in closed
-    form; returns (lam, b, nhat) with the eigenvalues lam of M (ascending)
-    and b = Q^T a, both component-major (d, N).
+    form; returns (lam, b, nhat, Q) with the eigenvalues lam of M
+    (ascending), b = Q^T a and the eigenvectors Q, component-major: (d, N),
+    (d, N) and (d, d, N) with Q[:, j] the eigenvector of lam[j].
 
     With M = Q diag(lam) Q^T, the minimizer is n = Q y,
     y_i = -b_i / (lam_i - lam_1 + s), where s >= 0 solves |y| = 1 (the
@@ -445,7 +472,7 @@ def _sphere_quadratic(a, M):
     y[0] += np.where(s == 0.0, np.sqrt(np.maximum(1.0 - yy, 0.0)), 0.0)
     nhat = sum(np.swapaxes(Q, 0, 1) * y[:, None]).T.copy()  # Q y
     nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
-    return lam, b, nhat
+    return lam, b, nhat, Q
 
 
 def null_quadratic_margins(Lhat):
@@ -462,32 +489,20 @@ def null_quadratic_margins(Lhat):
 # null eigenvectors and the conformal factor
 
 
-def _null_directions_in_subspace(G, basis, tol):
-    """Null directions of the restricted quadratic form on a subspace."""
-    Q = basis.T @ G @ basis
-    mu, U = np.linalg.eigh(0.5 * (Q + Q.T))
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    out = []
-    kernel = np.abs(mu) <= tol * scale
-    for j in np.flatnonzero(kernel):
-        out.append(basis @ U[:, j])
-    pos = np.flatnonzero(mu > tol * scale)
-    neg = np.flatnonzero(mu < -tol * scale)
-    if len(pos) == 1:
-        up = basis @ U[:, pos[0]] / np.sqrt(mu[pos[0]])
-        for j in neg:
-            un = basis @ U[:, j] / np.sqrt(-mu[j])
-            out.append(up + un)
-            out.append(up - un)
-    return out
-
-
 def null_eigenvectors(point, T, tol=TOL_DP, residual_tol=1e-10, frame=None):
-    """Null directions X with T(., X) proportional to G(., X).
+    """Null directions X with T(., X) proportional to G(., X): future
+    representatives (lam, X), lam = (G X . T X) / |G X|^2.
 
-    Returns future representatives.  When T is a multiple of G every
-    null direction qualifies; that degenerate spectrum is flagged and a
-    basis of n independent null eigenvectors is returned.
+    T = lam G is flagged degenerate, with a basis of n null directions.
+    Otherwise T(k, k) >= 0 on the null cone is required (ValueError below
+    -tol max|That|), and the null eigenvectors are then the zeros of the
+    null-cone quadratic L(n) = T(e0 + n, e0 + n): none when its minimum
+    (`_sphere_quadratic`) clears tol, else its minimizers, one point or the
+    sphere yc + r S of the lowest eigenspace of M around yc, nhat with that
+    eigenspace projected out.  The centre yc/|yc| is reported alone when it
+    is a zero (nhat carries rounding residue along q_1 there); otherwise
+    nhat and the spanning points yc + r q_j, yc - r q_1 that pass the
+    eigen-residual check (relative residual_tol) and are future null.
     """
     G = point.metric.matrix
     n = point.metric.dim
@@ -503,54 +518,38 @@ def null_eigenvectors(point, T, tol=TOL_DP, residual_tol=1e-10, frame=None):
         pairs = tuple((lam0, v) for v in basis)
         return NullEigenResult(pairs, True)
 
-    w, V = np.linalg.eig(A)
-    candidates = []
-    real = np.abs(w.imag) <= tol * scale
-    for i in np.flatnonzero(real):
-        v = V[:, i]
-        if np.linalg.norm(v.imag) > 1e-8 * np.linalg.norm(v):
-            continue
-        candidates.append((float(w[i].real), v.real.copy()))
+    That = E.T @ T @ E
+    c, a, M = _rows(That[None])
+    lam, _, nhat, Q = _sphere_quadratic(a, M)
+    lmin = float(_quad_value(nhat, c, a, M)[0])
+    zero = tol * max(1.0, float(np.max(np.abs(That))))
+    if lmin < -zero:
+        raise ValueError(f"null eigenvectors need T(k, k) >= 0 on the null cone, "
+                         f"got a minimum of {lmin:.3e}")
+    if lmin > zero:
+        return NullEigenResult((), False)
+    nhat, low = nhat[0], Q[:, lam[:, 0] - lam[0, 0] <= zero, 0]
+    yc = nhat - low @ (low.T @ nhat)
+    r = np.sqrt(max(1.0 - float(yc @ yc), 0.0))
 
-    # eigenvalue clusters: search each multi-dimensional eigenspace for
-    # null directions the individual eigenvectors may have missed
-    used = np.zeros(len(w), dtype=bool)
-    for i in np.flatnonzero(real):
-        if used[i]:
-            continue
-        group = np.flatnonzero(real & (np.abs(w - w[i]) <= 1e-6 * scale))
-        used[group] = True
-        if len(group) < 2:
-            continue
-        mat = V[:, group].real
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        rank = int(np.sum(s > 1e-8 * s[0]))
-        basis = u[:, :rank]
-        for v in _null_directions_in_subspace(G, basis, 1e-8):
-            candidates.append((float(w[i].real), v))
+    def pair(m):
+        v = E @ np.concatenate([[1.0], m / np.linalg.norm(m)])
+        v /= np.linalg.norm(v)
+        GX = G @ v
+        mu = float(GX @ (T @ v)) / float(GX @ GX)
+        if np.linalg.norm(A @ v - mu * v) > residual_tol * scale:
+            return None
+        if classify(G, E, point.future, v) is not CausalClass.FUTURE_NULL:
+            return None
+        return mu, v
 
+    if yc @ yc > 0.0 and (centre := pair(yc)):
+        return NullEigenResult((centre,), False)
     results = []
-    for lam, v in candidates:
-        v = v / np.linalg.norm(v)
-        # one inverse-iteration step sharpens simple eigenpairs
-        try:
-            x = np.linalg.solve(A - lam * np.eye(n) + 1e-14 * scale * np.eye(n), v)
-            x = x / np.linalg.norm(x)
-            lam_x = float(x @ A @ x) / float(x @ x)
-            if np.linalg.norm(A @ x - lam_x * x) < np.linalg.norm(A @ v - lam * v):
-                v, lam = x, lam_x
-        except np.linalg.LinAlgError:
-            pass
-        if np.linalg.norm(A @ v - lam * v) > residual_tol * scale:
-            continue
-        cls = classify(G, E, point.future, v)
-        if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
-            continue
-        if cls is CausalClass.PAST_NULL:
-            v = -v
-        if any(abs(v @ u) > 1.0 - 1e-9 for _, u in results):
-            continue
-        results.append((lam, v))
+    for m in (nhat, *(yc + r * low.T), yc - r * low[:, 0]):
+        p = pair(m)
+        if p is not None and not any(abs(p[1] @ u) > 1.0 - 1e-9 for _, u in results):
+            results.append(p)
     return NullEigenResult(tuple(results), False)
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import TOL_DP, DPStatus, conformal_lambdas, dp2_check, dp2_margins, null_eigenvectors
+from .dp import (TOL_DP, DPStatus, SandwichError, conformal_lambdas, dp2_check, dp2_margins,
+                 null_eigenvectors)
 from .exprcore import (
     Dual,
     EvalDomainError,
@@ -488,14 +489,6 @@ def _thread_count(threads):
     return max(1, int(os.environ.get("CAUSALKIT_THREADS", "1")))
 
 
-def _dp2_margins_split(That):
-    """The one null-pair search of a relation check, over the stacked
-    frame tensors of all its maps (the stage the benchmark harness times
-    under this name).  It runs serially whatever the thread setting: with
-    the bounds first, two threads no longer beat one."""
-    return dp2_margins(That)
-
-
 def _conformal(G, T):
     lambdas = conformal_lambdas(G, T)
     ok = ~np.isnan(lambdas)
@@ -638,7 +631,10 @@ def _check_relations(maps, pts, tol_dp):
             staged.append(error(e))
     live = [s for s in staged if isinstance(s, tuple)]
     try:
-        found = _dp2_margins_split(np.concatenate([s[0] for s in live])) if live else ()
+        found = dp2_margins(np.concatenate([s[0] for s in live])) if live else ()
+    except SandwichError as e:
+        e.args = (f"{e} {_at_sample(pts, e.index % N)}",)
+        raise
     except (ArithmeticError, ValueError) as e:
         return [error(e) if isinstance(s, tuple) else s for s in staged]
     reports, k = [], 0

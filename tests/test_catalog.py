@@ -272,13 +272,13 @@ class TestClosedFormRows:
             map_path = tmp_path / "frw.map"
             map_path.write_text(FRW_MAP.replace("param k = 40.0", f"param k = {k}"))
         captured = []
-        search = relate._dp2_margins_split
+        search = relate.dp2_margins
 
         def capture(That):
             captured.append(That)
             return search(That)
 
-        monkeypatch.setattr(relate, "_dp2_margins_split", capture)
+        monkeypatch.setattr(relate, "dp2_margins", capture)
         run_scenario(name, samples=256, params=params,
                      map_path=None if map_path is None else str(map_path))
         That = np.concatenate(captured)

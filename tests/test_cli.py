@@ -458,3 +458,23 @@ class TestDispatch:
                           files["identity.cm"], "--samples", "64"], capsys)
         assert rc == 3
         assert "internal error" in err
+
+    def test_search_outside_bounds_exits_3(self, files, tmp_path, capsys, monkeypatch):
+        # a searched margin below its closed-form lower bound is an internal
+        # fault, not bad input, and names the sample
+        import causalkit.dp as dp
+
+        search = dp._pair_search
+
+        def off(data, steps):
+            margins, nhat = search(data, steps)
+            return margins - 1e6, nhat
+
+        monkeypatch.setattr(dp, "_pair_search", off)
+        shear = tmp_path / "shear.cm"
+        shear.write_text(IDENTITY.replace("map t = t", "map t = t + x*x"), encoding="utf-8")
+        rc, _, err = run(["check", files["mink.st"], files["mink.st"], str(shear),
+                          "--samples", "64"], capsys)
+        assert rc == 3
+        assert "internal error: SandwichError" in err
+        assert "left its bounds" in err and "at sample 1, x = [" in err

@@ -416,6 +416,50 @@ class TestBoundsFirst:
             statuses.add((v.status, v.boundary))
         assert len(statuses) == 5  # every status, and both boundary flags where they exist
 
+    @staticmethod
+    def _search_off_by(monkeypatch, shift):
+        """Moves every searched margin by `shift`; returns tensors whose two
+        metric rows close and whose sums of causal squares stay open."""
+        search = dp._pair_search
+
+        def off(data, steps):
+            margins, nhat = search(data, steps)
+            return margins + shift, nhat
+
+        monkeypatch.setattr(dp, "_pair_search", off)
+        return np.concatenate([[ETA4, 2.0 * ETA4], _scan_tensors("causal_squares", 4, 8, seed=102)])
+
+    def test_search_below_lower_bound_raises(self, monkeypatch):
+        # an internal fault, not an input error
+        That = self._search_off_by(monkeypatch, -1e6)
+        assert np.flatnonzero(~dp._pair_bounds(That)[3])[0] == 2
+        with pytest.raises(dp.SandwichError, match="row 2 left its bounds") as err:
+            dp2_margins(That)
+        assert err.value.index == 2
+        assert not isinstance(err.value, (ValueError, ArithmeticError))
+        # the grid-only pass has no bounds to check against
+        dp2_margins(That, steps=0)
+
+    def test_search_above_upper_bound_keeps_the_bounds_pair(self, monkeypatch):
+        That = self._search_off_by(monkeypatch, 1e6)
+        lb, ub, nhat, _ = dp._pair_bounds(That)
+        margins, got, _ = dp2_margins(That)
+        assert np.array_equal(got, nhat)
+        assert np.array_equal(margins, dp._pair_value(nhat, *dp._rows(That))[0])
+        assert np.all((lb <= margins) & (margins <= ub))
+
+    def test_stalled_search_keeps_the_bounds_pair(self):
+        # on a hard case with a lowest eigenspace of dimension 2 the polish
+        # can stall short of the flat minimum; the margin never exceeds the
+        # upper bound, a pair the bounds attain
+        That = _known_quadratics("hard_inside", 4, 2000, seed=15)[0]
+        lb, ub, _, closed = dp._pair_bounds(That)
+        eps = 1e-12 * np.abs(That).max(axis=(1, 2))
+        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
+        assert np.any((searched > ub + eps) & ~closed)
+        margins = dp2_margins(That)[0]
+        assert np.all((lb - eps <= margins) & (margins <= ub + eps))
+
 
 class TestPairMinOracle:
     """Closed-form minima of the enumeration oracle the DP gate rests on.
@@ -494,6 +538,27 @@ class TestNullEigenvectors:
         T = ETA4 + null_square(k)
         for lam, v in null_eigenvectors(p, T).pairs:
             assert np.linalg.norm(T @ v - lam * (ETA4 @ v)) <= 1e-9
+
+    def test_circle_of_zeros_spanned(self):
+        # eta + e1 e1: T(k, k) = n1^2 vanishes on the circle n1 = 0, a
+        # continuum that is not the conformal whole cone
+        p = mink_point()
+        T = ETA4 + np.diag([0.0, 1.0, 0.0, 0.0])
+        res = null_eigenvectors(p, T)
+        assert not res.degenerate
+        assert len(res.pairs) == 3
+        for lam, v in res.pairs:
+            assert lam == pytest.approx(1.0, abs=1e-12)
+            assert abs(v[1]) <= 1e-12
+            assert causal_character(p, v) is CausalClass.FUTURE_NULL
+            assert dp_zero_test(p, T, v) == (True, True)
+        # three points of the circle span its plane t = 1 in (t, y, z)
+        assert np.linalg.matrix_rank(np.stack([v for _, v in res.pairs])) == 3
+
+    def test_negative_on_null_cone_raises(self):
+        # T(k, k) = -n1^2 < 0 along e0 + e1
+        with pytest.raises(ValueError, match=r"T\(k, k\) >= 0"):
+            null_eigenvectors(mink_point(), np.diag([0.0, -1.0, 0.0, 0.0]))
 
 
 class TestZeroTest:

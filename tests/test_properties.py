@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import causalkit.dp as dp
 from causalkit.catalog import builtin, default_window
-from causalkit.dp import dp2_check, dp2_margins
+from causalkit.dp import dp2_check, dp2_margins, dp_zero_test, null_eigenvectors
 from causalkit.exprcore import (
     FUNCTIONS, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym, parse_expr, to_text,
 )
-from causalkit.lorentz import OrientedPoint, validate_metric
+from causalkit.lorentz import CausalClass, OrientedPoint, causal_character, validate_metric
 from causalkit.relate import MapDef, RegionSampler, Verdict, check_proper_causal, compose_maps
 
 ETA4 = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -51,6 +51,26 @@ def _boost(rapidity, theta, phi):
     boost[0, 1:] = boost[1:, 0] = sh * u
     boost[1:, 1:] += (ch - 1.0) * np.outer(u, u)
     return boost
+
+
+def _rotation(a, b, c):
+    """Rotation of the spatial axes by Euler angles (z, y, z)."""
+    def axis(i, j, t):
+        R = np.eye(4)
+        R[i, i] = R[j, j] = np.cos(t)
+        R[i, j], R[j, i] = -np.sin(t), np.sin(t)
+        return R
+    return axis(1, 2, a) @ axis(1, 3, b) @ axis(1, 2, c)
+
+
+_angle = st.floats(0.0, 2.0 * np.pi)
+
+
+@st.composite
+def lorentz_transforms(draw):
+    """A boost after a rotation: orthochronous, so an orthonormal frame of eta."""
+    return (_boost(draw(st.floats(-1.5, 1.5)), draw(st.floats(0.0, np.pi)), draw(_angle))
+            @ _rotation(draw(_angle), draw(_angle), draw(_angle)))
 
 
 @st.composite
@@ -122,6 +142,27 @@ class TestProperties:
         m = dp._pair_search(dp._rows(T[None]), dp.NEWTON_STEPS)[0]
         eps = 1e-12 * np.abs(T).max()
         assert lb[0] - eps <= m[0] <= ub[0] + eps
+
+    @PROPERTY
+    @given(lorentz_transforms(), lorentz_transforms(), st.floats(0.3, np.pi), st.floats(0.2, 2.0))
+    def test_null_eigenvectors_under_boost(self, L, frame, beta, alpha):
+        # the null directions of u u, eta + alpha u u (one) and u v + v u
+        # (two), for null covectors u, v of boosted and rotated null vectors,
+        # in a boosted and rotated frame
+        p = OrientedPoint(np.zeros(4), validate_metric(ETA4), np.array([1.0, 0, 0, 0]))
+        k1 = L @ np.array([1.0, 1.0, 0.0, 0.0])
+        k2 = L @ np.array([1.0, np.cos(beta), np.sin(beta), 0.0])
+        u, v = ETA4 @ k1, ETA4 @ k2
+        cases = [(np.outer(u, u), [k1]), (ETA4 + alpha * np.outer(u, u), [k1]),
+                 (np.outer(u, v) + np.outer(v, u), [k1, k2])]
+        for T, want in cases:
+            res = null_eigenvectors(p, T, frame=frame)
+            assert not res.degenerate
+            assert len(res.pairs) == len(want)
+            for _, x in res.pairs:
+                assert causal_character(p, x) is CausalClass.FUTURE_NULL
+                assert min(np.linalg.norm(x - k / np.linalg.norm(k)) for k in want) <= 1e-10
+                assert dp_zero_test(p, T, x) == (True, True)
 
     @PROPERTY
     @given(causal_minkowski_maps(), causal_minkowski_maps())

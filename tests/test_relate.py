@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from causalkit import relate
+from causalkit import dp, relate
 from causalkit.catalog import builtin, builtin_names, default_window
 from causalkit.dp import DPStatus, conformal_factor, dp2_check
 from causalkit.exprcore import UnknownIdentifierError, to_text
@@ -438,6 +438,26 @@ class TestPullbackMetric:
 
 
 class TestCheckProperCausal:
+    def test_search_outside_bounds_names_the_sample(self, monkeypatch):
+        # the identity's rows all close; t -> t + x^2 leaves rows open from
+        # sample 1 on, so its first breach is row N + 1 of the stacked search
+        search = dp._pair_search
+
+        def off(data, steps):
+            margins, nhat = search(data, steps)
+            return margins - 1e6, nhat
+
+        monkeypatch.setattr(dp, "_pair_search", off)
+        st = mink4()
+        maps = [MapDef.create(st, st, {"t": "t", "x": "x", "y": "y", "z": "z"}, {}),
+                MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
+        pts = RegionSampler.build(st, count=64).points()
+        with pytest.raises(dp.SandwichError) as err:
+            relate._check_relations(maps, pts, dp.TOL_DP)
+        assert err.value.index == 64 + 1
+        assert str(err.value).endswith(f"at sample 1, x = {pts[1].tolist()}")
+        assert f"row {64 + 1} left its bounds" in str(err.value)
+
     def test_holds_with_expected_margin(self):
         m = ds_to_es_map(b=1.5)
         rep = check_proper_causal(m, ds_sampler(m.source))
