@@ -7,7 +7,8 @@ each point; every classification here is relative to that choice.
 
 Frame construction and classification accept stacked inputs (leading
 batch axis) and treat every point with the same array operations, so
-region-sized workloads avoid per-point Python overhead.
+region-sized workloads avoid per-point Python overhead.  Classification
+reads only a frame's time axis, and the chart rules are batched masks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ class SignatureError(ValueError):
 
 
 class DegenerateMetricError(ArithmeticError):
-    pass
+    """No time axis or frame at sample `index` (the first failing one)."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class CausalClass(enum.Enum):
@@ -69,26 +74,33 @@ class MetricValue:
     matrix: np.ndarray
 
 
-def validate_metric(matrix, sym_tol=1e-12, zero_tol=1e-12):
-    """Check symmetry and Lorentzian signature; returns a MetricValue.
+def _signature(G, zero_tol=1e-12):
+    """Eigenvalue counts (positive, negative, within zero_tol of the spectral
+    radius), shape (..., 3), of symmetric G (..., n, n); mask of Lorentzian G."""
+    w = np.linalg.eigvalsh(G)
+    zero = np.abs(w) <= zero_tol * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
+    counts = np.stack([(w > 0) & ~zero, (w < 0) & ~zero, zero], axis=-1).sum(axis=-2)
+    return counts, (counts[..., 0] == 1) & (counts[..., 1] == G.shape[-1] - 1)
 
-    Near-zero eigenvalues (relative to the spectral radius) are counted
-    separately so a degenerate matrix is reported as such instead of
-    being forced into one sign bucket.
-    """
+
+def _future_causal(G, f):
+    """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|."""
+    q = np.einsum("...i,...ij,...j->...", f, G, f)
+    scale = np.einsum("...i,...i->...", f, f) * np.abs(G).max(axis=(-2, -1))
+    return (scale > 0) & (q >= -TOL_NULL * scale)
+
+
+def validate_metric(matrix, sym_tol=1e-12, zero_tol=1e-12):
+    """Check symmetry and Lorentzian signature; returns a MetricValue."""
     G = np.asarray(matrix, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"metric must be square, got shape {G.shape}")
     scale = max(1.0, float(np.max(np.abs(G))))
     if np.max(np.abs(G - G.T)) > sym_tol * scale:
         raise AsymmetricError(f"metric asymmetric beyond {sym_tol} (relative)")
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    cut = zero_tol * max(1.0, float(np.max(np.abs(w))))
-    n_zero = int(np.sum(np.abs(w) <= cut))
-    n_pos = int(np.sum(w > cut))
-    n_neg = int(np.sum(w < -cut))
-    if n_pos != 1 or n_zero != 0 or n_neg != G.shape[0] - 1:
-        raise SignatureError(n_pos, n_neg, n_zero)
+    counts, ok = _signature(0.5 * (G + G.T), zero_tol)
+    if not ok:
+        raise SignatureError(*counts.tolist())
     return MetricValue(G.shape[0], G)
 
 
@@ -103,34 +115,16 @@ class OrientedPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
         object.__setattr__(self, "future", np.asarray(self.future, dtype=float))
-        f = self.future
-        G = self.metric.matrix
-        nf = float(f @ f)
-        if nf == 0.0:
+        f, G = self.future, self.metric.matrix
+        if float(f @ f) == 0.0:
             raise ValueError("future vector must be nonzero")
-        q = float(f @ G @ f)
-        scale = max(1.0, float(np.max(np.abs(G)))) * nf
-        if q < -TOL_NULL * scale:
-            raise ValueError(f"declared future vector is spacelike (g(f,f) = {q})")
+        if not _future_causal(G, f):
+            raise ValueError(f"declared future vector is spacelike (g(f,f) = {float(f @ G @ f)})")
 
 
-def frames(G, future, tol=FRAME_TOL):
-    """Orthonormal frames E with E^T G E = diag(1, -1, ..., -1), batched.
-
-    G has shape (..., n, n) and future (..., n); the result matches.
-    Column 0 is the normalized future seed: the declared future vector
-    when timelike, otherwise that vector pushed into the cone along the
-    metric's timelike eigendirection.  The spatial columns come from the
-    eigenvectors of the projected negative metric, so they are an
-    orthonormal completion determined by the metric alone.
-    """
-    G = np.asarray(G, dtype=float)
-    f = np.asarray(future, dtype=float)
-    squeeze = G.ndim == 2
-    if squeeze:
-        G = G[None]
-        f = f[None]
-    n = G.shape[-1]
+def _time_axis(G, f):
+    """Future unit timelike vectors e0 (N, n) of metrics G (N, n, n): the
+    declared future f, pushed into the cone when not timelike, normalized."""
     scale = np.maximum(1.0, np.abs(G).max(axis=(-2, -1))) * np.einsum("bi,bi->b", f, f)
     q = np.einsum("bi,bij,bj->b", f, G, f)
 
@@ -139,8 +133,7 @@ def frames(G, future, tol=FRAME_TOL):
     if np.any(weak):
         # push a non-timelike declared future into the cone along the
         # timelike eigendirection, oriented to the same half
-        wvals, wvecs = np.linalg.eigh(G[weak])
-        u = wvecs[..., -1]
+        u = np.linalg.eigh(G[weak])[1][..., -1]
         s = np.einsum("bi,bij,bj->b", u, G[weak], f[weak])
         sign = np.where(s >= 0.0, 1.0, -1.0)
         fn = f[weak] / np.linalg.norm(f[weak], axis=-1, keepdims=True)
@@ -148,9 +141,25 @@ def frames(G, future, tol=FRAME_TOL):
         q = np.einsum("bi,bij,bj->b", seed, G, seed)
 
     root = np.sqrt(np.maximum(q, 0.0))
-    if np.any(root < _DIV_FLOOR):
-        raise DegenerateMetricError("timelike normalization below 1e-13")
-    e0 = seed / root[:, None]
+    if np.any(bad := root < _DIV_FLOOR):
+        raise DegenerateMetricError("timelike normalization below 1e-13", int(np.argmax(bad)))
+    return seed / root[:, None]
+
+
+def frames(G, future, tol=FRAME_TOL):
+    """Orthonormal frames E with E^T G E = diag(1, -1, ..., -1), batched.
+
+    G has shape (..., n, n) and future (..., n); the result matches.
+    Column 0 is the time axis (see `_time_axis`).  The spatial columns
+    come from the eigenvectors of the projected negative metric, so they
+    are an orthonormal completion determined by the metric alone.
+    """
+    G, f = np.asarray(G, dtype=float), np.asarray(future, dtype=float)
+    squeeze = G.ndim == 2
+    if squeeze:
+        G, f = G[None], f[None]
+    n = G.shape[-1]
+    e0 = _time_axis(G, f)
 
     # project g-orthogonally to e0, then diagonalize the negative metric
     Ge0 = np.einsum("bij,bj->bi", G, e0)
@@ -159,8 +168,8 @@ def frames(G, future, tol=FRAME_TOL):
     hv, hw = np.linalg.eigh(H)
     spatial = np.einsum("bij,bjk->bik", P, hw[..., 1:])
     lam = hv[..., 1:]
-    if np.any(lam < _DIV_FLOOR**2):
-        raise DegenerateMetricError("spatial normalization below 1e-13")
+    if np.any(bad := np.any(lam < _DIV_FLOOR**2, axis=-1)):
+        raise DegenerateMetricError("spatial normalization below 1e-13", int(np.argmax(bad)))
     spatial = spatial / np.sqrt(lam)[:, None, :]
     # deterministic signs: largest-magnitude component positive
     idx = np.argmax(np.abs(spatial), axis=1)
@@ -170,8 +179,9 @@ def frames(G, future, tol=FRAME_TOL):
     E = np.concatenate([e0[:, :, None], spatial], axis=2)
     eta = np.diag([1.0] + [-1.0] * (n - 1))
     err = np.abs(np.swapaxes(E, -1, -2) @ G @ E - eta).max(axis=(-2, -1))
-    if np.any(err > tol):
-        raise DegenerateMetricError(f"frame orthonormality error {float(err.max()):.3e}")
+    if np.any(bad := err > tol):
+        raise DegenerateMetricError(f"frame orthonormality error {float(err.max()):.3e}",
+                                    int(np.argmax(bad)))
     return E[0] if squeeze else E
 
 
@@ -180,17 +190,20 @@ def orthonormal_frame(point, tol=FRAME_TOL):
     return frames(point.metric.matrix, point.future, tol=tol)
 
 
-def _class_codes(G, E, future, v, tol_null=TOL_NULL):
-    """Causal classes of stacked inputs as indices in CausalClass order."""
-    vhat = np.linalg.solve(E, v[..., None])[..., 0]
-    sigma = np.einsum("bi,bi->b", vhat, vhat)
+def _class_codes(G, e0, future, v, tol_null=TOL_NULL):
+    """Causal classes (CausalClass order) of stacked inputs, on the time axis e0."""
     q = np.einsum("bi,bij,bj->b", v, G, v)
     s = np.einsum("bi,bij,bj->b", v, G, future)
-    # when g(v, future) degenerates (null future parallel to v), the frame
-    # time component still carries the orientation because e0 is future
+    # v's time component and Euclidean norm in any orthonormal frame with time
+    # axis e0; sigma = v0^2 + |v_spatial|^2 >= v0^2 >= q, so 2 v0^2 - q loses at
+    # most a factor 2 to cancellation
+    v0 = np.einsum("bi,bij,bj->b", e0, G, v)
+    sigma = 2.0 * v0 * v0 - q
+    # when g(v, future) degenerates (null future parallel to v), the time
+    # component still carries the orientation because e0 is future
     fscale = np.sqrt(np.einsum("bi,bi->b", future, future) * np.einsum("bi,bi->b", v, v))
     fscale = fscale * np.abs(G).max(axis=(-2, -1))
-    s = np.where(np.abs(s) <= 1e-13 * np.maximum(fscale, 1e-300), vhat[..., 0], s)
+    s = np.where(np.abs(s) <= 1e-13 * np.maximum(fscale, 1e-300), v0, s)
 
     zero = sigma < _ZERO_NORM_SQ
     null = np.abs(q) <= tol_null * sigma
@@ -207,17 +220,15 @@ def _class_codes(G, E, future, v, tol_null=TOL_NULL):
 def classify(G, E, future, v, tol_null=TOL_NULL):
     """Causal classes of vectors v against metric G and frame E, batched.
 
-    All arguments broadcast over a leading batch axis; returns a list of
-    CausalClass (or a single one for unbatched input).
+    Only E's time column is read.  All arguments broadcast over a leading
+    batch axis; returns a list of CausalClass (or a single one for
+    unbatched input).
     """
-    G = np.asarray(G, dtype=float)
+    G, E, future, v = (np.asarray(a, dtype=float) for a in (G, E, future, v))
     squeeze = G.ndim == 2
     if squeeze:
-        G = G[None]
-        E = np.asarray(E, dtype=float)[None]
-        future = np.asarray(future, dtype=float)[None]
-        v = np.asarray(v, dtype=float)[None]
-    out = _CLASSES[_class_codes(G, E, future, v, tol_null)].tolist()
+        G, E, future, v = G[None], E[None], future[None], v[None]
+    out = _CLASSES[_class_codes(G, E[..., 0], future, v, tol_null)].tolist()
     return out[0] if squeeze else out
 
 

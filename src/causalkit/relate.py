@@ -13,7 +13,9 @@ point set: a source stage (metric, signature, orientation, frames) runs
 once, a map-image stage per map (target domain, Jacobian, target metric
 and orientation) feeds the pullback through forward-mode Jacobians, and
 the frame tensors of all maps go through one vectorized null-pair search
-in `dp`.  A check is one map, a flow scan one map per parameter value.
+in `dp`.  Frames are built for the source chart only; the target is
+classified on its time axis.  A check is one map, a flow scan one map per
+parameter value.
 The stages are the only code that validates a chart or a map at points:
 the conformal, null-cone and curve checks run them on their samples, and
 the single-point queries on a one-sample batch.
@@ -41,15 +43,8 @@ from .exprcore import (
     seed_env,
     substitute,
 )
-from .lorentz import (
-    TOL_NULL,
-    CausalClass,
-    MetricValue,
-    OrientedPoint,
-    _class_codes,
-    classify,
-    frames,
-)
+from .lorentz import (_CLASSES, CausalClass, DegenerateMetricError, MetricValue, OrientedPoint,
+                      _class_codes, _future_causal, _signature, _time_axis, classify, frames)
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_MARGIN = 1e-3
@@ -469,10 +464,10 @@ def _require(ok, what, pts, exc=ValueError):
 
 
 def _named(pts, fn, *args):
-    """fn(*args) for the batch pts; an expression-domain error at a sample
-    also names the sample's coordinates.  An error without an index came
-    from a constant sub-expression, which fails at every sample: it names
-    sample 0."""
+    """fn(*args) for the batch pts; an error at a sample also names the
+    sample's coordinates.  An expression error without an index came from a
+    constant sub-expression, which fails at every sample: it names sample 0.
+    The index of a search stacked over several maps wraps around pts."""
     try:
         return fn(*args)
     except EvalDomainError as e:
@@ -480,6 +475,9 @@ def _named(pts, fn, *args):
             e.args = (f"{e} {_at_sample(pts, 0)}",)
         else:
             e.args = (f"{e}, x = {np.atleast_2d(pts)[e.index].tolist()}",)
+        raise
+    except (DegenerateMetricError, SandwichError) as e:
+        e.args = (f"{e} {_at_sample(pts, e.index % len(np.atleast_2d(pts)))}",)
         raise
 
 
@@ -522,24 +520,16 @@ def _chart_check(chart, what, pts, img=None):
     images img in it, validated; raises naming the first failing sample."""
     at, where = (pts, "") if img is None else (img, " at image")
     G = _named(pts, chart.metric_at, at)
-    w = np.linalg.eigvalsh(G)
-    zero = np.abs(w) <= 1e-12 * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
-    npos = np.sum((w > 0) & ~zero, axis=-1)
-    nneg = np.sum((w < 0) & ~zero, axis=-1)
-    _require((npos == 1) & (nneg == G.shape[-1] - 1),
-             f"{what} metric{where} loses Lorentzian signature", pts)
+    _require(_signature(G)[1], f"{what} metric{where} loses Lorentzian signature", pts)
     fut = _named(pts, chart.orientation_at, at)
-    q = np.einsum("...i,...ij,...j->...", fut, G, fut)
-    scale = np.einsum("...i,...i->...", fut, fut) * np.abs(G).max(axis=(-2, -1))
-    _require((scale > 0) & (q >= -TOL_NULL * scale),
-             f"{what} orientation{where} is not future causal", pts)
+    _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal", pts)
     return G, fut
 
 
 def _source_stage(source, pts):
     """Metric, future field and frames of the source chart, validated."""
     G, fut = _chart_check(source, "source", pts)
-    return G, fut, frames(G, fut)
+    return G, fut, _named(pts, frames, G, fut)
 
 
 def _image_stage(mapdef, pts):
@@ -574,7 +564,8 @@ def _map_stage(mapdef, pts, G, fut, E):
     T = _pullback(J, Gt)
     That = np.swapaxes(E, -1, -2) @ T @ E
     pushed = np.einsum("nai,ni->na", J, fut)
-    signs = _ORIENTATION_SIGN[_class_codes(Gt, frames(Gt, futW), futW, pushed)]
+    e0 = _named(pts, _time_axis, Gt, futW)
+    signs = _ORIENTATION_SIGN[_class_codes(Gt, e0, futW, pushed)]
     return That, signs, _conformal(G, T)
 
 
@@ -631,10 +622,7 @@ def _check_relations(maps, pts, tol_dp):
             staged.append(error(e))
     live = [s for s in staged if isinstance(s, tuple)]
     try:
-        found = dp2_margins(np.concatenate([s[0] for s in live])) if live else ()
-    except SandwichError as e:
-        e.args = (f"{e} {_at_sample(pts, e.index % N)}",)
-        raise
+        found = _named(pts, dp2_margins, np.concatenate([s[0] for s in live])) if live else ()
     except (ArithmeticError, ValueError) as e:
         return [error(e) if isinstance(s, tuple) else s for s in staged]
     reports, k = [], 0
@@ -689,13 +677,11 @@ def canonical_null_directions(mapdef, x):
             f"{verdict.status.value} (margin {verdict.margin:.3e})"
         )
     res = null_eigenvectors(p, T, frame=E[0])
-    Ew = frames(Gt, futW)[0]
+    e0 = _named(pts, _time_axis, Gt, futW)
     for lam, v in res.pairs:
-        cls = classify(Gt[0], Ew, futW[0], J[0] @ v)
+        cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None])[0]]
         if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
-            raise ArithmeticError(
-                f"push-forward of a reported null direction classifies {cls.value}"
-            )
+            raise ArithmeticError(f"push-forward of a reported null direction classifies {cls.value}")
     return res
 
 
@@ -772,5 +758,5 @@ def curve_pushforward_check(mapdef, curve, u_values):
 
     J, Gt, futW = _image_stage(mapdef, pts)
     pushed = np.einsum("nai,ni->na", J, tan)
-    out = classify(Gt, frames(Gt, futW), futW, pushed)
-    return all(c is CausalClass.FUTURE_TIMELIKE for c in out)
+    codes = _class_codes(Gt, _named(pts, _time_axis, Gt, futW), futW, pushed)
+    return all(c is CausalClass.FUTURE_TIMELIKE for c in _CLASSES[codes])

@@ -1,5 +1,6 @@
 """Tests for builtin charts and packaged scenarios."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from causalkit.catalog import (
     ScenarioOutcome,
+    _exterior_min_bwd,
+    _exterior_min_fwd,
     builtin,
     builtin_names,
     builtin_registry,
@@ -173,6 +176,25 @@ class TestExteriorScenarios:
         assert out.exit_code == 1
         assert out.matched is True
         assert out.report["result"]["forward"]["verdict"] == "VIOLATED"
+
+    def test_expectation_endpoints_match_dense_scan(self):
+        # the expectations evaluate one end of the sampled window; a dense
+        # scan of the window is the reference, over M > 0, c >= 2M, c >= a >= 0
+        cases = itertools.product((0.5, 2.0), (2.0, 2.1, 3.0, 40.0), (0.0, 0.6, 1.0),
+                                  (0.5, 3.0, 100.0), (0.0, 1e-3, 0.5))
+        with np.errstate(divide="ignore"):
+            for M, cM, af, b, margin in cases:
+                c = cM * M
+                a = af * c
+                R = np.linspace(a + margin, 50.0, 200001)
+                r = R - a + c
+                f = 1.0 - 2.0 * M / r
+                fwd = b * b * f - np.maximum(1.0 / f, (r / R) ** 2)
+                assert _exterior_min_fwd(M, c, b, a, margin) == fwd.min()
+                r = np.linspace(c + margin, 50.0, 200001)
+                f = 1.0 - 2.0 * M / r
+                bwd = 1.0 / f - np.maximum(f, ((r - c + a) / r) ** 2)
+                assert _exterior_min_bwd(M, c, a, margin) == bwd.min()
 
     def test_excision_beyond_inner_radius_rejected(self):
         with pytest.raises(ValueError, match="must not exceed"):

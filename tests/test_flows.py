@@ -354,6 +354,24 @@ class TestSharedPipeline:
         check_submonoid(fl, self.S_GRID, vaidya_sampler(st, count=64), threads=1)
         assert calls == [9 * 64]
 
+    @pytest.mark.parametrize("grid", [[0.5], S_GRID])
+    def test_one_frame_build_per_scan(self, monkeypatch, grid):
+        # frames are built for the source chart only; every flow value
+        # classifies its pushed orientation on the target's time axis
+        calls = []
+        frames = relate.frames
+
+        def counting(G, *args, **kwargs):
+            calls.append(len(G))
+            return frames(G, *args, **kwargs)
+
+        monkeypatch.setattr(relate, "frames", counting)
+        st = vaidya("2 - tanh(t)")
+        fl = FlowDef.create(
+            st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"}, (-2.0, 2.0))
+        check_submonoid(fl, grid, vaidya_sampler(st, count=64), threads=1)
+        assert calls == [64]
+
     def test_points_drawn_once(self, monkeypatch):
         draws = []
         points = RegionSampler.points

@@ -54,6 +54,19 @@ def test_oriented_point_validation():
         _point(ETA, [0.0, 0.0, 0.0, 0.0])
 
 
+def test_point_rules_are_scale_free():
+    # one signature rule and one orientation rule, relative to the metric's
+    # own scale: validate_metric and OrientedPoint decide as a chart check
+    for s in (1e-20, 1e-3, 1.0, 1e3):
+        assert validate_metric(s * ETA).dim == 4
+        _point(s * ETA, [1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="is spacelike"):
+            _point(s * ETA, [1.0, 1.0 + 1e-8, 0.0, 0.0])
+        with pytest.raises(SignatureError) as err:
+            validate_metric(s * np.diag([1.0, -1.0, -1e-13, -1.0]))
+        assert (err.value.n_pos, err.value.n_neg, err.value.n_zero) == (1, 2, 1)
+
+
 def test_frame_minkowski_is_identity():
     E = orthonormal_frame(_point(ETA, [1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(E, np.eye(4), atol=1e-14)
@@ -187,6 +200,20 @@ def _classify_reference(G, E, f, v, tol_null):
     return CausalClass.SPACELIKE
 
 
+def _boost_rotation(rng, rapidity):
+    """A boost of the given rapidity along a random spatial axis, then a
+    random rotation, as a 4x4 Lorentz transformation."""
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    B = np.eye(4)
+    B[0, 0] = np.cosh(rapidity)
+    B[0, 1:] = B[1:, 0] = np.sinh(rapidity) * n
+    B[1:, 1:] += (np.cosh(rapidity) - 1.0) * np.outer(n, n)
+    R = np.eye(4)
+    R[1:, 1:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return R @ B
+
+
 def test_classify_mixed_batch_matches_reference():
     rng = np.random.default_rng(21)
     radiating = np.array([[0.3, -1.0, 0, 0], [-1.0, 0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, -1.0]])
@@ -197,6 +224,18 @@ def test_classify_mixed_batch_matches_reference():
              [2.0, 1.0, 0, 0], [1.0, 2.0, 0, 0], [-2.0, -1.0, 0, 0], [0, 0, 1.0, 0]]
     rows = [(G, f, v) for G, f in charts for v in fixed]
     rows += [(G, f, rng.normal(size=4)) for G, f in charts for _ in range(16)]
+    # boosted and rotated Minkowski, G = A^T eta A, with a timelike and two
+    # near-null declared futures (null up to rounding); the fixed vectors ride
+    # along through A^-1, except those on the tol_null = 0.6 boundary, which
+    # rounding would decide
+    for rapidity in (0.3, 2.0, -3.0):
+        A = _boost_rotation(rng, rapidity) * rng.uniform(0.5, 3.0)
+        Ainv = np.linalg.inv(A)
+        G = A.T @ ETA @ A
+        for f in (Ainv @ [1.0, 0.4, -0.2, 0.1], Ainv @ [1.0, 1.0, 0, 0],
+                  Ainv @ [1.0, 0, 0.6, 0.8]):
+            rows += [(G, f, Ainv @ np.asarray(v, float)) for v in fixed[:7] + fixed[10:]]
+            rows += [(G, f, rng.normal(size=4)) for _ in range(16)]
     G = np.array([r[0] for r in rows], dtype=float)
     fut = np.array([r[1] for r in rows], dtype=float)
     V = np.array([r[2] for r in rows], dtype=float)

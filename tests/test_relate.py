@@ -610,6 +610,37 @@ class TestCheckProperCausal:
                                 RegionSampler.build(st, count=32))
         assert error == f"{message} at sample 0, x = {at[0].tolist()}"
 
+    @staticmethod
+    def _tiny_and_flat():
+        # t^40 (+, -) has Lorentzian signature on t in (0.02, 1), but its
+        # time axis cannot be normalized where 2 t^20 < 1e-13
+        def chart(name, g00, g11):
+            return SpacetimeDef.create(
+                name=name, coords=("t", "x"), domain={"t": (0.02, 1.0), "x": (-1.0, 1.0)},
+                params={}, metric={(0, 0): g00, (1, 1): g11}, orientation=("1", "0"))
+        return chart("tiny", "t^40", "-(t^40)"), chart("flat2", "1", "-1")
+
+    @pytest.mark.parametrize("side,entry", [("source", e) for e in SAMPLED_ENTRIES]
+                             + [("target", "check"), ("target", "curve")])
+    def test_degenerate_time_axis_names_the_sample(self, side, entry):
+        tiny, flat = self._tiny_and_flat()
+        st, tgt = (tiny, flat) if side == "source" else (flat, tiny)
+        sampler = RegionSampler.build(st, count=32)
+        pts = sampler.points()
+        i = int(np.flatnonzero(2.0 * pts[:, 0] ** 20 < 1e-13)[0])
+        assert i > 0
+        error, at = first_error(entry, st, MapDef.create(st, tgt, {"t": "t", "x": "x"}, {}),
+                                sampler)
+        assert error == f"timelike normalization below 1e-13 at sample {i}, x = {at[i].tolist()}"
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_degenerate_time_axis_at_one_point(self, side):
+        tiny, flat = self._tiny_and_flat()
+        st, tgt = (tiny, flat) if side == "source" else (flat, tiny)
+        with pytest.raises(ArithmeticError) as err:
+            canonical_null_directions(MapDef.create(st, tgt, {"t": "t", "x": "x"}, {}), [0.05, 0.0])
+        assert str(err.value) == "timelike normalization below 1e-13 at sample 0, x = [0.05, 0.0]"
+
     def test_inconsistent_orientation_names_sample_coordinates(self):
         # t -> |t - 0.3| keeps every cone (|dt'/dt| = 1) but pushes the
         # future field to the past below t = 0.3 and to the future above
