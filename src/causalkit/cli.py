@@ -30,6 +30,7 @@ from .defio import load_flow, load_map, load_spacetime, parse_number, serialize_
 from .dp import TOL_DP
 from .exprcore import EvalDomainError, SingularJacobianError
 from .flows import check_submonoid
+from .lorentz import DegenerateMetricError
 from .relate import (
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
@@ -412,7 +413,8 @@ def main(argv=None):
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args)
-    except (EvalDomainError, SingularJacobianError, ValueError, OSError) as exc:
+    except (EvalDomainError, SingularJacobianError, DegenerateMetricError, ValueError,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

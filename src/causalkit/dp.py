@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lorentz import CausalClass, classify, orthonormal_frame
+from .lorentz import CausalClass, _abs_max, classify, orthonormal_frame
 
 TOL_DP = 1e-9
 TOL_CONF = 1e-8
@@ -191,7 +191,7 @@ def _newton_polish(data, nn, iters):
             dsafe = np.where(pd, det, 1.0)
             inv = np.stack([Ht[:, 1, 1], -Ht[:, 0, 1], -Ht[:, 1, 0], Ht[:, 0, 0]],
                            axis=1).reshape(-1, 2, 2) / dsafe[:, None, None]
-            scale = 1.0 + np.abs(Ht).max(axis=(1, 2))
+            scale = 1.0 + _abs_max(Ht)
             delta = np.where(pd[:, None], -np.einsum("rkl,rl->rk", inv, gtan), -gtan / scale[:, None])
         moved = np.zeros(len(x), dtype=bool)
         t = 1.0
@@ -295,7 +295,7 @@ def _pair_bounds(That):
     y = np.where(inside, b, 0.0) / np.where(inside, A, 1.0)
     inside &= sum(y * y) < 1.0
     lb = np.where(inside, c - lam[-1] - sum(b * y), ub)
-    closed = ub - lb <= _CLOSED * np.abs(That).max(axis=(1, 2))
+    closed = ub - lb <= _CLOSED * _abs_max(That)
     return lb, ub, nhat, closed
 
 
@@ -315,7 +315,7 @@ def _search_rows(That, todo, lb, ub, margins, nhat, steps=NEWTON_STEPS):
     SandwichError."""
     found, fn = _pair_search(tuple(x[todo] for x in _rows(That)), steps)
     lb, ub = lb[todo], ub[todo]
-    eps = _SANDWICH * np.abs(That[todo]).max(axis=(1, 2))
+    eps = _SANDWICH * _abs_max(That[todo])
     keep = found > ub + eps
     found[keep], fn[keep] = margins[todo[keep]], nhat[todo[keep]]
     out = np.flatnonzero(~((lb - eps <= found) & (found <= ub + eps)))
@@ -588,13 +588,15 @@ def dp_zero_test(point, T, X, tol=1e-8, frame=None):
 def conformal_lambdas(G, T, tol=TOL_CONF):
     """Per-row positive lambda with T = lambda G, NaN where there is none.
 
-    The fit is the generalized trace tr(G^-1 T)/n; it is accepted when the
-    residual max|T - lambda G| in coordinates is below `tol` times max|T|.
+    The fit is the least-squares ratio <G, T> / <G, G> over the components
+    (one G scaled exactly, by a power of two, so that no sum over- or
+    underflows), exact where T = lambda G; it is accepted when the residual
+    max|T - lambda G| in coordinates is below `tol` times max|T|.
     """
-    n = G.shape[-1]
-    lam = np.einsum("nii->n", np.linalg.solve(G, T)) / n
-    resid = np.abs(T - lam[:, None, None] * G).max(axis=(1, 2))
-    scale = np.maximum(np.abs(T).max(axis=(1, 2)), 1e-300)
+    Gs = G * np.ldexp(1.0, -np.frexp(_abs_max(G))[1])[:, None, None]
+    lam = np.einsum("nij,nij->n", Gs, T) / np.einsum("nij,nij->n", Gs, G)
+    resid = _abs_max(T - lam[:, None, None] * G)
+    scale = np.maximum(_abs_max(T), 1e-300)
     return np.where((resid / scale < tol) & (lam > 0), lam, np.nan)
 
 

@@ -74,19 +74,27 @@ class MetricValue:
     matrix: np.ndarray
 
 
+def _abs_max(X):
+    """max|X| over the last two axes, equal to np.abs(X).max(axis=(-2, -1)).
+    numpy's reduction loops inside each small matrix, so |X| is written with
+    the batch axes last and the maximum runs across the whole batch instead."""
+    return np.abs(X.T, order="C").max(axis=(0, 1)).T
+
+
 def _signature(G, zero_tol=1e-12):
-    """Eigenvalue counts (positive, negative, within zero_tol of the spectral
-    radius), shape (..., 3), of symmetric G (..., n, n); mask of Lorentzian G."""
+    """Mask of Lorentzian symmetric G (..., n, n), its ascending eigenvalues w
+    and their zero cut, zero_tol times the spectral radius: one eigenvalue
+    above the cut and n - 1 below -cut are the two largest straddling it."""
     w = np.linalg.eigvalsh(G)
-    zero = np.abs(w) <= zero_tol * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
-    counts = np.stack([(w > 0) & ~zero, (w < 0) & ~zero, zero], axis=-1).sum(axis=-2)
-    return counts, (counts[..., 0] == 1) & (counts[..., 1] == G.shape[-1] - 1)
+    cut = zero_tol * np.maximum(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])), 1e-300)
+    # NaN eigenvalues come out unsorted
+    return (w[..., -1] > cut) & (w[..., -2] < -cut) & ~np.isnan(w).any(axis=-1), w, cut
 
 
 def _future_causal(G, f):
     """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|."""
     q = np.einsum("...i,...ij,...j->...", f, G, f)
-    scale = np.einsum("...i,...i->...", f, f) * np.abs(G).max(axis=(-2, -1))
+    scale = np.einsum("...i,...i->...", f, f) * _abs_max(G)
     return (scale > 0) & (q >= -TOL_NULL * scale)
 
 
@@ -98,9 +106,10 @@ def validate_metric(matrix, sym_tol=1e-12, zero_tol=1e-12):
     scale = max(1.0, float(np.max(np.abs(G))))
     if np.max(np.abs(G - G.T)) > sym_tol * scale:
         raise AsymmetricError(f"metric asymmetric beyond {sym_tol} (relative)")
-    counts, ok = _signature(0.5 * (G + G.T), zero_tol)
+    ok, w, cut = _signature(0.5 * (G + G.T), zero_tol)
     if not ok:
-        raise SignatureError(*counts.tolist())
+        zero = np.abs(w) <= cut
+        raise SignatureError(*(int(np.sum(m)) for m in ((w > 0) & ~zero, (w < 0) & ~zero, zero)))
     return MetricValue(G.shape[0], G)
 
 
@@ -125,7 +134,7 @@ class OrientedPoint:
 def _time_axis(G, f):
     """Future unit timelike vectors e0 (N, n) of metrics G (N, n, n): the
     declared future f, pushed into the cone when not timelike, normalized."""
-    scale = np.maximum(1.0, np.abs(G).max(axis=(-2, -1))) * np.einsum("bi,bi->b", f, f)
+    scale = np.maximum(1.0, _abs_max(G)) * np.einsum("bi,bi->b", f, f)
     q = np.einsum("bi,bij,bj->b", f, G, f)
 
     seed = f.copy()
@@ -166,7 +175,7 @@ def frames(G, future, tol=FRAME_TOL):
     P = np.eye(n)[None] - e0[:, :, None] * Ge0[:, None, :]
     H = -(np.swapaxes(P, -1, -2) @ G @ P)
     hv, hw = np.linalg.eigh(H)
-    spatial = np.einsum("bij,bjk->bik", P, hw[..., 1:])
+    spatial = P @ hw[..., 1:]
     lam = hv[..., 1:]
     if np.any(bad := np.any(lam < _DIV_FLOOR**2, axis=-1)):
         raise DegenerateMetricError("spatial normalization below 1e-13", int(np.argmax(bad)))
@@ -178,7 +187,7 @@ def frames(G, future, tol=FRAME_TOL):
 
     E = np.concatenate([e0[:, :, None], spatial], axis=2)
     eta = np.diag([1.0] + [-1.0] * (n - 1))
-    err = np.abs(np.swapaxes(E, -1, -2) @ G @ E - eta).max(axis=(-2, -1))
+    err = _abs_max(np.swapaxes(E, -1, -2) @ G @ E - eta)
     if np.any(bad := err > tol):
         raise DegenerateMetricError(f"frame orthonormality error {float(err.max()):.3e}",
                                     int(np.argmax(bad)))
@@ -202,7 +211,7 @@ def _class_codes(G, e0, future, v, tol_null=TOL_NULL):
     # when g(v, future) degenerates (null future parallel to v), the time
     # component still carries the orientation because e0 is future
     fscale = np.sqrt(np.einsum("bi,bi->b", future, future) * np.einsum("bi,bi->b", v, v))
-    fscale = fscale * np.abs(G).max(axis=(-2, -1))
+    fscale = fscale * _abs_max(G)
     s = np.where(np.abs(s) <= 1e-13 * np.maximum(fscale, 1e-300), v0, s)
 
     zero = sigma < _ZERO_NORM_SQ

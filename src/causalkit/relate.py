@@ -44,7 +44,8 @@ from .exprcore import (
     substitute,
 )
 from .lorentz import (_CLASSES, CausalClass, DegenerateMetricError, MetricValue, OrientedPoint,
-                      _class_codes, _future_causal, _signature, _time_axis, classify, frames)
+                      _abs_max, _class_codes, _future_causal, _signature, _time_axis, classify,
+                      frames)
 
 DEFAULT_SAMPLES = 4096
 DEFAULT_MARGIN = 1e-3
@@ -520,7 +521,7 @@ def _chart_check(chart, what, pts, img=None):
     images img in it, validated; raises naming the first failing sample."""
     at, where = (pts, "") if img is None else (img, " at image")
     G = _named(pts, chart.metric_at, at)
-    _require(_signature(G)[1], f"{what} metric{where} loses Lorentzian signature", pts)
+    _require(_signature(G)[0], f"{what} metric{where} loses Lorentzian signature", pts)
     fut = _named(pts, chart.orientation_at, at)
     _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal", pts)
     return G, fut
@@ -545,7 +546,7 @@ def _image_stage(mapdef, pts):
         k = next(k for k, (lo, hi) in enumerate(dom) if not lo < img[i, k] < hi)
         raise ValueError(f"image leaves the target domain {_at_sample(pts, i)}: "
                          f"{mapdef.target.coords[k]} = {float(img[i, k])} not in {dom[k]}")
-    jscale = np.maximum(1.0, np.abs(J).max(axis=(1, 2))) ** J.shape[-1]
+    jscale = np.maximum(1.0, _abs_max(J)) ** J.shape[-1]
     _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular", pts,
              SingularJacobianError)
     return (J,) + _chart_check(mapdef.target, "target", pts, img)
@@ -572,7 +573,7 @@ def _map_stage(mapdef, pts, G, fut, E):
 def _witnesses(pts, E, That, margins, tol, *dirs):
     """The samples whose margin is below -tol times the tensor's scale, up
     to 16 worst-first, each frame direction n lifted to the vector E (1, n)."""
-    ok = margins >= -tol * np.maximum(1.0, np.abs(That).max(axis=(1, 2)))
+    ok = margins >= -tol * np.maximum(1.0, _abs_max(That))
     order = np.argsort(margins, kind="stable")
     bad = order[~ok[order]][:16]
     ones = np.ones((len(bad), 1))

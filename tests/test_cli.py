@@ -7,6 +7,7 @@ import pytest
 from causalkit.catalog import builtin
 from causalkit.cli import main
 from causalkit.defio import serialize_spacetime
+from causalkit.relate import SpacetimeDef
 
 IDENTITY = """\
 source = minkowski
@@ -291,6 +292,27 @@ class TestCnd:
                           files["dilate.cm"], "--point", "t=0, x=1"], capsys)
         assert rc == 2
         assert "must set exactly" in err
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_degenerate_time_axis_exits_2(self, side, tmp_path, capsys):
+        # t^40 (+, -) is Lorentzian on t in (0.02, 1), but its time axis
+        # cannot be normalized where 2 t^20 < 1e-13: bad input, not a fault
+        def chart(name, g00, g11):
+            st = SpacetimeDef.create(
+                name=name, coords=("t", "x"), domain={"t": (0.02, 1.0), "x": (-1.0, 1.0)},
+                params={}, metric={(0, 0): g00, (1, 1): g11}, orientation=("1", "0"))
+            path = tmp_path / f"{name}.st"
+            path.write_text(serialize_spacetime(st), encoding="utf-8")
+            return name, str(path)
+
+        tiny, flat = chart("tiny", "t^40", "-(t^40)"), chart("flat2", "1", "-1")
+        (src, src_path), (tgt, tgt_path) = (tiny, flat) if side == "source" else (flat, tiny)
+        mp = tmp_path / "id.cm"
+        mp.write_text(f"source = {src}\ntarget = {tgt}\nmap t = t\nmap x = x\n", encoding="utf-8")
+        rc, _, err = run(["cnd", src_path, tgt_path, str(mp), "--point", "t=0.05, x=0"], capsys)
+        assert rc == 2
+        assert err == ("input error: timelike normalization below 1e-13 "
+                       "at sample 0, x = [0.05, 0.0]\n")
 
     def test_point_outside_domain_exits_2(self, files, capsys):
         rc, _, err = run(["cnd", files["schw.st"], files["schw.st"],

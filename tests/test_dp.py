@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import causalkit.dp as dp
+from causalkit.catalog import builtin, default_window
 from causalkit.dp import (
     DPStatus,
     conformal_factor,
@@ -16,6 +17,7 @@ from causalkit.dp import (
     sphere_directions,
 )
 from causalkit.lorentz import CausalClass, OrientedPoint, causal_character, validate_metric
+from causalkit.relate import MapDef, RegionSampler, check_conformal
 
 from oracles import pair_min_oracle
 
@@ -612,6 +614,105 @@ class TestConformalFactor:
         T = 2.0 * ETA4
         T[2, 3] = T[3, 2] = 1e-10
         assert conformal_factor(mink_point(), T) == pytest.approx(2.0, abs=1e-9)
+
+
+def _solve_trace_lambdas(G, T, tol=dp.TOL_CONF):
+    """The generalized-trace fit tr(G^-1 T)/n under the same acceptance rule:
+    the reference for the least-squares fit of `conformal_lambdas`."""
+    lam = np.einsum("nii->n", np.linalg.solve(G, T)) / G.shape[-1]
+    resid = np.abs(T - lam[:, None, None] * G).max(axis=(1, 2))
+    scale = np.maximum(np.abs(T).max(axis=(1, 2)), 1e-300)
+    return np.where((resid / scale < tol) & (lam > 0), lam, np.nan)
+
+
+def _chart_metrics(rng):
+    """Metric values on diagonal (de Sitter, Schwarzschild) and non-diagonal
+    (Vaidya, boosted and rotated Minkowski) charts."""
+    out = {}
+    for name in ("de_sitter", "schwarzschild_ext", "vaidya"):
+        st = builtin(name)
+        out[name] = st.metric_at(RegionSampler.build(st, count=48, window=default_window(st)).points())
+    boosted = []
+    for _ in range(48):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        rapidity = rng.uniform(-3.0, 3.0)
+        ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+        B = np.eye(4)
+        B[0, 0], B[0, 1:], B[1:, 0] = ch, sh * u, sh * u
+        B[1:, 1:] += (ch - 1.0) * np.outer(u, u)
+        R = np.eye(4)
+        R[1:, 1:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        A = rng.uniform(0.5, 3.0) * R @ B
+        boosted.append(A.T @ ETA4 @ A)
+    out["boosted_minkowski"] = np.array(boosted)
+    return out
+
+
+def _unbiased_perturbations(G, rng):
+    """Random symmetric P of max|P| = 1 with <G, P> = tr(G^-1 P) = 0, so that
+    neither fit's lambda moves off a conformal T when P is added."""
+    P = rng.normal(size=G.shape)
+    P = P + np.swapaxes(P, 1, 2)
+    basis = []
+    for B in (G, np.linalg.inv(G)):
+        size = np.sqrt(np.einsum("nij,nij->n", B, B))
+        for Q in basis:
+            B = B - np.einsum("nij,nij->n", B, Q)[:, None, None] * Q
+        norm = np.sqrt(np.einsum("nij,nij->n", B, B))
+        # G^-1 is a multiple of G on a conformally flat diagonal chart
+        keep = norm > 1e-10 * size
+        basis.append(np.where(keep[:, None, None], B, 0.0) / np.where(keep, norm, 1.0)[:, None, None])
+    for Q in basis:
+        P = P - np.einsum("nij,nij->n", P, Q)[:, None, None] * Q
+    return P / np.abs(P).max(axis=(1, 2))[:, None, None]
+
+
+class TestConformalFit:
+    """The least-squares fit <G, T> / <G, G> against the solve-based trace."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+    @pytest.mark.parametrize("chart", ["de_sitter", "schwarzschild_ext", "vaidya",
+                                       "boosted_minkowski"])
+    def test_matches_generalized_trace(self, chart, scale):
+        rng = np.random.default_rng(14)
+        G = _chart_metrics(rng)[chart]
+        N = len(G)
+        lam0 = rng.uniform(0.05, 20.0, size=N)
+        P = _unbiased_perturbations(G, rng)
+        gscale = np.abs(G).max(axis=(1, 2))
+        cases = [(lam0, 0.0, True), (-lam0, 0.0, False), (np.zeros(N), 0.0, False)]
+        # residuals at 0.5, 0.97, 1.03 and 2 times TOL_CONF max|T|
+        cases += [(lam0, f, f < 1.0) for f in (0.5, 0.97, 1.03, 2.0)]
+        for lam, f, accepted in cases:
+            T = lam[:, None, None] * G + (f * dp.TOL_CONF * lam * gscale)[:, None, None] * P
+            got = dp.conformal_lambdas(scale * G, scale * T)
+            want = _solve_trace_lambdas(scale * G, scale * T)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.all(~np.isnan(got) == accepted), (chart, f)
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]))
+            assert np.all(np.abs(got[ok] - lam[ok]) <= 1e-12 * lam[ok])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-3, 1.0, 1e200])
+    def test_point_factor_is_scale_free(self, scale):
+        # the metric is accepted at any scale, so its conformal factor must be
+        p = OrientedPoint(np.zeros(4), validate_metric(scale * ETA4), np.array([1.0, 0, 0, 0]))
+        assert conformal_factor(p, scale * ETA4) == 1.0
+        assert conformal_factor(p, 2.0 * scale * ETA4) == 2.0
+        k = np.array([1.0, 1.0, 0.0, 0.0])
+        assert conformal_factor(p, scale * (2.0 * ETA4 + 1e-6 * null_square(k))) is None
+        assert conformal_factor(p, -2.0 * scale * ETA4) is None
+
+    def test_identity_on_vaidya_is_exactly_one(self):
+        # tr(G^-1 G)/4 gave 0.9999999999999999 at two of these samples
+        st = builtin("vaidya")
+        rep = check_conformal(MapDef.create(st, st, {c: c for c in st.coords}, {}),
+                              RegionSampler.build(st, count=2048))
+        assert rep.everywhere and rep.lam_range == (1.0, 1.0)
+        assert np.all(rep.lambdas == 1.0)
 
 
 def _known_quadratics(family, n, N, seed):

@@ -3,7 +3,7 @@ import pytest
 
 from causalkit.lorentz import (
     AsymmetricError, CausalClass, DegenerateMetricError, MetricValue,
-    OrientedPoint, SignatureError, causal_character, classify, frames,
+    OrientedPoint, SignatureError, _abs_max, _signature, causal_character, classify, frames,
     orthonormal_frame, raise_index, validate_metric,
 )
 
@@ -65,6 +65,71 @@ def test_point_rules_are_scale_free():
         with pytest.raises(SignatureError) as err:
             validate_metric(s * np.diag([1.0, -1.0, -1e-13, -1.0]))
         assert (err.value.n_pos, err.value.n_neg, err.value.n_zero) == (1, 2, 1)
+
+
+def _count_signature(G, zero_tol=1e-12):
+    """Eigenvalue counts (positive, negative, near zero) and the Lorentzian
+    mask built from them: the reference for `_signature`'s two-eigenvalue test."""
+    w = np.linalg.eigvalsh(G)
+    zero = np.abs(w) <= zero_tol * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-300)
+    counts = np.stack([(w > 0) & ~zero, (w < 0) & ~zero, zero], axis=-1).sum(axis=-2)
+    return counts, (counts[..., 0] == 1) & (counts[..., 1] == G.shape[-1] - 1)
+
+
+def _signature_cases(n, rng):
+    """Metrics of dimension n: eigenvalues at and next to +-the zero cut, a
+    zero, two positive, Riemannian, NaN, random rotations and scales."""
+    cut = 1e-12
+    diag = [[1.0] + [-1.0] * (n - 1), [-1.0] * (n - 1) + [1.0], [1.0] * n, [-1.0] * n,
+            [1.0, 1.0] + [-1.0] * (n - 2), [1.0] + [-1.0] * (n - 2) + [0.0],
+            [0.0] + [-1.0] * (n - 1), [np.nan] + [-1.0] * (n - 1),
+            [1.0] + [-1.0] * (n - 2) + [np.nan]]
+    for c in (cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)):
+        for sign in (1.0, -1.0):
+            diag += [[1.0] + [-1.0] * (n - 2) + [sign * c], [sign * c] + [-1.0] * (n - 1)]
+    Gs = [np.diag(d) for d in diag]
+    offdiag_nan = np.diag([1.0] + [-1.0] * (n - 1))
+    offdiag_nan[0, 1] = offdiag_nan[1, 0] = np.nan
+    Gs.append(offdiag_nan)
+    for d in diag[:7]:
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        for s in (1e-20, 1e-3, 1.0, 1e3):
+            Gs.append(s * (Q * np.asarray(d)) @ Q.T)
+    for _ in range(64):
+        A = rng.normal(size=(n, n))
+        Gs.append(A + A.T)
+    return np.array(Gs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_signature_mask_matches_counts(n):
+    G = _signature_cases(n, np.random.default_rng(n))
+    counts, want = _count_signature(G)
+    ok, _, _ = _signature(G)
+    assert np.array_equal(ok, want)
+    assert want.any() and not want.all()
+    for Gi, c, good in zip(G, counts, want):
+        if good:
+            assert validate_metric(Gi).dim == n
+            continue
+        with pytest.raises(SignatureError) as err:
+            validate_metric(Gi)
+        assert (err.value.n_pos, err.value.n_neg, err.value.n_zero) == tuple(c.tolist())
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (1024, 4, 4), (4, 4), (7, 3, 5),
+                                   (2, 3, 4, 4)])
+def test_abs_max_equals_numpy_reduction(shape):
+    X = np.random.default_rng(len(shape)).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+    if X.ndim > 2:
+        X[(0,) * (X.ndim - 2) + (1, 2)] = np.nan
+    want = np.abs(X).max(axis=(-2, -1))
+    got = _abs_max(X)
+    assert got.shape == np.shape(want) and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() == (X.ndim > 2)
+    # a strided view: the maximum does not depend on the order of the components
+    assert np.array_equal(_abs_max(np.swapaxes(X, -1, -2)[..., ::-1, :]), want, equal_nan=True)
 
 
 def test_frame_minkowski_is_identity():
