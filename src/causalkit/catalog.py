@@ -285,8 +285,9 @@ class ScenarioOutcome:
 
 
 class _Run:
-    """One run's sampling plan, tolerances, thread count and clock; the one
-    builder of the canonical report envelope."""
+    """One run's sampling plan, tolerances, thread setting and clock; the one
+    builder of the canonical report envelope.  Every check of the run gets
+    `threads` as its worker-thread cap (see `check_proper_causal`)."""
 
     def __init__(self, samples, seed, scheme, margin, tol_dp, threads):
         self.samples = int(samples)
@@ -357,7 +358,7 @@ def _scenario_desitter(run, params):
     m = MapDef.create(src, tgt,
                       {"t": "b*t", "chi": "chi", "theta": "theta", "phi": "phi"},
                       {"b": b})
-    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp)
+    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp, threads=run.threads)
     # pair minimum of the pullback in the source frame: b^2 - a^2/(alpha cosh(t/alpha))^2,
     # smallest at t = 0
     if b == 0.0:
@@ -421,7 +422,7 @@ def _exterior_min_bwd(M, c, a, margin):
 def _scenario_mink_to_schw(run, params):
     M, c, b, a, src, tgt, fwd, _ = _exterior_pieces(run, params, "minkowski_to_schwarzschild")
     samp = _exterior_sampler(run, src, a)
-    rep = check_proper_causal(fwd, samp, tol_dp=run.tol_dp)
+    rep = check_proper_causal(fwd, samp, tol_dp=run.tol_dp, threads=run.threads)
     expected = Verdict.ERROR.value if b == 0.0 else _verdict_expectation(
         _exterior_min_fwd(M, c, b, a, run.margin), b)
     inputs = dict(relation_inputs(src, tgt, map=fwd),
@@ -433,7 +434,7 @@ def _scenario_mink_to_schw(run, params):
 def _scenario_schw_to_mink(run, params):
     M, c, _, a, src, tgt, _, bwd = _exterior_pieces(run, params, "schwarzschild_to_minkowski")
     samp = run.sampler(tgt, window={"r": (c, 50.0)})
-    rep = check_proper_causal(bwd, samp, tol_dp=run.tol_dp)
+    rep = check_proper_causal(bwd, samp, tol_dp=run.tol_dp, threads=run.threads)
     expected = _verdict_expectation(_exterior_min_bwd(M, c, a, run.margin), 1.0)
     inputs = dict(relation_inputs(tgt, src, map=bwd),
                   params={"M": M, "c": c, "a": a})
@@ -445,7 +446,7 @@ def _scenario_schw_iso(run, params):
     M, c, b, a, src, tgt, fwd, bwd = _exterior_pieces(run, params, "schwarzschild_iso")
     sf = _exterior_sampler(run, src, a)
     sb = run.sampler(tgt, window={"r": (c, 50.0)})
-    rep = check_isomorphism(fwd, bwd, sf, sb, tol_dp=run.tol_dp)
+    rep = check_isomorphism(fwd, bwd, sf, sb, tol_dp=run.tol_dp, threads=run.threads)
     expected = bool(
         b != 0.0
         and _exterior_min_fwd(M, c, b, a, run.margin) >= 0
@@ -469,7 +470,7 @@ def _scenario_frw(run, params, map_path):
     if m.source.name != "frw_flat":
         raise ValueError(
             f"frw_candidate expects a map out of 'frw_flat', got '{m.source.name}'")
-    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp)
+    rep = check_proper_causal(m, run.sampler(src), tol_dp=run.tol_dp, threads=run.threads)
     if gamma > -1.0 / 3.0:
         regime = "decelerating"
     elif gamma < -1.0 / 3.0:
@@ -492,7 +493,7 @@ def _scenario_vaidya(run, params):
         st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"},
         (-2.0, 2.0))
     s_grid = [k / 2.0 for k in range(-4, 5)]
-    rep = check_submonoid(fl, s_grid, run.sampler(st), tol_dp=run.tol_dp)
+    rep = check_submonoid(fl, s_grid, run.sampler(st), tol_dp=run.tol_dp, threads=run.threads)
 
     # the time shift is proper causal exactly when no sampled instant
     # gains mass: max_t (M(t+s) - M(t)) <= 0 over the window

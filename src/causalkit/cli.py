@@ -68,10 +68,11 @@ def _add_common(p):
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH")
     p.add_argument("--threads", type=int, default=None,
-                   help="thread setting recorded in the report (default: "
-                        "CAUSALKIT_THREADS or 1); the search runs serially, and "
-                        "above 1 the report records timing_s. 1 guarantees "
-                        "byte-stable output")
+                   help="worker threads, each checking a contiguous block of "
+                        "the samples, at most one per core (default: "
+                        "CAUSALKIT_THREADS or 1); the result is the same for "
+                        "any value, above 1 the report records timing_s, and 1 "
+                        "guarantees byte-stable output")
     p.add_argument("--scheme", choices=("halton", "grid"), default="halton",
                    help="sampling scheme (default %(default)s)")
 
@@ -226,7 +227,8 @@ def _cmd_check(args):
     m = load_map(args.map, reg)
     _expect_direction(m, src, tgt)
     run = _run(args)
-    rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp)
+    rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp,
+                              threads=run.threads)
     env = run.report("check", relation_inputs(src, tgt, map=m), rep.to_dict())
     _emit(args, _relation_lines(rep, src.coords), env)
     return _verdict_exit(rep.verdict)
@@ -240,7 +242,7 @@ def _cmd_iso(args):
     _expect_direction(bwd, tgt, src, "backward map")
     run = _run(args)
     rep = check_isomorphism(fwd, bwd, run.sampler(src, window={}),
-                            run.sampler(tgt, window={}), tol_dp=run.tol_dp)
+                            run.sampler(tgt, window={}), tol_dp=run.tol_dp, threads=run.threads)
     env = run.report("iso", relation_inputs(src, tgt, forward=fwd, backward=bwd),
                      rep.to_dict())
     lines = [
@@ -331,7 +333,8 @@ def _cmd_flow(args):
     lo, hi = fl.s_range
     grid = [float(s) for s in np.linspace(lo, hi, args.steps)]
     run = _run(args)
-    rep = check_submonoid(fl, grid, run.sampler(st, window={}), tol_dp=run.tol_dp)
+    rep = check_submonoid(fl, grid, run.sampler(st, window={}), tol_dp=run.tol_dp,
+                          threads=run.threads)
     env = run.report("flow", {"spacetime": spacetime_digest(st),
                               "flow": flow_digest(fl)}, rep.to_dict())
     lines = []

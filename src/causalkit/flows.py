@@ -163,7 +163,8 @@ def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
     failures count as non-holding.  When every value of both signs holds,
     the family is flagged as a group and the per-s conformal summaries are
     combined (a sampled instance of: causal groups act conformally).
-    `threads` is accepted for compatibility; the search runs serially.
+    The values are checked on up to `threads` worker threads, as in
+    `check_proper_causal`.
     """
     pts = _sample(flow.spacetime, sampler)
     verify_identity(flow, pts)
@@ -171,7 +172,7 @@ def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
     if not any(abs(s) < 1e-15 for s in grid):
         grid = sorted(grid + [0.0])
 
-    reports = _check_relations([flow_map(flow, s) for s in grid], pts, tol_dp)
+    reports = _check_relations([flow_map(flow, s) for s in grid], pts, tol_dp, threads)
     steps = tuple(
         FlowStep(s, r.verdict, r.min_margin, None if r.conformal is None else r.conformal.lam_range)
         for s, r in zip(grid, reports)

@@ -15,7 +15,9 @@ and orientation) feeds the pullback through forward-mode Jacobians, and
 the frame tensors of all maps go through one vectorized null-pair search
 in `dp`.  Frames are built for the source chart only; the target is
 classified on its time axis.  A check is one map, a flow scan one map per
-parameter value.
+parameter value.  Every stage works sample by sample, so a check with
+`threads` above 1 runs the whole pipeline on contiguous blocks of the
+samples, one worker thread each, and gets one thread's reports.
 The stages are the only code that validates a chart or a map at points:
 the conformal, null-cone and curve checks run them on their samples, and
 the single-point queries on a one-sample batch.
@@ -23,6 +25,7 @@ the single-point queries on a one-sample batch.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import enum
 import os
@@ -270,9 +273,12 @@ def _radical_inverse(indices, base):
     idx = np.array(indices, dtype=np.int64)
     out = np.zeros(idx.shape)
     f = 1.0 / base
-    while np.any(idx > 0):
-        out += f * (idx % base)
-        idx //= base
+    # one round per base-`base` digit of the largest index
+    top = int(idx.max(initial=0))
+    while top > 0:
+        idx, digit = np.divmod(idx, base)
+        out += f * digit
+        top //= base
         f /= base
     return out
 
@@ -488,8 +494,7 @@ def _thread_count(threads):
     return max(1, int(os.environ.get("CAUSALKIT_THREADS", "1")))
 
 
-def _conformal(G, T):
-    lambdas = conformal_lambdas(G, T)
+def _conformal(lambdas):
     ok = ~np.isnan(lambdas)
     rng = (float(np.nanmin(lambdas)), float(np.nanmax(lambdas))) if np.any(ok) else None
     return ConformalReport(bool(np.all(ok)), rng, lambdas)
@@ -559,15 +564,15 @@ def _pullback(J, Gt):
 
 
 def _map_stage(mapdef, pts, G, fut, E):
-    """Frame tensor of the pullback, pushed-orientation signs and the
-    conformal summary of one map; raises on the first failing check."""
+    """Frame tensor of the pullback, pushed-orientation signs and conformal
+    factors of one map; raises on the first failing check."""
     J, Gt, futW = _image_stage(mapdef, pts)
     T = _pullback(J, Gt)
     That = np.swapaxes(E, -1, -2) @ T @ E
     pushed = np.einsum("nai,ni->na", J, fut)
     e0 = _named(pts, _time_axis, Gt, futW)
     signs = _ORIENTATION_SIGN[_class_codes(Gt, e0, futW, pushed)]
-    return That, signs, _conformal(G, T)
+    return That, signs, conformal_lambdas(G, T)
 
 
 def _witnesses(pts, E, That, margins, tol, *dirs):
@@ -582,8 +587,9 @@ def _witnesses(pts, E, That, margins, tol, *dirs):
                  for r, i in enumerate(bad))
 
 
-def _verdict(pts, E, That, signs, conformal, margins, nhat, mhat, tol_dp):
+def _verdict(pts, E, That, signs, lambdas, margins, nhat, mhat, tol_dp):
     N = len(pts)
+    conformal = _conformal(lambdas)
     min_margin = float(margins.min())
     wit = _witnesses(pts, E, That, margins, tol_dp, nhat, mhat)
     if wit:
@@ -601,20 +607,17 @@ def _verdict(pts, E, That, signs, conformal, margins, nhat, mhat, tol_dp):
     )
 
 
-def _check_relations(maps, pts, tol_dp):
-    """One RelationReport per map; the maps share one source chart and the
-    points.  A source-stage failure is every map's ERROR, a map-stage
-    failure that map's alone; the other maps' frame tensors are searched
-    as one stacked batch, whose rows come out as they would alone."""
-    N = len(pts)
-
-    def error(e):
-        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
-
+def _stages(maps, pts, error):
+    """Source frames E and, per map, its frame tensor, orientation signs,
+    conformal factors and searched pair at the samples pts.  A failure is
+    error(e): every map's at the source stage, that map's alone at its map
+    stage, every searched map's at the search.  The other maps' frame
+    tensors are searched as one stacked batch, whose rows come out as they
+    would alone."""
     try:
         G, fut, E = _source_stage(maps[0].source, pts)
     except (ArithmeticError, ValueError) as e:
-        return [error(e)] * len(maps)
+        return None, [error(e)] * len(maps)
     staged = []
     for m in maps:
         try:
@@ -625,14 +628,54 @@ def _check_relations(maps, pts, tol_dp):
     try:
         found = _named(pts, dp2_margins, np.concatenate([s[0] for s in live])) if live else ()
     except (ArithmeticError, ValueError) as e:
-        return [error(e) if isinstance(s, tuple) else s for s in staged]
-    reports, k = [], 0
-    for s in staged:
-        if isinstance(s, tuple):
-            s = _verdict(pts, E, *s, *(x[k:k + N] for x in found), tol_dp)
-            k += N
-        reports.append(s)
-    return reports
+        return E, [error(e) if isinstance(s, tuple) else s for s in staged]
+    found = zip(*(np.split(x, len(live)) for x in found))
+    return E, [s + next(found) if isinstance(s, tuple) else s for s in staged]
+
+
+def _reraise(e):
+    raise e
+
+
+def _blocks(maps, pts, k):
+    """`_stages` on k contiguous blocks of the samples, one worker thread
+    each, joined in block order; None when any block raises.  Each block
+    runs in a copy of the caller's context, so numpy's error state holds
+    in it as on the calling thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [len(pts) * b // k for b in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _stages, maps, pts[a:b], _reraise)
+                   for a, b in zip(cuts, cuts[1:])]
+    try:
+        parts = [f.result() for f in futures]
+    except Exception:
+        # whatever a block raised, the one-thread run reproduces its report
+        # or its raise, with the sample index counted over the whole batch
+        return None
+    # per map, each per-sample array joined across the blocks
+    E = np.concatenate([p[0] for p in parts])
+    return E, [tuple(map(np.concatenate, zip(*rows))) for rows in zip(*(p[1] for p in parts))]
+
+
+def _check_relations(maps, pts, tol_dp, threads):
+    """One RelationReport per map; the maps share one source chart and the
+    points, and a stage failure is an ERROR report (see `_stages`).
+
+    Every stage works sample by sample, so with k = min(threads, cores,
+    samples) > 1 the samples are cut into k contiguous blocks, each staged
+    on its own worker thread, and the joined rows give one thread's reports
+    bit for bit.  When a block fails, the batch runs again on one thread,
+    which gives the failure its one-thread report or raise."""
+    N = len(pts)
+
+    def error(e):
+        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
+
+    k = min(_thread_count(threads), os.cpu_count() or 1, N)
+    E, staged = (_blocks(maps, pts, k) if k > 1 else None) or _stages(maps, pts, error)
+    return [_verdict(pts, E, *s, tol_dp) if isinstance(s, tuple) else s for s in staged]
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +697,10 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     sorted worst-first; a consistently past-pointing push yields
     TIME_REVERSED; evaluation, domain, signature, orientation, or
     Jacobian failures yield ERROR carrying the first failure.  `threads`
-    is accepted for compatibility; the search runs serially.
+    (default CAUSALKIT_THREADS, else 1) caps the worker threads that check
+    contiguous blocks of the samples; the report is the same for any value.
     """
-    return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp)[0]
+    return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp, threads)[0]
 
 
 def canonical_null_directions(mapdef, x):
@@ -691,7 +735,7 @@ def check_conformal(mapdef, sampler):
     pts = _sample(mapdef.source, sampler)
     G = _source_stage(mapdef.source, pts)[0]
     J, Gt, _ = _image_stage(mapdef, pts)
-    return _conformal(G, _pullback(J, Gt))
+    return _conformal(conformal_lambdas(G, _pullback(J, Gt)))
 
 
 @dataclass(frozen=True)
@@ -713,10 +757,11 @@ class IsoReport(_Report):
 def check_isomorphism(fwd, bwd, sampler_fwd, sampler_bwd, tol_dp=TOL_DP, threads=None):
     """Proper-causal check in both directions; the forward check's
     conformal summary when the backward map is numerically its inverse.
-    `threads` is accepted for compatibility; the search runs serially."""
+    Both checks run on up to `threads` worker threads, as in
+    `check_proper_causal`."""
     pts = _sample(fwd.source, sampler_fwd)
-    rf = _check_relations([fwd], pts, tol_dp)[0]
-    rb = check_proper_causal(bwd, sampler_bwd, tol_dp=tol_dp)
+    rf = _check_relations([fwd], pts, tol_dp, threads)[0]
+    rb = check_proper_causal(bwd, sampler_bwd, tol_dp=tol_dp, threads=threads)
     holds = {Verdict.HOLDS_SAMPLED, Verdict.TIME_REVERSED}
     iso = rf.verdict in holds and rb.verdict in holds
     reversed_ = Verdict.TIME_REVERSED in (rf.verdict, rb.verdict)

@@ -204,8 +204,8 @@ class TestCheck:
         assert "usage error" in err
 
 
-# one run per report kind; 512 samples take the margin search past the
-# 256-row batch size below which it stays serial
+# one run per report kind; with --threads 2 the 512 samples are checked in
+# two blocks on hosts with two or more cores
 REPORT_ARGV = {
     "check": lambda f: ["check", f["mink.st"], f["mink.st"], f["dilate.cm"]],
     "iso": lambda f: ["iso", f["mink.st"], f["mink.st"], f["dilate.cm"], f["halve.cm"]],

@@ -313,7 +313,7 @@ class TestSharedPipeline:
         fl, samp = bounded_expansion()
         grid = [-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5]
         maps = [flow_map(fl, s) for s in grid]
-        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP)
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, 1)
         for m, r in zip(maps, stacked):
             assert r.to_dict() == check_proper_causal(m, samp).to_dict()
         verdicts = [r.verdict for r in stacked]
@@ -335,7 +335,7 @@ class TestSharedPipeline:
         fl = FlowDef.create(st, "s", {"t": "t", "x": "x + s"}, (-1.0, 1.0))
         samp = RegionSampler.build(st, count=32)
         maps = [flow_map(fl, s) for s in (-0.5, 0.0, 0.5)]
-        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP)
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, 1)
         for m, r in zip(maps, stacked):
             assert r.verdict is Verdict.ERROR and "Lorentzian" in r.error
             assert r.to_dict() == check_proper_causal(m, samp).to_dict()

@@ -1,16 +1,20 @@
 """Tests for chart definitions, sampling, and the sampled causal checks."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from causalkit import dp, relate
-from causalkit.catalog import builtin, builtin_names, default_window
+from causalkit import dp, flows, relate
+from causalkit.catalog import builtin, builtin_names, default_window, run_scenario
+from causalkit.cli import main
 from causalkit.dp import DPStatus, conformal_factor, dp2_check
 from causalkit.exprcore import UnknownIdentifierError, to_text
-from causalkit.flows import GeneratorField, null_cone_nonneg
+from causalkit.flows import FlowDef, GeneratorField, flow_map, null_cone_nonneg
 from causalkit.lorentz import CausalClass, MetricValue, OrientedPoint, classify, frames
 from causalkit.relate import (
     MapDef,
@@ -288,7 +292,28 @@ class TestComposeMaps:
         assert h.image(np.array([1.0, 0.0, 0.0, 0.0]))[0] == pytest.approx(2.0)
 
 
+def radical_inverse_loop(indices, base):
+    """The digit loop `relate._radical_inverse` replaced, kept as its reference."""
+    idx = np.array(indices, dtype=np.int64)
+    out = np.zeros(idx.shape)
+    f = 1.0 / base
+    while np.any(idx > 0):
+        out += f * (idx % base)
+        idx //= base
+        f /= base
+    return out
+
+
 class TestRegionSampler:
+    @pytest.mark.parametrize("count", [1, 8192])
+    @pytest.mark.parametrize("seed", [0, 1, 7301])
+    def test_radical_inverse_equals_digit_loop(self, seed, count):
+        start = seed * count + 1
+        idx = np.arange(start, start + count)
+        for base in range(2, 20):
+            assert np.array_equal(relate._radical_inverse(idx, base),
+                                  radical_inverse_loop(idx, base))
+
     def test_deterministic(self):
         st = mink4()
         a = RegionSampler.build(st, count=128, seed=0).points()
@@ -453,7 +478,7 @@ class TestCheckProperCausal:
                 MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
         pts = RegionSampler.build(st, count=64).points()
         with pytest.raises(dp.SandwichError) as err:
-            relate._check_relations(maps, pts, dp.TOL_DP)
+            relate._check_relations(maps, pts, dp.TOL_DP, 1)
         assert err.value.index == 64 + 1
         assert str(err.value).endswith(f"at sample 1, x = {pts[1].tolist()}")
         assert f"row {64 + 1} left its bounds" in str(err.value)
@@ -943,3 +968,258 @@ class TestCurvePushforward:
         m = exterior_map(b=3.0)
         with pytest.raises(ValueError, match="source domain"):
             curve_pushforward_check(m, ("u", "2*u", "1.5", "1.0"), [0.5, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# worker threads: contiguous sample blocks give one thread's reports
+
+
+FRW_MAP = """\
+source = frw_flat
+target = minkowski
+param k = {k}
+map t = k*t
+map x = x
+map y = y
+map z = z
+"""
+
+SCENARIO_RUNS = [
+    ("desitter_to_einstein", {"b": 0.95}, None),
+    ("desitter_to_einstein", {"b": 1.0}, None),
+    ("desitter_to_einstein", {"b": 1.5}, None),
+    ("minkowski_to_schwarzschild", {}, None),
+    ("schwarzschild_to_minkowski", {}, None),
+    ("schwarzschild_iso", {}, None),
+    ("vaidya_flow", {}, None),
+    ("frw_candidate", {}, "40.0"),
+    ("frw_candidate", {}, "1.0"),
+]
+
+
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Eight cores, so that threads=3 cuts three blocks on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+def record_relations(mp):
+    """Lists that fill with every report of `_check_relations` and every
+    result of `_blocks` (None where the blocks fell back to one thread)."""
+    reports, blocks = [], []
+    check, split = relate._check_relations, relate._blocks
+
+    def recorded_check(*args):
+        out = check(*args)
+        reports.extend(out)
+        return out
+
+    def recorded_blocks(*args):
+        out = split(*args)
+        blocks.append(out)
+        return out
+
+    mp.setattr(relate, "_check_relations", recorded_check)
+    mp.setattr(flows, "_check_relations", recorded_check)
+    mp.setattr(relate, "_blocks", recorded_blocks)
+    return reports, blocks
+
+
+def assert_same_relations(a, b):
+    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    for ra, rb in zip(a, b):
+        assert (ra.conformal is None) == (rb.conformal is None)
+        if ra.conformal is not None:
+            assert np.array_equal(ra.conformal.lambdas, rb.conformal.lambdas, equal_nan=True)
+
+
+def relations(maps, pts, threads):
+    return relate._check_relations(maps, pts, dp.TOL_DP, threads)
+
+
+class SerialPool:
+    """Stand-in for ThreadPoolExecutor that runs each block at submit, on the
+    calling thread, and records the max_workers it was made with."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        SerialPool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as e:
+            fut.set_exception(e)
+        return fut
+
+
+class TestThreads:
+    @pytest.mark.parametrize("count", [1, 2, 1021, 2048])
+    @pytest.mark.parametrize("name,params,k", SCENARIO_RUNS)
+    def test_scenarios_equal_one_thread(self, many_cores, monkeypatch, tmp_path,
+                                        name, params, k, count):
+        map_path = None
+        if k is not None:
+            map_path = tmp_path / "frw.map"
+            map_path.write_text(FRW_MAP.format(k=k))
+
+        def run(threads):
+            with monkeypatch.context() as mp:
+                reports, blocks = record_relations(mp)
+                out = run_scenario(name, samples=count, threads=threads, params=dict(params),
+                                   map_path=map_path)
+            return out.report, reports, blocks
+
+        one, reports1, blocks1 = run(1)
+        assert reports1 and blocks1 == []
+        for threads in (2, 3):
+            rep, reports, blocks = run(threads)
+            assert_same_relations(reports1, reports)
+            assert rep["threads"] == threads and isinstance(rep["timing_s"], float)
+            assert {**one, "threads": None, "timing_s": None} == \
+                {**rep, "threads": None, "timing_s": None}
+            # one block split per check, none fallen back to one thread
+            assert len(blocks) == (len(reports) if name != "vaidya_flow" else 1) * (count > 1)
+            assert None not in blocks
+
+    @pytest.mark.parametrize("count", [2, 5, 1021, 2048])
+    def test_searched_rows_equal_one_thread(self, many_cores, count):
+        # t -> t + x^2 leaves the bounds open from sample 1 on, so its rows
+        # are searched: grid scan and Newton polish on each block's rows
+        st = mink4()
+        maps = [MapDef.create(st, st, {"t": "t", "x": "x", "y": "y", "z": "z"}, {}),
+                MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
+        pts = RegionSampler.build(st, count=count).points()
+        one = relations(maps, pts, 1)
+        for threads in (2, 3):
+            assert_same_relations(one, relations(maps, pts, threads))
+
+    def test_thread_count_is_capped(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a real thread was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        m = ds_to_es_map(b=1.5)
+        samp = ds_sampler(m.source, count=64)
+        pts = samp.points()
+        one = relations([m], pts, 1)
+        for cores, count, workers in ((2, 64, [2]), (8, 64, [8]), (8, 3, [3]), (8, 1, []),
+                                      (None, 64, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            SerialPool.made = []
+            assert_same_relations(relations([m], pts[:count], 10_000), relations([m], pts[:count], 1))
+            assert SerialPool.made == workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        SerialPool.made = []
+        assert_same_relations([check_proper_causal(m, samp, threads=10_000)], one)
+        assert SerialPool.made == [2]
+        rep = run_scenario("desitter_to_einstein", samples=64, threads=10_000).report
+        assert rep["threads"] == 10_000
+
+    def test_no_thread_outlives_the_check(self, many_cores):
+        m = ds_to_es_map(b=1.5)
+        before = set(threading.enumerate())
+        rep = check_proper_causal(m, ds_sampler(m.source, count=256), threads=2)
+        assert rep.verdict is Verdict.HOLDS_SAMPLED
+        assert set(threading.enumerate()) == before
+
+    def test_blocks_keep_the_callers_error_state(self, many_cores, monkeypatch):
+        seen = []
+        stages = relate._stages
+
+        def recorded(*args):
+            seen.append(np.geterr()["over"])
+            return stages(*args)
+
+        monkeypatch.setattr(relate, "_stages", recorded)
+        m = ds_to_es_map(b=1.5)
+        pts = ds_sampler(m.source, count=64).points()
+        with np.errstate(over="raise"):
+            relations([m], pts, 3)
+        assert seen == ["raise"] * 3
+
+    def test_domain_error_at_last_sample(self, many_cores, monkeypatch):
+        st = mink4()
+        m = MapDef.create(st, st, {"t": "t + sqrt(1 - t)", "x": "x", "y": "y", "z": "z"}, {})
+        pts = RegionSampler.build(st, count=64, window={"t": (-1.0, 0.5)}).points()
+        pts[-1, 0] = 2.0
+        one = relations([m], pts, 1)
+        assert one[0].verdict is Verdict.ERROR
+        assert f"at sample 63, x = {pts[63].tolist()}" in one[0].error
+        for threads in (2, 3):
+            with monkeypatch.context() as mp:
+                _, blocks = record_relations(mp)
+                assert_same_relations(one, relations([m], pts, threads))
+            assert blocks == [None]
+
+    def test_image_leaves_target_in_second_block(self, many_cores):
+        st = SpacetimeDef.create(
+            name="bounded", coords=("t", "x"),
+            domain={"t": (-3.0, 3.0), "x": (-1.0, 1.0)},
+            params={}, metric={(0, 0): "1", (1, 1): "-exp(t/2)"},
+            orientation=("1", "0"))
+        fl = FlowDef.create(st, "s", {"t": "t + s", "x": "x"}, (-3.0, 3.0))
+        maps = [flow_map(fl, s) for s in (-1.0, -0.5, 0.0, 0.25)]
+        pts = RegionSampler.build(st, count=64, window={"t": (-1.0, 1.0)}).points()
+        pts[40, 0] = 2.9
+        one = relations(maps, pts, 1)
+        assert [r.verdict for r in one][:3] == [Verdict.HOLDS_SAMPLED] * 3
+        assert one[3].error.startswith(f"image leaves the target domain at sample 40, "
+                                       f"x = {pts[40].tolist()}")
+        for threads in (2, 3):
+            assert_same_relations(one, relations(maps, pts, threads))
+
+    def test_search_failure_in_second_block(self, many_cores, monkeypatch, capsys):
+        # capture the scenario's frame tensors, then fail the search on the
+        # row of one second-block sample j only, wherever that row lands in a
+        # batch (the tensor is even in t, so j is the first with a unique row)
+        captured = []
+        search = relate.dp2_margins
+
+        def capture(That):
+            captured.append(That)
+            return search(That)
+
+        argv = ["scenario", "desitter_to_einstein", "--samples", "64"]
+        with monkeypatch.context() as mp:
+            mp.setattr(relate, "dp2_margins", capture)
+            main(argv + ["--threads", "1"])
+        capsys.readouterr()
+        rows = captured[0]
+        j = next(j for j in range(40, 64) if np.all(rows == rows[j], axis=(1, 2)).sum() == 1)
+        marker = rows[j]
+
+        def fail_at_marker(That):
+            hit = np.flatnonzero(np.all(That == marker, axis=(1, 2)))
+            if len(hit):
+                raise dp.SandwichError(f"searched pair margin of row {hit[0]} left its bounds",
+                                       int(hit[0]))
+            return search(That)
+
+        monkeypatch.setattr(relate, "dp2_margins", fail_at_marker)
+        outs = []
+        for threads in ("1", "2", "3"):
+            rc = main(argv + ["--threads", threads])
+            outs.append((rc,) + tuple(capsys.readouterr()))
+        assert outs[0][0] == 3
+        assert f"row {j} left its bounds at sample {j}, x = " in outs[0][2]
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+        m = ds_to_es_map(b=1.0)
+        pts = ds_sampler(m.source, count=64).points()
+        raised = []
+        for threads in (1, 2, 3):
+            with pytest.raises(dp.SandwichError) as err:
+                relations([m], pts, threads)
+            raised.append((str(err.value), err.value.index))
+        assert raised[0][1] == j
+        assert raised[1] == raised[0] and raised[2] == raised[0]
