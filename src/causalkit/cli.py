@@ -32,9 +32,11 @@ from .exprcore import EvalDomainError, SingularJacobianError
 from .flows import check_submonoid
 from .lorentz import DegenerateMetricError
 from .relate import (
+    BLOCK_SAMPLES,
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
     Verdict,
+    _thread_count,
     canonical_null_directions,
     check_isomorphism,
     check_proper_causal,
@@ -68,8 +70,8 @@ def _add_common(p):
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads, each checking a contiguous block of "
-                        "the samples, at most one per core (default: "
+                   help=f"worker threads, each checking a block of {BLOCK_SAMPLES} "
+                        "samples at a time, at most one per core (default: "
                         "CAUSALKIT_THREADS or 1); the result is the same for "
                         "any value, above 1 the report records timing_s, and 1 "
                         "guarantees byte-stable output")
@@ -415,6 +417,7 @@ def main(argv=None):
     except SystemExit as exc:  # --help / --version
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_INPUT
     try:
+        _thread_count(args.threads, "--threads")
         return args.func(args)
     except (EvalDomainError, SingularJacobianError, DegenerateMetricError, ValueError,
             OSError) as exc:

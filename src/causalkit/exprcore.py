@@ -40,11 +40,11 @@ class UnknownIdentifierError(ParseError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Evaluation left the real domain; carries the offending subexpression."""
+    """Evaluation left the real domain: `reason` names the subexpression, `index` the sample."""
 
     def __init__(self, message, node, index=None):
-        at = "" if index is None else f" at sample {index}"
-        super().__init__(f"{message} in '{to_text(node)}'{at}")
+        self.reason = f"{message} in '{to_text(node)}'"
+        super().__init__(self.reason + ("" if index is None else f" at sample {index}"))
         self.node = node
         self.index = index
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
 from .exprcore import parse_expr, seed_env, substitute
-from .relate import (MapDef, Verdict, _at_sample, _check_relations, _check_symbols, _components,
-                     _dual_components, _Report, _sample, _source_stage, _witnesses)
+from .relate import (MapDef, Verdict, _at_sample, _blocks, _check_relations, _check_symbols,
+                     _components, _dual_components, _Report, _sample, _source_stage, _witnesses, _worst)
 
 IDENTITY_TOL = 1e-10
 
@@ -203,10 +203,12 @@ class NullConeReport(_Report):
 
 def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
     """Sign of (L_xi g)(k, k) minimized over future null k at each sample."""
-    pts = _sample(st, sampler)
-    E = _source_stage(st, pts)[2]
-    L = lie_derivative_metric(st, xi, pts)
-    Lhat = np.swapaxes(E, -1, -2) @ L @ E
-    margins, nhat = null_quadratic_margins(Lhat)
-    witnesses = _witnesses(pts, E, Lhat, margins, tol, nhat)
-    return NullConeReport(not witnesses, float(margins.min()), witnesses, len(pts))
+    def block(x, _):
+        E = _source_stage(st, x)[2]
+        Lhat = np.swapaxes(E, -1, -2) @ lie_derivative_metric(st, xi, x) @ E
+        margins, nhat = null_quadratic_margins(Lhat)
+        return margins, _witnesses(x, E, Lhat, margins, tol, nhat)
+
+    margins, witnesses = zip(*_blocks(block, _sample(st, sampler), None))
+    margins, witnesses = np.concatenate(margins), _worst(witnesses)
+    return NullConeReport(not witnesses, float(margins.min()), witnesses, len(margins))

@@ -15,9 +15,9 @@ and orientation) feeds the pullback through forward-mode Jacobians, and
 the frame tensors of all maps go through one vectorized null-pair search
 in `dp`.  Frames are built for the source chart only; the target is
 classified on its time axis.  A check is one map, a flow scan one map per
-parameter value.  Every stage works sample by sample, so a check with
-`threads` above 1 runs the whole pipeline on contiguous blocks of the
-samples, one worker thread each, and gets one thread's reports.
+parameter value.  Every stage works sample by sample, so every sampled
+check runs on fixed blocks of the samples (`_blocks`), one or `threads` at
+a time: memory grows with the block, and no result depends on `threads`.
 The stages are the only code that validates a chart or a map at points:
 the conformal, null-cone and curve checks run them on their samples, and
 the single-point queries on a one-sample batch.
@@ -37,7 +37,6 @@ from .dp import (TOL_DP, DPStatus, SandwichError, conformal_lambdas, dp2_check, 
                  null_eigenvectors)
 from .exprcore import (
     Dual,
-    EvalDomainError,
     SingularJacobianError,
     eval_dual,
     eval_expr,
@@ -46,11 +45,11 @@ from .exprcore import (
     seed_env,
     substitute,
 )
-from .lorentz import (_CLASSES, CausalClass, DegenerateMetricError, MetricValue, OrientedPoint,
-                      _abs_max, _class_codes, _future_causal, _signature, _time_axis, classify,
-                      frames)
+from .lorentz import (_CLASSES, CausalClass, MetricValue, OrientedPoint, _abs_max, _class_codes,
+                      _future_causal, _signature, _time_axis, classify, frames)
 
 DEFAULT_SAMPLES = 4096
+BLOCK_SAMPLES = 4096  # per block of a sampled check: about 1.3 KB a sample
 DEFAULT_MARGIN = 1e-3
 INF_WINDOW = 10.0
 
@@ -204,13 +203,12 @@ class SpacetimeDef:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"point {x.tolist()} outside the domain of '{self.name}'")
-        G, fut = _chart_check(self, f"'{self.name}'", x[None])
+        G, fut = _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), x[None], 1)[0]
         return OrientedPoint(x, MetricValue(self.n, G[0]), fut[0])
 
     def validate_on(self, pts):
         """Signature and orientation checks over a batch; raises on failure."""
-        pts = np.asarray(pts, dtype=float)
-        _chart_check(self, f"'{self.name}'", pts)
+        _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), np.asarray(pts, dtype=float), 1)
 
 
 @dataclass(frozen=True)
@@ -459,39 +457,58 @@ class RelationReport(_Report):
 # batched validity helpers
 
 
-def _at_sample(pts, i):
-    return f"at sample {i}, x = {np.atleast_2d(pts)[i].tolist()}"
+def _at_sample(pts, i, start=0):
+    return f"at sample {start + i}, x = {np.atleast_2d(pts)[i].tolist()}"
 
 
-def _require(ok, what, pts, exc=ValueError):
-    """Raise exc naming the first sample where ok is False."""
-    ok = np.atleast_1d(ok)
+def _require(ok, what, exc=ValueError, tail=lambda i: ""):
+    """Raise exc(what) at the first sample i where ok is False, for `_locate`."""
     if not np.all(ok):
-        raise exc(f"{what} {_at_sample(pts, int(np.flatnonzero(~ok)[0]))}")
+        e = exc(what)
+        e.index = int(np.flatnonzero(~ok)[0])
+        e.tail = tail(e.index)
+        raise e
 
 
-def _named(pts, fn, *args):
-    """fn(*args) for the batch pts; an error at a sample also names the
-    sample's coordinates.  An expression error without an index came from a
-    constant sub-expression, which fails at every sample: it names sample 0.
-    The index of a search stacked over several maps wraps around pts."""
-    try:
-        return fn(*args)
-    except EvalDomainError as e:
-        if e.index is None:
-            e.args = (f"{e} {_at_sample(pts, 0)}",)
-        else:
-            e.args = (f"{e}, x = {np.atleast_2d(pts)[e.index].tolist()}",)
-        raise
-    except (DegenerateMetricError, SandwichError) as e:
-        e.args = (f"{e} {_at_sample(pts, e.index % len(np.atleast_2d(pts)))}",)
-        raise
+def _locate(e, x, start):
+    """e, if it has an `index` into the block x (None: a constant sub-expression,
+    so 0; a stacked search's row wraps around x), naming it over the batch from `start`."""
+    if hasattr(e, "index"):
+        i = (e.index or 0) % len(x)
+        e.args = (f"{getattr(e, 'reason', e)} {_at_sample(x, i, start)}{getattr(e, 'tail', '')}",)
+    return e
 
 
-def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("CAUSALKIT_THREADS", "1")))
+def _thread_count(threads, source="threads"):
+    """threads, else CAUSALKIT_THREADS, else 1, as an integer of at least 1."""
+    if threads is None:
+        threads, source = os.environ.get("CAUSALKIT_THREADS", "1"), "CAUSALKIT_THREADS"
+    if not str(threads).strip().lstrip("+").isdecimal() or int(threads) < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {threads!r}")
+    return int(threads)
+
+
+def _blocks(fn, pts, threads):
+    """[fn(x, start) for each block x = pts[start:start + BLOCK_SAMPLES]], the
+    first to raise raising here, located; k = min(threads, cores, blocks) at a
+    time on worker threads (none for k = 1), each in a copy of the caller's context."""
+    starts = range(0, len(pts), BLOCK_SAMPLES)
+
+    def run(start):
+        x = pts[start:start + BLOCK_SAMPLES]
+        try:
+            return fn(x, start)
+        except (ArithmeticError, ValueError, SandwichError) as e:
+            raise _locate(e, x, start)
+
+    k = min(_thread_count(threads), os.cpu_count() or 1, len(starts))
+    if k <= 1:
+        return [run(start) for start in starts]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        contexts = [contextvars.copy_context() for _ in starts]
+        return list(pool.map(lambda context, start: context.run(run, start), contexts, starts))
 
 
 def _conformal(lambdas):
@@ -525,17 +542,17 @@ def _chart_check(chart, what, pts, img=None):
     """Metric and future field of a chart at the samples pts, or at their
     images img in it, validated; raises naming the first failing sample."""
     at, where = (pts, "") if img is None else (img, " at image")
-    G = _named(pts, chart.metric_at, at)
-    _require(_signature(G)[0], f"{what} metric{where} loses Lorentzian signature", pts)
-    fut = _named(pts, chart.orientation_at, at)
-    _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal", pts)
+    G = chart.metric_at(at)
+    _require(_signature(G)[0], f"{what} metric{where} loses Lorentzian signature")
+    fut = chart.orientation_at(at)
+    _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal")
     return G, fut
 
 
 def _source_stage(source, pts):
     """Metric, future field and frames of the source chart, validated."""
     G, fut = _chart_check(source, "source", pts)
-    return G, fut, _named(pts, frames, G, fut)
+    return G, fut, frames(G, fut)
 
 
 def _image_stage(mapdef, pts):
@@ -543,16 +560,15 @@ def _image_stage(mapdef, pts):
     validated: the image stays in the target domain (the message names the
     coordinate and its interval), the Jacobian is regular, the target chart
     is valid at the image."""
-    img, J = _named(pts, mapdef.image_and_jacobian, pts)
-    outside = ~mapdef.target.contains(img)
-    if np.any(outside):
-        i = int(np.flatnonzero(outside)[0])
-        dom = mapdef.target.domain
-        k = next(k for k, (lo, hi) in enumerate(dom) if not lo < img[i, k] < hi)
-        raise ValueError(f"image leaves the target domain {_at_sample(pts, i)}: "
-                         f"{mapdef.target.coords[k]} = {float(img[i, k])} not in {dom[k]}")
+    img, J = mapdef.image_and_jacobian(pts)
+
+    def leaves(i):
+        k = next(k for k, (lo, hi) in enumerate(mapdef.target.domain) if not lo < img[i, k] < hi)
+        return f": {mapdef.target.coords[k]} = {float(img[i, k])} not in {mapdef.target.domain[k]}"
+
+    _require(mapdef.target.contains(img), "image leaves the target domain", tail=leaves)
     jscale = np.maximum(1.0, _abs_max(J)) ** J.shape[-1]
-    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular", pts,
+    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular",
              SingularJacobianError)
     return (J,) + _chart_check(mapdef.target, "target", pts, img)
 
@@ -570,7 +586,7 @@ def _map_stage(mapdef, pts, G, fut, E):
     T = _pullback(J, Gt)
     That = np.swapaxes(E, -1, -2) @ T @ E
     pushed = np.einsum("nai,ni->na", J, fut)
-    e0 = _named(pts, _time_axis, Gt, futW)
+    e0 = _time_axis(Gt, futW)
     signs = _ORIENTATION_SIGN[_class_codes(Gt, e0, futW, pushed)]
     return That, signs, conformal_lambdas(G, T)
 
@@ -587,11 +603,23 @@ def _witnesses(pts, E, That, margins, tol, *dirs):
                  for r, i in enumerate(bad))
 
 
-def _verdict(pts, E, That, signs, lambdas, margins, nhat, mhat, tol_dp):
+def _worst(witnesses):
+    """The 16 worst, by margin then sample, of the blocks' `_witnesses`."""
+    ws = [w for block in witnesses for w in block]
+    return tuple(ws[i] for i in np.argsort([w.margin for w in ws], kind="stable")[:16])
+
+
+def _verdict(pts, parts):
+    """One map's report from its blocks' parts: the first error, or the verdict."""
     N = len(pts)
-    conformal = _conformal(lambdas)
-    min_margin = float(margins.min())
-    wit = _witnesses(pts, E, That, margins, tol_dp, nhat, mhat)
+    error = next((p for p in parts if isinstance(p, Exception)), None)
+    if error is not None:
+        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(error))
+    margins, signs, lambdas, witnesses = zip(*parts)
+    signs = np.concatenate(signs)
+    conformal = _conformal(np.concatenate(lambdas))
+    min_margin = float(np.concatenate(margins).min())
+    wit = _worst(witnesses)
     if wit:
         return RelationReport(Verdict.VIOLATED, N, min_margin, wit, conformal)
 
@@ -607,75 +635,39 @@ def _verdict(pts, E, That, signs, lambdas, margins, nhat, mhat, tol_dp):
     )
 
 
-def _stages(maps, pts, error):
-    """Source frames E and, per map, its frame tensor, orientation signs,
-    conformal factors and searched pair at the samples pts.  A failure is
-    error(e): every map's at the source stage, that map's alone at its map
-    stage, every searched map's at the search.  The other maps' frame
-    tensors are searched as one stacked batch, whose rows come out as they
-    would alone."""
+def _stages(maps, x, start, tol_dp):
+    """Per map, the block x (from sample `start`) reduced to its margins,
+    orientation signs, conformal factors and witnesses, or its located error:
+    every map's at the source stage, that map's alone at its map stage, every
+    searched map's at the search, whose one stacked batch gives each row as alone."""
     try:
-        G, fut, E = _source_stage(maps[0].source, pts)
+        G, fut, E = _source_stage(maps[0].source, x)
     except (ArithmeticError, ValueError) as e:
-        return None, [error(e)] * len(maps)
+        return [_locate(e, x, start)] * len(maps)
     staged = []
     for m in maps:
         try:
-            staged.append(_map_stage(m, pts, G, fut, E))
+            staged.append(_map_stage(m, x, G, fut, E))
         except (ArithmeticError, ValueError) as e:
-            staged.append(error(e))
+            staged.append(_locate(e, x, start))
     live = [s for s in staged if isinstance(s, tuple)]
     try:
-        found = _named(pts, dp2_margins, np.concatenate([s[0] for s in live])) if live else ()
+        found = dp2_margins(np.concatenate([s[0] for s in live])) if live else ()
     except (ArithmeticError, ValueError) as e:
-        return E, [error(e) if isinstance(s, tuple) else s for s in staged]
-    found = zip(*(np.split(x, len(live)) for x in found))
-    return E, [s + next(found) if isinstance(s, tuple) else s for s in staged]
-
-
-def _reraise(e):
-    raise e
-
-
-def _blocks(maps, pts, k):
-    """`_stages` on k contiguous blocks of the samples, one worker thread
-    each, joined in block order; None when any block raises.  Each block
-    runs in a copy of the caller's context, so numpy's error state holds
-    in it as on the calling thread."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    cuts = [len(pts) * b // k for b in range(k + 1)]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _stages, maps, pts[a:b], _reraise)
-                   for a, b in zip(cuts, cuts[1:])]
-    try:
-        parts = [f.result() for f in futures]
-    except Exception:
-        # whatever a block raised, the one-thread run reproduces its report
-        # or its raise, with the sample index counted over the whole batch
-        return None
-    # per map, each per-sample array joined across the blocks
-    E = np.concatenate([p[0] for p in parts])
-    return E, [tuple(map(np.concatenate, zip(*rows))) for rows in zip(*(p[1] for p in parts))]
+        e = _locate(e, x, start)
+        return [e if isinstance(s, tuple) else s for s in staged]
+    found = zip(*(np.split(f, len(live)) for f in found))
+    for j, s in enumerate(staged):
+        if isinstance(s, tuple):
+            margins, nhat, mhat = next(found)
+            staged[j] = margins, s[1], s[2], _witnesses(x, E, s[0], margins, tol_dp, nhat, mhat)
+    return staged
 
 
 def _check_relations(maps, pts, tol_dp, threads):
-    """One RelationReport per map; the maps share one source chart and the
-    points, and a stage failure is an ERROR report (see `_stages`).
-
-    Every stage works sample by sample, so with k = min(threads, cores,
-    samples) > 1 the samples are cut into k contiguous blocks, each staged
-    on its own worker thread, and the joined rows give one thread's reports
-    bit for bit.  When a block fails, the batch runs again on one thread,
-    which gives the failure its one-thread report or raise."""
-    N = len(pts)
-
-    def error(e):
-        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(e))
-
-    k = min(_thread_count(threads), os.cpu_count() or 1, N)
-    E, staged = (_blocks(maps, pts, k) if k > 1 else None) or _stages(maps, pts, error)
-    return [_verdict(pts, E, *s, tol_dp) if isinstance(s, tuple) else s for s in staged]
+    """One RelationReport per map of one source chart, staged in blocks at the points."""
+    blocks = _blocks(lambda x, start: _stages(maps, x, start, tol_dp), pts, threads)
+    return [_verdict(pts, parts) for parts in zip(*blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +676,7 @@ def _check_relations(maps, pts, tol_dp, threads):
 
 def pullback_metric(mapdef, x):
     """Pullback of the target metric at one source point: J^T G~ J."""
-    J, Gt, _ = _image_stage(mapdef, _source_point(mapdef.source, x))
+    J, Gt, _ = _blocks(lambda p, _: _image_stage(mapdef, p), _source_point(mapdef.source, x), 1)[0]
     return _pullback(J, Gt)[0]
 
 
@@ -696,10 +688,10 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     target.  Any cone violation yields VIOLATED with up to 16 witnesses
     sorted worst-first; a consistently past-pointing push yields
     TIME_REVERSED; evaluation, domain, signature, orientation, or
-    Jacobian failures yield ERROR carrying the first failure.  `threads`
-    (default CAUSALKIT_THREADS, else 1) caps the worker threads that check
-    contiguous blocks of the samples; the report is the same for any value.
-    """
+    Jacobian failures yield ERROR with the first failure of the first failing
+    block of BLOCK_SAMPLES samples; memory grows with the block, not with N.
+    `threads` (default CAUSALKIT_THREADS, else 1) caps the blocks checked at
+    once; the report is the same for any value."""
     return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp, threads)[0]
 
 
@@ -710,32 +702,34 @@ def canonical_null_directions(mapdef, x):
     reported direction is cross-checked by classifying its push-forward
     in the target chart.
     """
-    pts = _source_point(mapdef.source, x)
-    G, fut, E = _source_stage(mapdef.source, pts)
-    J, Gt, futW = _image_stage(mapdef, pts)
-    p = OrientedPoint(pts[0], MetricValue(mapdef.source.n, G[0]), fut[0])
-    T = _pullback(J, Gt)[0]
-    verdict = dp2_check(p, T, frame=E[0])
-    if verdict.status is not DPStatus.IN_DP_PLUS:
-        raise ValueError(
-            f"canonical null directions need an InDPplus pullback, got "
-            f"{verdict.status.value} (margin {verdict.margin:.3e})"
-        )
-    res = null_eigenvectors(p, T, frame=E[0])
-    e0 = _named(pts, _time_axis, Gt, futW)
-    for lam, v in res.pairs:
-        cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None])[0]]
-        if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
-            raise ArithmeticError(f"push-forward of a reported null direction classifies {cls.value}")
-    return res
+    def at(pts, _):
+        G, fut, E = _source_stage(mapdef.source, pts)
+        J, Gt, futW = _image_stage(mapdef, pts)
+        p = OrientedPoint(pts[0], MetricValue(mapdef.source.n, G[0]), fut[0])
+        T = _pullback(J, Gt)[0]
+        verdict = dp2_check(p, T, frame=E[0])
+        if verdict.status is not DPStatus.IN_DP_PLUS:
+            raise ValueError(
+                f"canonical null directions need an InDPplus pullback, got "
+                f"{verdict.status.value} (margin {verdict.margin:.3e})"
+            )
+        res = null_eigenvectors(p, T, frame=E[0])
+        e0 = _time_axis(Gt, futW)
+        for lam, v in res.pairs:
+            cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None])[0]]
+            if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
+                raise ArithmeticError(f"push-forward of a reported null direction classifies {cls.value}")
+        return res
+
+    return _blocks(at, _source_point(mapdef.source, x), 1)[0]
 
 
 def check_conformal(mapdef, sampler):
     """Per-sample conformal factor of the pullback, with overall flag."""
-    pts = _sample(mapdef.source, sampler)
-    G = _source_stage(mapdef.source, pts)[0]
-    J, Gt, _ = _image_stage(mapdef, pts)
-    return _conformal(conformal_lambdas(G, _pullback(J, Gt)))
+    lambdas = _blocks(lambda x, _: conformal_lambdas(_source_stage(mapdef.source, x)[0],
+                                                     _pullback(*_image_stage(mapdef, x)[:2])),
+                      _sample(mapdef.source, sampler), None)
+    return _conformal(np.concatenate(lambdas))
 
 
 @dataclass(frozen=True)
@@ -794,15 +788,16 @@ def curve_pushforward_check(mapdef, curve, u_values):
     if not np.all(inside):
         i = int(np.flatnonzero(~inside)[0])
         raise ValueError(f"curve leaves the source domain at u = {u[i]}")
-    G, fut, E = _source_stage(mapdef.source, pts)
-    classes = classify(G, E, fut, tan)
-    for i, c in enumerate(classes):
-        if c is not CausalClass.FUTURE_TIMELIKE:
-            raise ValueError(
-                f"curve tangent must be future timelike; classifies {c.value} at u = {u[i]}"
-            )
 
-    J, Gt, futW = _image_stage(mapdef, pts)
-    pushed = np.einsum("nai,ni->na", J, tan)
-    codes = _class_codes(Gt, _named(pts, _time_axis, Gt, futW), futW, pushed)
-    return all(c is CausalClass.FUTURE_TIMELIKE for c in _CLASSES[codes])
+    def block(x, start):
+        t = tan[start:start + len(x)]
+        G, fut, E = _source_stage(mapdef.source, x)
+        for i, c in enumerate(classify(G, E, fut, t)):
+            if c is not CausalClass.FUTURE_TIMELIKE:
+                raise ValueError(f"curve tangent must be future timelike; classifies {c.value} "
+                                 f"at u = {u[start + i]}")
+        J, Gt, futW = _image_stage(mapdef, x)
+        codes = _class_codes(Gt, _time_axis(Gt, futW), futW, np.einsum("nai,ni->na", J, t))
+        return all(c is CausalClass.FUTURE_TIMELIKE for c in _CLASSES[codes])
+
+    return all(_blocks(block, pts, None))

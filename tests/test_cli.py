@@ -203,9 +203,34 @@ class TestCheck:
         assert rc == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("0", "input error: --threads must be an integer of at least 1, got 0"),
+        ("-3", "input error: --threads must be an integer of at least 1, got -3"),
+        ("two", "usage error: argument --threads: invalid int value: 'two'"),
+    ])
+    def test_threads_below_one_exits_2(self, files, capsys, value, message):
+        rc, out, err = run(["check", files["mink.st"], files["mink.st"], files["identity.cm"],
+                            "--samples", "16", "--threads", value], capsys)
+        assert (rc, out, err) == (2, "", message + "\n")
 
-# one run per report kind; with --threads 2 the 512 samples are checked in
-# two blocks on hosts with two or more cores
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5", ""])
+    @pytest.mark.parametrize("argv", [
+        lambda f: ["check", f["mink.st"], f["mink.st"], f["identity.cm"]],
+        lambda f: ["scenario", "desitter_to_einstein"],
+    ])
+    def test_bad_thread_environment_exits_2(self, files, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("CAUSALKIT_THREADS", value)
+        rc, out, err = run(argv(files) + ["--samples", "16"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("input error: CAUSALKIT_THREADS must be an integer of at least 1, "
+                       f"got '{value}'\n")
+        # --threads takes precedence over the environment
+        rc, _, _ = run(argv(files) + ["--samples", "16", "--threads", "1"], capsys)
+        assert rc == 0
+
+
+# one run per report kind; the 512 samples are one block, so --threads 2
+# changes the report's envelope only (blocks on threads: tests/test_relate.py)
 REPORT_ARGV = {
     "check": lambda f: ["check", f["mink.st"], f["mink.st"], f["dilate.cm"]],
     "iso": lambda f: ["iso", f["mink.st"], f["mink.st"], f["dilate.cm"], f["halve.cm"]],

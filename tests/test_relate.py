@@ -971,7 +971,8 @@ class TestCurvePushforward:
 
 
 # ---------------------------------------------------------------------------
-# worker threads: contiguous sample blocks give one thread's reports
+# sample blocks: the same reports from any block size (above the first
+# failing block) and any thread count
 
 
 FRW_MAP = """\
@@ -999,30 +1000,28 @@ SCENARIO_RUNS = [
 
 @pytest.fixture
 def many_cores(monkeypatch):
-    """Eight cores, so that threads=3 cuts three blocks on any host."""
+    """Eight cores, so that threads=3 runs three blocks at once on any host."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
+def small_blocks(mp, size=16):
+    """Blocks of `size` samples, so that small checks run many blocks."""
+    mp.setattr(relate, "BLOCK_SAMPLES", size)
+
+
 def record_relations(mp):
-    """Lists that fill with every report of `_check_relations` and every
-    result of `_blocks` (None where the blocks fell back to one thread)."""
-    reports, blocks = [], []
-    check, split = relate._check_relations, relate._blocks
+    """A list that fills with every report of `_check_relations`."""
+    reports = []
+    check = relate._check_relations
 
     def recorded_check(*args):
         out = check(*args)
         reports.extend(out)
         return out
 
-    def recorded_blocks(*args):
-        out = split(*args)
-        blocks.append(out)
-        return out
-
     mp.setattr(relate, "_check_relations", recorded_check)
     mp.setattr(flows, "_check_relations", recorded_check)
-    mp.setattr(relate, "_blocks", recorded_blocks)
-    return reports, blocks
+    return reports
 
 
 def assert_same_relations(a, b):
@@ -1037,9 +1036,19 @@ def relations(maps, pts, threads):
     return relate._check_relations(maps, pts, dp.TOL_DP, threads)
 
 
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the max_workers of every pool made."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        RecordingPool.made.append(max_workers)
+
+
 class SerialPool:
-    """Stand-in for ThreadPoolExecutor that runs each block at submit, on the
-    calling thread, and records the max_workers it was made with."""
+    """Stand-in for ThreadPoolExecutor that runs the blocks in order on the
+    calling thread and records the max_workers it was made with."""
 
     made = []
 
@@ -1052,13 +1061,24 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as e:
-            fut.set_exception(e)
-        return fut
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def two_failing_blocks():
+    """A map on 32 samples whose image leaves the target at sample 3 only and
+    whose source metric loses its signature at sample 20 only."""
+    def chart(name, t_hi):
+        return SpacetimeDef.create(
+            name=name, coords=("t", "x"), domain={"t": (-3.0, t_hi), "x": (-1.0, 1.0)},
+            params={}, metric={(0, 0): "1", (1, 1): "x*x - 0.81"}, orientation=("1", "0"))
+
+    src = chart("flat2", 3.0)
+    m = MapDef.create(src, chart("short", 2.0), {"t": "t", "x": "x"}, {})
+    sampler = RegionSampler.build(src, count=32, window={"t": (-1.0, 1.0), "x": (-0.5, 0.5)})
+    pts = sampler.points()
+    pts[3, 0], pts[20, 1] = 2.5, 0.95
+    return m, sampler, pts
 
 
 class TestThreads:
@@ -1066,32 +1086,41 @@ class TestThreads:
     @pytest.mark.parametrize("name,params,k", SCENARIO_RUNS)
     def test_scenarios_equal_one_thread(self, many_cores, monkeypatch, tmp_path,
                                         name, params, k, count):
+        # one block of the whole batch against blocks of 256 samples on 1, 2
+        # and 3 threads: the same reports, and worker threads only above one
+        # thread and one block
         map_path = None
         if k is not None:
             map_path = tmp_path / "frw.map"
             map_path.write_text(FRW_MAP.format(k=k))
 
-        def run(threads):
+        def run(threads, block=None):
             with monkeypatch.context() as mp:
-                reports, blocks = record_relations(mp)
+                if block:
+                    small_blocks(mp, block)
+                mp.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+                RecordingPool.made = []
+                reports = record_relations(mp)
                 out = run_scenario(name, samples=count, threads=threads, params=dict(params),
                                    map_path=map_path)
-            return out.report, reports, blocks
+            return out.report, reports, RecordingPool.made
 
-        one, reports1, blocks1 = run(1)
-        assert reports1 and blocks1 == []
-        for threads in (2, 3):
-            rep, reports, blocks = run(threads)
+        one, reports1, made = run(1)
+        assert reports1 and made == []
+        for threads in (1, 2, 3):
+            rep, reports, made = run(threads, block=256)
             assert_same_relations(reports1, reports)
-            assert rep["threads"] == threads and isinstance(rep["timing_s"], float)
+            assert rep["threads"] == threads
+            assert (rep["timing_s"] is None) == (threads == 1)
             assert {**one, "threads": None, "timing_s": None} == \
                 {**rep, "threads": None, "timing_s": None}
-            # one block split per check, none fallen back to one thread
-            assert len(blocks) == (len(reports) if name != "vaidya_flow" else 1) * (count > 1)
-            assert None not in blocks
+            blocks = -(-count // 256)
+            assert made == ([min(threads, blocks)] * len(made) if threads > 1 and blocks > 1
+                            else [])
+            assert (len(made) > 0) == (threads > 1 and blocks > 1)
 
     @pytest.mark.parametrize("count", [2, 5, 1021, 2048])
-    def test_searched_rows_equal_one_thread(self, many_cores, count):
+    def test_searched_rows_equal_one_thread(self, many_cores, monkeypatch, count):
         # t -> t + x^2 leaves the bounds open from sample 1 on, so its rows
         # are searched: grid scan and Newton polish on each block's rows
         st = mink4()
@@ -1099,8 +1128,25 @@ class TestThreads:
                 MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
         pts = RegionSampler.build(st, count=count).points()
         one = relations(maps, pts, 1)
-        for threads in (2, 3):
+        small_blocks(monkeypatch)
+        for threads in (1, 2, 3):
             assert_same_relations(one, relations(maps, pts, threads))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_witnesses_are_the_batch_worst(self, many_cores, monkeypatch, threads):
+        # the 16 worst samples over the whole batch by (margin, index), from
+        # the whole batch's frame tensors, against 16 blocks of 16 samples
+        m = ds_to_es_map(b=0.95)
+        pts = ds_sampler(m.source, count=256).points()
+        That = relate._map_stage(m, pts, *relate._source_stage(m.source, pts))[0]
+        margins = dp.dp2_margins(That)[0]
+        bad = np.flatnonzero(margins < -dp.TOL_DP * np.maximum(1.0, np.abs(That).max(axis=(1, 2))))
+        worst = bad[np.argsort(margins[bad], kind="stable")][:16]
+        assert len(bad) > 16 and len(set(worst // 16)) > 1
+        small_blocks(monkeypatch)
+        rep = relations([m], pts, threads)[0]
+        assert [(w.point.tolist(), w.margin) for w in rep.witnesses] == \
+            [(pts[i].tolist(), margins[i]) for i in worst]
 
     def test_thread_count_is_capped(self, monkeypatch):
         def no_thread(self):
@@ -1108,12 +1154,14 @@ class TestThreads:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
+        small_blocks(monkeypatch)
         m = ds_to_es_map(b=1.5)
         samp = ds_sampler(m.source, count=64)
         pts = samp.points()
         one = relations([m], pts, 1)
-        for cores, count, workers in ((2, 64, [2]), (8, 64, [8]), (8, 3, [3]), (8, 1, []),
-                                      (None, 64, [])):
+        # k = min(threads, cores, blocks): 64 samples are 4 blocks of 16
+        for cores, count, workers in ((2, 64, [2]), (8, 64, [4]), (8, 33, [3]), (8, 16, []),
+                                      (8, 1, []), (None, 64, [])):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
             SerialPool.made = []
             assert_same_relations(relations([m], pts[:count], 10_000), relations([m], pts[:count], 1))
@@ -1125,27 +1173,85 @@ class TestThreads:
         rep = run_scenario("desitter_to_einstein", samples=64, threads=10_000).report
         assert rep["threads"] == 10_000
 
-    def test_no_thread_outlives_the_check(self, many_cores):
+    def test_conformal_and_null_cone_honour_the_thread_setting(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        small_blocks(monkeypatch)
         m = ds_to_es_map(b=1.5)
+        samp = ds_sampler(m.source, count=64)
+        xi = GeneratorField.create(m.source, ("1", "0", "0", "0"))
+        made, seen = [], []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("CAUSALKIT_THREADS", threads)
+            SerialPool.made = []
+            seen.append((check_conformal(m, samp).to_dict(),
+                         null_cone_nonneg(m.source, xi, samp).to_dict()))
+            made.append(SerialPool.made)
+        assert made == [[], [3, 3]]
+        assert seen[0] == seen[1]
+
+    def test_thread_setting_below_one_is_an_input_error(self, monkeypatch):
+        m = ds_to_es_map(b=1.5)
+        samp = ds_sampler(m.source, count=16)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be an integer of at least 1, "
+                                                 f"got {threads}"):
+                check_proper_causal(m, samp, threads=threads)
+        for value in ("0", "-1", "two", "1.5"):
+            monkeypatch.setenv("CAUSALKIT_THREADS", value)
+            with pytest.raises(ValueError) as err:
+                check_proper_causal(m, samp)
+            assert str(err.value) == \
+                f"CAUSALKIT_THREADS must be an integer of at least 1, got '{value}'"
+            with pytest.raises(ValueError, match="CAUSALKIT_THREADS"):
+                check_conformal(m, samp)
+
+    def test_no_thread_outlives_the_check(self, many_cores, monkeypatch):
+        small_blocks(monkeypatch)
+        m = ds_to_es_map(b=1.5)
+        samp = ds_sampler(m.source, count=256)
         before = set(threading.enumerate())
-        rep = check_proper_causal(m, ds_sampler(m.source, count=256), threads=2)
+        rep = check_proper_causal(m, samp, threads=2)
         assert rep.verdict is Verdict.HOLDS_SAMPLED
+        assert set(threading.enumerate()) == before
+        # nor when a block raises: block 5 of 16, with blocks after it
+        stages = relate._stages
+
+        def fail_in_fifth(maps, x, start, tol_dp):
+            if start == 80:
+                raise dp.SandwichError("synthetic", 0)
+            return stages(maps, x, start, tol_dp)
+
+        monkeypatch.setattr(relate, "_stages", fail_in_fifth)
+        with pytest.raises(dp.SandwichError, match="synthetic at sample 80, x = "):
+            check_proper_causal(m, samp, threads=3)
         assert set(threading.enumerate()) == before
 
     def test_blocks_keep_the_callers_error_state(self, many_cores, monkeypatch):
-        seen = []
+        # and at most `threads` blocks run at once
+        seen, running, most = [], [0], [0]
+        lock = threading.Lock()
         stages = relate._stages
 
         def recorded(*args):
-            seen.append(np.geterr()["over"])
-            return stages(*args)
+            with lock:
+                seen.append(np.geterr()["over"])
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                return stages(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
 
         monkeypatch.setattr(relate, "_stages", recorded)
+        small_blocks(monkeypatch)
         m = ds_to_es_map(b=1.5)
-        pts = ds_sampler(m.source, count=64).points()
+        pts = ds_sampler(m.source, count=160).points()
         with np.errstate(over="raise"):
             relations([m], pts, 3)
-        assert seen == ["raise"] * 3
+        assert seen == ["raise"] * 10
+        assert 1 <= most[0] <= 3
 
     def test_domain_error_at_last_sample(self, many_cores, monkeypatch):
         st = mink4()
@@ -1155,13 +1261,11 @@ class TestThreads:
         one = relations([m], pts, 1)
         assert one[0].verdict is Verdict.ERROR
         assert f"at sample 63, x = {pts[63].tolist()}" in one[0].error
-        for threads in (2, 3):
-            with monkeypatch.context() as mp:
-                _, blocks = record_relations(mp)
-                assert_same_relations(one, relations([m], pts, threads))
-            assert blocks == [None]
+        small_blocks(monkeypatch)
+        for threads in (1, 2, 3):
+            assert_same_relations(one, relations([m], pts, threads))
 
-    def test_image_leaves_target_in_second_block(self, many_cores):
+    def test_image_leaves_target_in_second_block(self, many_cores, monkeypatch):
         st = SpacetimeDef.create(
             name="bounded", coords=("t", "x"),
             domain={"t": (-3.0, 3.0), "x": (-1.0, 1.0)},
@@ -1175,13 +1279,59 @@ class TestThreads:
         assert [r.verdict for r in one][:3] == [Verdict.HOLDS_SAMPLED] * 3
         assert one[3].error.startswith(f"image leaves the target domain at sample 40, "
                                        f"x = {pts[40].tolist()}")
-        for threads in (2, 3):
+        small_blocks(monkeypatch)
+        for threads in (1, 2, 3):
             assert_same_relations(one, relations(maps, pts, threads))
+
+    def test_first_failing_block_names_the_error(self, many_cores, monkeypatch):
+        # block 0 fails the image stage at sample 3, block 1 the source
+        # signature at sample 20: the whole batch as one block checks the
+        # source stage first and names sample 20; blocks of 16 name sample 3
+        m, sampler, pts = two_failing_blocks()
+        whole = relations([m], pts, 1)[0]
+        assert whole.error == ("source metric loses Lorentzian signature "
+                               f"at sample 20, x = {pts[20].tolist()}")
+        small_blocks(monkeypatch)
+        image = (f"image leaves the target domain at sample 3, x = {pts[3].tolist()}: "
+                 "t = 2.5 not in (-3.0, 2.0)")
+        for threads in (1, 2, 3):
+            assert relations([m], pts, threads)[0].error == image
+        # a raising check: check_conformal on the same points, per thread setting
+        monkeypatch.setattr(RegionSampler, "points", lambda self: pts.copy())
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CAUSALKIT_THREADS", threads)
+            with pytest.raises(ValueError) as err:
+                check_conformal(m, sampler)
+            assert str(err.value) == image
+
+    def test_peak_memory_grows_with_the_block(self, monkeypatch):
+        # a one-thread check keeps per sample only its margin, sign and
+        # conformal factor (and the sample): quadrupling N from 4 to 16
+        # blocks adds far less than the blocks' working set would
+        import tracemalloc
+
+        small_blocks(monkeypatch, 512)
+        m = ds_to_es_map(b=1.5)
+
+        def peak(count):
+            samp = ds_sampler(m.source, count=count)
+            tracemalloc.start()
+            try:
+                rep = check_proper_causal(m, samp, threads=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert rep.samples_checked == count
+
+        small, large = peak(4 * 512), peak(16 * 512)
+        assert large < 1.6 * small
 
     def test_search_failure_in_second_block(self, many_cores, monkeypatch, capsys):
         # capture the scenario's frame tensors, then fail the search on the
-        # row of one second-block sample j only, wherever that row lands in a
-        # batch (the tensor is even in t, so j is the first with a unique row)
+        # row of one sample j of block 2 or 3 only, wherever that row lands
+        # in a batch (the tensor is even in t, so j is the first with a
+        # unique row)
+        small_blocks(monkeypatch)
         captured = []
         search = relate.dp2_margins
 
@@ -1194,7 +1344,7 @@ class TestThreads:
             mp.setattr(relate, "dp2_margins", capture)
             main(argv + ["--threads", "1"])
         capsys.readouterr()
-        rows = captured[0]
+        rows = np.concatenate(captured)
         j = next(j for j in range(40, 64) if np.all(rows == rows[j], axis=(1, 2)).sum() == 1)
         marker = rows[j]
 
@@ -1211,7 +1361,7 @@ class TestThreads:
             rc = main(argv + ["--threads", threads])
             outs.append((rc,) + tuple(capsys.readouterr()))
         assert outs[0][0] == 3
-        assert f"row {j} left its bounds at sample {j}, x = " in outs[0][2]
+        assert f"row {j % 16} left its bounds at sample {j}, x = " in outs[0][2]
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
         m = ds_to_es_map(b=1.0)
@@ -1221,5 +1371,5 @@ class TestThreads:
             with pytest.raises(dp.SandwichError) as err:
                 relations([m], pts, threads)
             raised.append((str(err.value), err.value.index))
-        assert raised[0][1] == j
+        assert raised[0][1] == j % 16
         assert raised[1] == raised[0] and raised[2] == raised[0]
