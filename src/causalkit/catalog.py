@@ -30,6 +30,7 @@ from .relate import (
     SpacetimeDef,
     UnionSampler,
     Verdict,
+    _nonnegative,
     _thread_count,
     check_isomorphism,
     check_proper_causal,
@@ -294,7 +295,7 @@ class _Run:
         self.seed = int(seed)
         self.scheme = scheme
         self.margin = float(margin)
-        self.tol_dp = float(tol_dp)
+        self.tol_dp = _nonnegative(tol_dp, "tol_dp")
         self.threads = _thread_count(threads)
         self.started = time.perf_counter()
 

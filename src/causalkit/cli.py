@@ -36,6 +36,7 @@ from .relate import (
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
     Verdict,
+    _nonnegative,
     _thread_count,
     canonical_null_directions,
     check_isomorphism,
@@ -64,9 +65,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="sampler seed (default %(default)s)")
     p.add_argument("--tol", type=float, default=TOL_DP,
-                   help="margin tolerance of the cone checks (default %(default)s)")
+                   help="margin tolerance of the cone checks, finite and at least 0 "
+                        "(default %(default)s)")
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
-                   help="standoff from finite domain edges (default %(default)s)")
+                   help="standoff from finite domain edges, finite and at least 0 "
+                        "(default %(default)s)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="write the canonical JSON report to PATH")
     p.add_argument("--threads", type=int, default=None,
@@ -418,6 +421,8 @@ def main(argv=None):
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_INPUT
     try:
         _thread_count(args.threads, "--threads")
+        _nonnegative(args.tol, "--tol")
+        _nonnegative(args.margin, "--margin")
         return args.func(args)
     except (EvalDomainError, SingularJacobianError, DegenerateMetricError, ValueError,
             OSError) as exc:

@@ -8,22 +8,21 @@ unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
 form.
 
-Bounds first, search last.  One eigen-decomposition of the spatial block
-gives two bounds on the pair margin: the diagonal pairs k = l (the
-null-cone quadratic, minimized on the sphere in closed form by the
-trust-region secular equation) from above, and the same problem relaxed
-to a ball from below.  Where they meet, which is always the case when the
-spatial block is negative semidefinite (every near-conformal pullback),
-the margin is closed form.  Only the other rows are searched on the
-outer unit sphere: a deterministic grid, scanned a fixed-size chunk of
-tensors at a time to bound memory, whose best few points seed a
-safeguarded Newton polish on the sphere.  The flow null-cone check and
-the null eigenvectors (its zeros) need the quadratic alone.
+Bounds first, stationary pairs last.  One eigen-decomposition of the
+spatial block gives two bounds on the pair margin: the diagonal pairs
+k = l (the null-cone quadratic, minimized on the sphere in closed form by
+the trust-region secular equation) from above, and the same problem
+relaxed to a ball from below.  Where they meet, which is always the case
+when the spatial block is negative semidefinite (every near-conformal
+pullback), the margin is closed form.  On the other rows it is the lowest
+of the pair objective's stationary pairs, which are closed form too.  The
+flow null-cone check and the null eigenvectors (its zeros) need the
+quadratic alone.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
 margin clears -tol.  The minus variant is decided on -T, which is
-searched only when T fails and the bounds of -T straddle the band
+solved only when T fails and the bounds of -T straddle the band
 [-tol, tol]; otherwise they decide it.
 """
 
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,11 +37,11 @@ from .lorentz import CausalClass, _abs_max, classify, orthonormal_frame
 
 TOL_DP = 1e-9
 TOL_CONF = 1e-8
-NEWTON_STEPS = 40  # Newton iteration cap, per grid start and for the secular equation
-_POLISH_STARTS = 4
-_SCAN_CHUNK = 64  # rows per grid-scan chunk
+NEWTON_STEPS = 40  # Newton iteration cap of the sphere quadratic's secular equation
 _CLOSED = 1e-12  # bound gap, relative to max|That|, below which a row's margin is closed form
-_SANDWICH = 1e-12  # slack, relative to max|That|, of lb <= margin <= ub on a searched row
+_SANDWICH = 1e-12  # slack, relative to max|That|, of lb <= margin <= ub on an open row
+_REPEATED = 1e-8  # eigenvalue gap of M, relative to its row scale, that counts as repeated
+_HUGE = 2.0 ** 500  # a quotient at least this large has a divisor of rounding residue
 
 
 class DPStatus(enum.Enum):
@@ -61,8 +59,8 @@ class DPVerdict:
 
 
 class SandwichError(RuntimeError):
-    """A searched pair margin left the closed-form bounds of row `index`:
-    an internal fault, whatever the input."""
+    """The pair margin of an open row left the closed-form bounds of row
+    `index`: an internal fault, whatever the input."""
 
     def __init__(self, message, index):
         super().__init__(message)
@@ -76,149 +74,6 @@ class NullEigenResult:
 
 
 # ---------------------------------------------------------------------------
-# direction grids
-
-
-def _icosphere(levels):
-    t = (1.0 + 5.0 ** 0.5) / 2.0
-    verts = [(-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
-             (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
-             (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1)]
-    faces = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-             (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-             (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-             (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)]
-    verts = [np.array(v, float) / np.linalg.norm(v) for v in verts]
-    for _ in range(levels):
-        cache = {}
-        out = []
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            out += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = out
-    return np.array(verts)
-
-
-@lru_cache(maxsize=None)
-def sphere_directions(d):
-    """Deterministic unit-direction grid on S^(d-1).
-
-    d = 1 enumerates both points, d = 2 uses 720 angles, d = 3 the
-    icosphere refined three times (12 -> 42 -> 162 -> 642 vertices).
-    Higher d is outside the supported catalog dimensions.
-    """
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if d == 3:
-        return _icosphere(3)
-    raise ValueError(f"direction grids support spatial dimension 1..3, got {d}")
-
-
-# ---------------------------------------------------------------------------
-# null-pair search on the unit sphere, on rows (c, a, M) = (T00, T0i, Tij):
-# a grid scan whose lowest points seed a Newton polish
-
-
-def _grid_scan(grid, data, k):
-    """Indices and values of the k lowest grid points per row, scanned
-    _SCAN_CHUNK rows at a time so no (N, G) array is built."""
-    gT = np.ascontiguousarray(grid.T)
-    start_idx = np.empty((len(data[0]), k), dtype=np.intp)
-    start_vals = np.empty((len(data[0]), k))
-    for lo in range(0, len(data[0]), _SCAN_CHUNK):
-        sl = slice(lo, lo + _SCAN_CHUNK)
-        vals = _pair_scan(gT, *(x[sl] for x in data))
-        idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
-        start_idx[sl] = idx
-        start_vals[sl] = np.take_along_axis(vals, idx, 1)
-    return start_idx, start_vals
-
-
-def _newton_polish(data, nn, iters):
-    """Newton on the sphere (tangent Hessian U^T H U - (g.n) I, a scaled gradient
-    step where that is indefinite), halved up to 8 times until f decreases.
-
-    Only rows that moved in the last iteration are carried into the next:
-    a converged or unmoved row would repeat the same arithmetic on the same
-    state, so dropping it changes no result."""
-    r, d = nn.shape
-    eye = np.eye(min(d - 1, 2))
-    f, w = _pair_value(nn, *data)
-    live = np.arange(r)
-    x, fl = nn, f
-    for _ in range(iters):
-        _, a, M = data
-        nw = np.maximum(np.linalg.norm(w, axis=1), 1e-300)
-        what = w / nw[:, None]
-        g = a - np.einsum("rde,re->rd", M, what)
-        gdn = np.einsum("rd,rd->r", g, x)
-        gt = g - gdn[:, None] * x
-        act = np.linalg.norm(gt, axis=1) > 1e-13 * (1.0 + np.abs(fl))
-        if not np.any(act):
-            break
-        if d == 2:
-            U = np.stack([-x[:, 1], x[:, 0]], axis=1)[:, :, None]
-        else:
-            e = np.eye(d)[np.argmin(np.abs(x), axis=1)]
-            u = e - np.einsum("rd,rd->r", e, x)[:, None] * x
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            U = np.stack([u, np.cross(x, u)], axis=2)
-        # Euclidean Hessian -(MU)^T (I - what what^T) MU / |w|, steep near
-        # the w = 0 kink
-        MU = np.einsum("rde,rek->rdk", M, U)
-        PU = MU - what[:, :, None] * np.einsum("rd,rdk->rk", what, MU)[:, None, :]
-        Ht = -np.einsum("rdk,rdl->rkl", MU, PU) / nw[:, None, None]
-        Ht -= gdn[:, None, None] * eye
-        gtan = np.einsum("rdk,rd->rk", U, gt)
-        if d == 2:
-            h = Ht[:, 0, 0]
-            delta = -gtan / np.where(h > 1e-300, h, np.abs(h) + 1.0)[:, None]
-        else:
-            det = Ht[:, 0, 0] * Ht[:, 1, 1] - Ht[:, 0, 1] * Ht[:, 1, 0]
-            pd = (det > 0) & (Ht[:, 0, 0] + Ht[:, 1, 1] > 0)
-            dsafe = np.where(pd, det, 1.0)
-            inv = np.stack([Ht[:, 1, 1], -Ht[:, 0, 1], -Ht[:, 1, 0], Ht[:, 0, 0]],
-                           axis=1).reshape(-1, 2, 2) / dsafe[:, None, None]
-            scale = 1.0 + _abs_max(Ht)
-            delta = np.where(pd[:, None], -np.einsum("rkl,rl->rk", inv, gtan), -gtan / scale[:, None])
-        moved = np.zeros(len(x), dtype=bool)
-        t = 1.0
-        for _ in range(8):
-            todo = act & ~moved
-            if not np.any(todo):
-                break
-            cand = x[todo] + t * np.einsum("rdk,rk->rd", U[todo], delta[todo])
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc, wc = _pair_value(cand, *(y[todo] for y in data))
-            ok = fc < fl[todo]
-            iok = np.flatnonzero(todo)[ok]
-            x[iok] = cand[ok]
-            fl[iok] = fc[ok]
-            w[iok] = wc[ok]
-            moved[iok] = True
-            t *= 0.5
-        nn[live] = x
-        f[live] = fl
-        live, x, fl, w = live[moved], x[moved], fl[moved], w[moved]
-        if not len(live):
-            break
-        data = tuple(y[moved] for y in data)
-    return nn, f
-
-
-# ---------------------------------------------------------------------------
 # batched tensor margin over null pairs: min over the second slot
 # e0 + m of T(e0 + n, e0 + m) is c + a.n - |Mn + a|
 
@@ -228,65 +83,27 @@ def _rows(That):
     return That[:, 0, 0], That[:, 0, 1:], That[:, 1:, 1:]
 
 
-def _pair_scan(gT, c, a, M):
-    # a one-row a @ gT takes BLAS's matrix-vector path, which rounds
-    # differently from a longer chunk; scan a lone row as two equal rows
-    if len(c) == 1:
-        return _pair_scan(gT, *(np.repeat(x, 2, axis=0) for x in (c, a, M)))[:1]
-    # W and |W|^2 summed over d in index order without FMA equal the einsum
-    # "gd,nde->nge" + np.linalg.norm scan bit for bit (np.matmul would not)
-    W = M[:, 0, :, None] * gT[0]
-    for j in range(1, len(gT)):
-        W += M[:, j, :, None] * gT[j]
-    W += a[:, :, None]
-    sq = W[:, 0] * W[:, 0]
-    for j in range(1, len(gT)):
-        sq += W[:, j] * W[:, j]
-    return c[:, None] + a @ gT - np.sqrt(sq)
-
-
 def _pair_value(n, c, a, M):
     w = np.einsum("rde,re->rd", M, n) + a
     return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
 
 
-def _pair_search(data, steps):
-    """Grid scan and Newton polish of the pair margin on rows (c, a, M):
-    the _POLISH_STARTS best grid directions per row are polished for at
-    most `steps` iterations; steps=0 keeps the grid minimum.  Returns
-    (margins, nhat)."""
-    N, d = data[1].shape
-    grid = sphere_directions(d)
-    k = min(_POLISH_STARTS, grid.shape[0])
-    start_idx, start_vals = _grid_scan(grid, data, k)
-    jbest = np.argmin(start_vals, axis=1)
-    margins = start_vals[np.arange(N), jbest]
-    nhat = grid[start_idx[np.arange(N), jbest]]
-    if d >= 2 and steps > 0:
-        rows = tuple(np.repeat(x, k, axis=0) for x in data)
-        nn, f = _newton_polish(rows, grid[start_idx.ravel()], steps)
-        best = np.arange(N) * k + np.argmin(f.reshape(N, k), axis=1)
-        better = f[best] < margins
-        margins = np.where(better, f[best], margins)
-        nhat[better] = nn[best][better]
-    return margins, nhat
-
-
-def _pair_bounds(That):
+def _pair_bounds(That, steps=NEWTON_STEPS):
     """Bounds on the pair margin of each row from one `eigh` of M.
 
     With p = (n + m)/2 and q = (n - m)/2 (p orthogonal to q, |p|^2 + |q|^2
     = 1), T(e0 + n, e0 + m) = c + 2a.p + p.Mp - q.Mq.  The diagonal pairs
     q = 0 give the upper bound ub, the null-cone quadratic at its sphere
-    minimizer nhat.  Bounding -q.Mq below by -lam_max (1 - |p|^2) gives the
-    lower bound lb, the minimum over the ball |p| <= 1 of c - lam_max + 2a.p
-    + p.(M + lam_max I)p.  That objective equals the quadratic on the
-    sphere, so lb = ub unless the ball minimum is interior, which needs
-    M + lam_max I > 0 and |(M + lam_max I)^-1 a| < 1.  A row is closed when
-    ub - lb <= _CLOSED times its scale max|That|; its margin is then the pair
-    value at nhat.  Returns (lb, ub, nhat, closed)."""
+    minimizer nhat (`_sphere_quadratic`, at most `steps` Newton steps).
+    Bounding -q.Mq below by -lam_max (1 - |p|^2) gives the lower bound lb,
+    the minimum over the ball |p| <= 1 of c - lam_max + 2a.p + p.(M +
+    lam_max I)p.  That objective equals the quadratic on the sphere, so lb =
+    ub unless the ball minimum is interior, which needs M + lam_max I > 0
+    and |(M + lam_max I)^-1 a| < 1.  A row is closed when ub - lb <= _CLOSED
+    times its scale max|That|; its margin is then the pair value at nhat.
+    Returns (lb, ub, nhat, closed)."""
     c, a, M = _rows(That)
-    lam, b, nhat, _ = _sphere_quadratic(a, M)
+    lam, b, nhat, _ = _sphere_quadratic(a, M, steps)
     ub = _quad_value(nhat, c, a, M)
     A = lam + lam[-1]
     # |b_i| < A_i for every i is needed for an interior minimum; testing it
@@ -307,21 +124,114 @@ def _partner(nhat, a, M):
     return np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
 
 
-def _search_rows(That, todo, lb, ub, margins, nhat, steps=NEWTON_STEPS):
-    """Search the rows `todo` of That into margins and nhat, which hold the
-    pair at the bounds' nhat on entry, in place.  The polish can stall short
-    of a flat hard-case minimum, so where it ends more than _SANDWICH
-    max|That| above ub that pair is kept; a margin as far below lb raises
-    SandwichError."""
-    found, fn = _pair_search(tuple(x[todo] for x in _rows(That)), steps)
-    lb, ub = lb[todo], ub[todo]
-    eps = _SANDWICH * _abs_max(That[todo])
-    keep = found > ub + eps
-    found[keep], fn[keep] = margins[todo[keep]], nhat[todo[keep]]
+def _stationary_directions(a, M):
+    """First slots n of the stationary pairs of F(n, m) = c + a.(n + m) +
+    n.Mm on the sphere pair other than the diagonal pairs, component-major
+    (d, K, N), not normalized and 0 where a family has no member: those of
+    `_eigen_directions` in M's eigenbasis as it is and with eigenvalues at
+    most _REPEATED apart taken as equal (`_deflate`).  A secular root
+    between poles that close cannot be resolved, while taking them as equal
+    moves the pair by about their gap, so each set covers the other's
+    failures.  The rows are first scaled by a power of two, which moves no
+    direction, so that no square over- or underflows."""
+    s = np.ldexp(1.0, -np.frexp(np.maximum(_abs_max(M), np.abs(a).max(axis=1)))[1])
+    M = M * s[:, None, None]
+    lam, Q = np.linalg.eigh(M)
+    lam, Q = lam.T, Q.transpose(1, 2, 0)
+    b = sum(Q * (a * s[:, None]).T[:, None])  # Q^T a, as in `_sphere_quadratic`
+    return np.concatenate([_eigen_directions(lam, Q, b),
+                           _eigen_directions(lam, *_deflate(lam, Q, b, M.transpose(1, 2, 0)))], axis=1)
+
+
+def _deflate(lam, Q, b, M):
+    """The eigenbasis (Q, b = Q^T a) with each run of eigenvalues at most
+    _REPEATED apart as one eigenspace: b turned onto its last vector and,
+    for a run of three, the other two turned to diagonalize M off b (the
+    hard-case pairs there form a circle, lowest on those axes)."""
+    Q, b = Q.copy(), b.copy()
+    d = len(b)
+    for i in range(d - 1):
+        r = np.hypot(b[i], b[i + 1])
+        turn = (lam[i + 1] - lam[i] <= _REPEATED) & (r > 0.0)
+        cs = np.where(turn, b[i + 1], 1.0) / np.where(turn, r, 1.0)
+        sn = np.where(turn, b[i], 0.0) / np.where(turn, r, 1.0)
+        Q[:, i], Q[:, i + 1] = cs * Q[:, i] - sn * Q[:, i + 1], cs * Q[:, i + 1] + sn * Q[:, i]
+        b[i], b[i + 1] = np.where(turn, 0.0, b[i]), np.where(turn, r, b[i + 1])
+    if d == 3:
+        MQ = [sum(M[:, e] * Q[e, j] for e in range(d)) for j in (0, 1)]
+        half = 0.5 * np.arctan2(2.0 * sum(Q[:, 0] * MQ[1]), sum(Q[:, 0] * MQ[0]) - sum(Q[:, 1] * MQ[1]))
+        half = np.where(np.all(lam[1:] - lam[:-1] <= _REPEATED, axis=0), half, 0.0)
+        cs, sn = np.cos(half), np.sin(half)
+        Q[:, 0], Q[:, 1] = cs * Q[:, 0] + sn * Q[:, 1], cs * Q[:, 1] - sn * Q[:, 0]
+    return Q, b
+
+
+def _quotient(x, y):
+    """x / y, and 0 where |x / y| would reach _HUGE: y is rounding residue of 0."""
+    ok = np.abs(x) < np.abs(y) * _HUGE
+    return np.where(ok, x, 0.0) / np.where(ok, y, 1.0)
+
+
+def _eigen_directions(lam, Q, b):
+    """Stationary first slots n in an eigenbasis (lam, Q, b = Q^T a) of M,
+    component-major (d, 3d, N); two families:
+    - alpha != beta.  With u = alpha beta and D_i = u - lam_i^2,
+      n_i = b_i (beta + lam_i) / D_i and m_i = b_i (alpha + lam_i) / D_i.
+      |n| = |m| gives alpha + beta = -2 sum_i b_i^2 lam_i / D_i^2 /
+      sum_i b_i^2 / D_i^2, and |n|^2 + |m|^2 = 2 then reduces to
+      sum_i b_i^2 / (lam_i^2 - u) = 1.  So u is an eigenvalue of
+      diag(lam^2) - b b^T = Q^T (M^2 - a a^T) Q, the rank-one-modified
+      secular equation (Golub 1973): d values per row, none to bracket.
+      alpha, beta are then the roots of |n|^2 = 1 (below), accurate where
+      they nearly meet; n takes the larger as beta, since the swapped pair
+      (m, n) is stationary too, with F(m, n) = F(n, m).
+    - alpha = beta = -lam_j, the hard case b_j = 0: n = p +- sqrt(1 - |p|^2)
+      q_j with p_i = -b_i / (lam_i + lam_j) off j and p_j = 0."""
+    d = len(b)
+    u = np.linalg.eigvalsh(np.eye(d) * (lam * lam).T[:, None] - b.T[:, :, None] * b.T[:, None]).T
+    w = _quotient(b[:, None], u - (lam * lam)[:, None])  # b_i / D_i: (d, roots, N)
+    # alpha, beta solve sum_i w_i^2 (t + lam_i)^2 = 1: with v = w / max|w| =
+    # w / k, beta + lam_i and alpha + lam_i are (t_i +- r) / sum v^2 for t_i =
+    # sum_j v_j^2 (lam_i - lam_j), r^2 = sum v^2 / k^2 - sum_{i<j} v_i^2 v_j^2
+    # (lam_i - lam_j)^2: no cancellation as in (alpha + beta)^2 - 4u
+    k = np.max(np.abs(w), axis=0)
+    v = w / np.where(k > 0.0, k, 1.0)
+    v2 = v * v
+    lagrange = sum(v2[i] * v2[j] * (lam[i] - lam[j]) ** 2 for i in range(d) for j in range(i))
+    r = np.sqrt(np.maximum(sum(v2) / np.maximum(k, 1.0 / _HUGE) ** 2 - lagrange, 0.0))
+    t = sum(v2[j] * (lam[:, None] - lam[j]) for j in range(d))
+    p = -_quotient(b[:, None] * ~np.eye(d, dtype=bool)[:, :, None], lam[:, None] + lam)  # p[i, j]
+    e = np.eye(d)[:, :, None] * np.sqrt(np.maximum(1.0 - sum(p * p), 0.0))
+    y = np.concatenate([v * (t + r), p + e, p - e], axis=1)
+    return sum(Q[:, j, None] * y[j] for j in range(d))  # Q y
+
+
+def _pair_min(c, a, M, nhat):
+    """(margins, nhat): the lowest pair margin of rows (c, a, M) over the
+    first slots of their stationary pairs, the diagonal pairs' nhat and
+    `_stationary_directions` (nhat in place of a missing one), each scored
+    by the exact inner minimum c + a.n - |Mn + a|, so a candidate can only
+    over-estimate.  Sums run over components, the same for every row."""
+    n = np.concatenate([nhat.T[:, None], _stationary_directions(a, M)], axis=1)
+    size = np.sqrt(sum(n * n))
+    n = np.where(size > 0.0, n / np.where(size > 0.0, size, 1.0), nhat.T[:, None])
+    aT, MT = a.T[:, None], M.transpose(1, 2, 0)[:, :, None]
+    w = aT + sum(MT[:, e] * n[e] for e in range(len(n)))
+    f = c + sum(aT * n) - np.sqrt(sum(w * w))
+    k, rows = np.argmin(f, axis=0), np.arange(len(c))
+    return f[k, rows], n[:, k, rows].T
+
+
+def _solve_rows(That, todo, lb, ub, margins, nhat):
+    """Solve the open rows `todo` of That into margins and nhat, in place, by
+    `_pair_min`; a margin more than _SANDWICH max|That| outside the row's
+    bounds raises SandwichError."""
+    found, fn = _pair_min(*(x[todo] for x in _rows(That)), nhat[todo])
+    lb, ub, eps = lb[todo], ub[todo], _SANDWICH * _abs_max(That[todo])
     out = np.flatnonzero(~((lb - eps <= found) & (found <= ub + eps)))
     if len(out):
         j = out[0]
-        raise SandwichError(f"searched pair margin {found[j]:.17g} of row {todo[j]} left "
+        raise SandwichError(f"pair margin {found[j]:.17g} of row {todo[j]} left "
                             f"its bounds [{lb[j]:.17g}, {ub[j]:.17g}]", int(todo[j]))
     margins[todo], nhat[todo] = found, fn
 
@@ -331,25 +241,19 @@ def dp2_margins(That, steps=NEWTON_STEPS):
 
     That has shape (N, n, n); returns (margins, nhat, mhat) where the
     witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
-    Bounds first: on the rows where the bounds of `_pair_bounds` meet, the
-    margin is closed form.  Only the other rows are searched: the
-    _POLISH_STARTS best grid directions per tensor are Newton-polished for
-    at most `steps` iterations and held to the row's bounds
-    (`_search_rows`).  steps=0 returns the grid minimum alone, on every row.
+    Bounds first: where the bounds of `_pair_bounds` meet, the margin is
+    closed form; the other rows take their lowest stationary pair
+    (`_pair_min`), held to the row's bounds.  `steps` caps the Newton steps
+    of the bounds' sphere quadratic (0: its start, still a true pair).
     Each row's result depends on that row alone.
     """
     That = np.asarray(That, dtype=float)
     data = _rows(That)
-    if steps == 0:
-        # contiguous copies, as `_search_rows` passes its rows: einsum's loop
-        # order (and so its rounding) can follow the operands' strides
-        margins, nhat = _pair_search(tuple(x.copy() for x in data), 0)
-    else:
-        lb, ub, nhat, closed = _pair_bounds(That)
-        margins = _pair_value(nhat, *data)[0]
-        todo = np.flatnonzero(~closed)
-        if len(todo):
-            _search_rows(That, todo, lb, ub, margins, nhat, steps)
+    lb, ub, nhat, closed = _pair_bounds(That, steps)
+    margins = _pair_value(nhat, *data)[0]
+    todo = np.flatnonzero(~closed)
+    if len(todo):
+        _solve_rows(That, todo, lb, ub, margins, nhat)
     return margins, nhat, _partner(nhat, *data[1:])
 
 
@@ -388,13 +292,14 @@ def dp1_check(point, w, tol_dp=TOL_DP, frame=None):
 
 
 def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
-    """Decide T(k, l) >= 0 over future null pairs for symmetric T."""
+    """Decide T(k, l) >= 0 over future null pairs for symmetric T: the
+    margin of `dp2_margins`, and -T's where T fails (InDPminus or NotDP)."""
     E = orthonormal_frame(point) if frame is None else frame
     n = point.metric.dim
     T = _check_sym(T, n)
     That = E.T @ T @ E
     tol = tol_dp * max(1.0, float(np.max(np.abs(That))))
-    # T and -T share the bounds.  A row is searched only where they leave
+    # T and -T share the bounds.  A row is solved only where they leave
     # it open: T's unless closed, -T's only when T fails and -T's bounds
     # straddle the band [-tol, tol].  Otherwise -T's pair value at nhat
     # lies between its bounds, on the side of the band that decides.
@@ -404,12 +309,12 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     margins = _pair_value(nhat, *data)[0]
 
     if not closed[0]:
-        _search_rows(both, np.array([0]), lb, ub, margins, nhat)
+        _solve_rows(both, np.array([0]), lb, ub, margins, nhat)
     margin = float(margins[0])
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
     if not closed[1] and lb[1] <= tol and ub[1] >= -tol:
-        _search_rows(both, np.array([1]), lb, ub, margins, nhat)
+        _solve_rows(both, np.array([1]), lb, ub, margins, nhat)
     minus_margin = float(margins[1])
     k = E @ np.concatenate([[1.0], nhat[0]])
     l = E @ np.concatenate([[1.0], _partner(nhat, *data[1:])[0]])
@@ -428,7 +333,7 @@ def _quad_value(n, c, a, M):
     return c + np.einsum("rd,rd->r", a + w, n)
 
 
-def _sphere_quadratic(a, M):
+def _sphere_quadratic(a, M, steps=NEWTON_STEPS):
     """Minimizer over unit n of 2a.n + n.Mn for stacked (a, M), in closed
     form; returns (lam, b, nhat, Q) with the eigenvalues lam of M
     (ascending), b = Q^T a and the eigenvectors Q, component-major: (d, N),
@@ -459,7 +364,7 @@ def _sphere_quadratic(a, M):
         y = -b / t
         return t, y, sum(y * y)
 
-    for _ in range(NEWTON_STEPS):
+    for _ in range(steps):
         t, y, yy = secular(s)
         grow = yy > 1.0
         q = sum(y * y / t)

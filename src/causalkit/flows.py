@@ -3,7 +3,7 @@
 A flow is a coordinate family phi_s reducing to the identity at s = 0.
 Freezing s gives an ordinary self-map, so causality along the flow is
 decided by the sampled machinery in `relate`: the parameter values share
-one sample set, one source stage and one stacked null-pair search.  The
+one sample set, one source stage and one stacked `dp2_margins` call.  The
 generator and all metric derivatives come from forward-mode duals;
 nothing here is finite-differenced.
 """
@@ -180,6 +180,8 @@ def check_submonoid(flow, s_grid, sampler, tol_dp=TOL_DP, threads=None):
     holds = [r.verdict is Verdict.HOLDS_SAMPLED for r in reports]
 
     i0 = min(range(len(grid)), key=lambda i: abs(grid[i]))
+    if reports[i0].verdict is Verdict.ERROR:  # a stage of the chart itself failed
+        raise ValueError(reports[i0].error)
     if not holds[i0]:
         raise ArithmeticError("the identity map itself failed the causality check")
     lo = i0

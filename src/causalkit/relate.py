@@ -12,8 +12,8 @@ Every relation verdict comes from one batched pipeline over a shared
 point set: a source stage (metric, signature, orientation, frames) runs
 once, a map-image stage per map (target domain, Jacobian, target metric
 and orientation) feeds the pullback through forward-mode Jacobians, and
-the frame tensors of all maps go through one vectorized null-pair search
-in `dp`.  Frames are built for the source chart only; the target is
+the frame tensors of all maps go through one vectorized `dp2_margins`
+call.  Frames are built for the source chart only; the target is
 classified on its time axis.  A check is one map, a flow scan one map per
 parameter value.  Every stage works sample by sample, so every sampled
 check runs on fixed blocks of the samples (`_blocks`), one or `threads` at
@@ -308,6 +308,7 @@ class RegionSampler:
               margin=DEFAULT_MARGIN, window=None, inf_window=INF_WINDOW):
         if count < 1:
             raise ValueError(f"sample count must be at least 1, got {count}")
+        margin = _nonnegative(margin, "margin")
         window = dict(window or {})
         stray = set(window) - set(spacetime.coords)
         if stray:
@@ -472,7 +473,7 @@ def _require(ok, what, exc=ValueError, tail=lambda i: ""):
 
 def _locate(e, x, start):
     """e, if it has an `index` into the block x (None: a constant sub-expression,
-    so 0; a stacked search's row wraps around x), naming it over the batch from `start`."""
+    so 0; a stacked `dp2_margins` row wraps around x), naming it over the batch from `start`."""
     if hasattr(e, "index"):
         i = (e.index or 0) % len(x)
         e.args = (f"{getattr(e, 'reason', e)} {_at_sample(x, i, start)}{getattr(e, 'tail', '')}",)
@@ -486,6 +487,14 @@ def _thread_count(threads, source="threads"):
     if not str(threads).strip().lstrip("+").isdecimal() or int(threads) < 1:
         raise ValueError(f"{source} must be an integer of at least 1, got {threads!r}")
     return int(threads)
+
+
+def _nonnegative(value, source):
+    """value as a float, finite and at least 0."""
+    value = float(value)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{source} must be a finite number of at least 0, got {value!r}")
+    return value
 
 
 def _blocks(fn, pts, threads):
@@ -520,7 +529,7 @@ def _conformal(lambdas):
 # ---------------------------------------------------------------------------
 # the stages: the only code that validates a chart or a map at points.
 # The source stage runs once per sample set, the map-image stage per map,
-# and the frame tensors of all maps go through one search
+# and the frame tensors of all maps go through one `dp2_margins` call
 
 
 def _sample(source, sampler):
@@ -639,7 +648,7 @@ def _stages(maps, x, start, tol_dp):
     """Per map, the block x (from sample `start`) reduced to its margins,
     orientation signs, conformal factors and witnesses, or its located error:
     every map's at the source stage, that map's alone at its map stage, every
-    searched map's at the search, whose one stacked batch gives each row as alone."""
+    staged map's at `dp2_margins`, whose one stacked batch gives each row as alone."""
     try:
         G, fut, E = _source_stage(maps[0].source, x)
     except (ArithmeticError, ValueError) as e:
@@ -726,7 +735,7 @@ def canonical_null_directions(mapdef, x):
 
 def check_conformal(mapdef, sampler):
     """Per-sample conformal factor of the pullback, with overall flag."""
-    lambdas = _blocks(lambda x, _: conformal_lambdas(_source_stage(mapdef.source, x)[0],
+    lambdas = _blocks(lambda x, _: conformal_lambdas(_chart_check(mapdef.source, "source", x)[0],
                                                      _pullback(*_image_stage(mapdef, x)[:2])),
                       _sample(mapdef.source, sampler), None)
     return _conformal(np.concatenate(lambdas))

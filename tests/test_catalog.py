@@ -24,6 +24,8 @@ import causalkit.dp as dp
 import causalkit.relate as relate
 from causalkit.relate import RegionSampler, Verdict
 
+from oracles import pair_search
+
 FRW_MAP = """\
 source = frw_flat
 target = minkowski
@@ -101,6 +103,11 @@ class TestScenarioList:
         with pytest.raises(ValueError, match="does not take parameters"):
             run_scenario("desitter_to_einstein", samples=64,
                          params={"speed": 3.0})
+
+    @pytest.mark.parametrize("tol_dp", [-1e-3, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol_dp):
+        with pytest.raises(ValueError, match="tol_dp must be a finite number of at least 0"):
+            run_scenario("desitter_to_einstein", samples=16, tol_dp=tol_dp)
 
     def test_map_file_only_for_frw(self):
         with pytest.raises(ValueError, match="does not take a map file"):
@@ -272,8 +279,8 @@ class TestVaidyaScenario:
 
 class TestClosedFormRows:
     """Every packaged scenario's frame tensors lie where the DP+ bounds
-    meet, so no row is searched, and the closed-form margins agree with
-    the grid+Newton search."""
+    meet, so no row is left open, and the closed-form margins agree with
+    the grid+Newton reference search."""
 
     RUNS = [
         ("desitter_to_einstein", {"b": 0.95}, None),
@@ -306,7 +313,7 @@ class TestClosedFormRows:
         That = np.concatenate(captured)
         assert np.all(dp._pair_bounds(That)[3])
         margins = dp.dp2_margins(That)[0]
-        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
+        searched = pair_search(That)[0]
         scale = np.abs(That).max(axis=(1, 2))
         assert np.all(np.abs(margins - searched) <= 1e-14 * scale)
 

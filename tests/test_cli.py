@@ -213,6 +213,17 @@ class TestCheck:
                             "--samples", "16", "--threads", value], capsys)
         assert (rc, out, err) == (2, "", message + "\n")
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1e-3"), ("--tol", "nan"), ("--tol", "inf"),
+                                            ("--margin", "-0.5"), ("--margin", "inf")])
+    def test_tolerance_and_margin_must_be_finite_and_nonnegative(self, capsys, flag, value):
+        # below 0 they reported VIOLATED or a sampler error, inf made any
+        # map hold, nan reported witnesses
+        rc, out, err = run(["scenario", "desitter_to_einstein", "--samples", "16",
+                            f"{flag}={value}"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == (f"input error: {flag} must be a finite number of at least 0, "
+                       f"got {float(value)!r}\n")
+
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", ""])
     @pytest.mark.parametrize("argv", [
         lambda f: ["check", f["mink.st"], f["mink.st"], f["identity.cm"]],
@@ -382,6 +393,20 @@ class TestFlow:
         assert rc == 0
         assert out.count("HOLDS_SAMPLED") == 5
 
+    def test_bad_chart_exits_2(self, tmp_path, capsys):
+        # g_tt = x loses the signature at x = 0, so s = 0 reports ERROR
+        chart = tmp_path / "bad.st"
+        chart.write_text("name = bad\ndim = 2\ncoords = [t, x]\ndomain t = (-1, 1)\n"
+                         "domain x = (-1, 1)\nmetric[0][0] = x\nmetric[1][1] = -1\n"
+                         "orientation = [1, 0]\n", encoding="utf-8")
+        flow = tmp_path / "bad.fl"
+        flow.write_text("source = bad\ntarget = bad\nflow_param = s\ns_range = (-1, 1)\n"
+                        "map t = t + s\nmap x = x\n", encoding="utf-8")
+        rc, out, err = run(["flow", str(chart), str(flow), "--samples", "64"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("input error: source metric loses Lorentzian signature at sample 0, "
+                       "x = [0.0, 0.0]\n")
+
     def test_map_file_is_not_a_flow(self, files, capsys):
         rc, _, err = run(["flow", files["mink.st"], files["identity.cm"]],
                          capsys)
@@ -507,17 +532,17 @@ class TestDispatch:
         assert "internal error" in err
 
     def test_search_outside_bounds_exits_3(self, files, tmp_path, capsys, monkeypatch):
-        # a searched margin below its closed-form lower bound is an internal
+        # an open row's margin below its closed-form lower bound is an internal
         # fault, not bad input, and names the sample
         import causalkit.dp as dp
 
-        search = dp._pair_search
+        solve = dp._pair_min
 
-        def off(data, steps):
-            margins, nhat = search(data, steps)
+        def off(*rows):
+            margins, nhat = solve(*rows)
             return margins - 1e6, nhat
 
-        monkeypatch.setattr(dp, "_pair_search", off)
+        monkeypatch.setattr(dp, "_pair_min", off)
         shear = tmp_path / "shear.cm"
         shear.write_text(IDENTITY.replace("map t = t", "map t = t + x*x"), encoding="utf-8")
         rc, _, err = run(["check", files["mink.st"], files["mink.st"], str(shear),

@@ -14,12 +14,11 @@ from causalkit.dp import (
     dp_zero_test,
     null_eigenvectors,
     null_quadratic_margins,
-    sphere_directions,
 )
 from causalkit.lorentz import CausalClass, OrientedPoint, causal_character, validate_metric
 from causalkit.relate import MapDef, RegionSampler, check_conformal
 
-from oracles import pair_min_oracle
+from oracles import pair_min_oracle, pair_search
 
 ETA4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -34,21 +33,6 @@ def mink_point(dim=4):
 def null_square(k):
     kb = ETA4 @ k
     return np.outer(kb, kb)
-
-
-class TestSphereDirections:
-    def test_sizes(self):
-        assert sphere_directions(1).shape == (2, 1)
-        assert sphere_directions(2).shape == (720, 2)
-        assert sphere_directions(3).shape == (642, 3)
-
-    def test_unit_norm(self):
-        g = sphere_directions(3)
-        assert np.allclose(np.linalg.norm(g, axis=1), 1.0, atol=1e-14)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            sphere_directions(4)
 
 
 class TestDP1:
@@ -111,15 +95,15 @@ class TestDP2:
         assert v.margin == pytest.approx(-4.0, abs=1e-9)
 
     def test_one_search_per_check(self, monkeypatch):
-        # a check searches only the rows its bounds leave open
+        # a check solves only the rows its bounds leave open
         calls = []
-        search = dp._pair_search
+        solve = dp._pair_min
 
-        def counting(data, steps):
-            calls.append(len(data[0]))
-            return search(data, steps)
+        def counting(c, a, M, nhat):
+            calls.append(len(c))
+            return solve(c, a, M, nhat)
 
-        monkeypatch.setattr(dp, "_pair_search", counting)
+        monkeypatch.setattr(dp, "_pair_min", counting)
         cases = [
             # T's bounds leave it open; -T's meet
             (np.diag([1.0, 2.0, 2.0, 2.0]), DPStatus.NOT_DP, False, [1]),
@@ -208,15 +192,6 @@ class TestDP2:
             assert margins[i] == pytest.approx(float(mi[0]), abs=1e-12)
 
 
-def _whole_batch_scan(grid, data, k):
-    """The pair grid scan as one (N, G, d) einsum, the reference for the chunked scan."""
-    c, a, M = data
-    W = np.einsum("gd,nde->nge", grid, M) + a[:, None, :]
-    vals = c[:, None] + a @ grid.T - np.linalg.norm(W, axis=2)
-    start_idx = np.argpartition(vals, k - 1, axis=1)[:, :k]
-    return start_idx, np.take_along_axis(vals, start_idx, 1)
-
-
 def _scan_tensors(kind, n, N, seed):
     rng = np.random.default_rng(seed)
     if kind == "symmetric":
@@ -242,26 +217,14 @@ def _scan_tensors(kind, n, N, seed):
     return T
 
 
-class TestPairGridScan:
-    """The chunked grid scan is bit-identical to the whole-batch einsum scan."""
-
-    @pytest.mark.parametrize("N", [1, 63, 64, 65, 1000])
-    @pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3), ("symmetric", 4),
-                                        ("causal_squares", 4), ("de_sitter", 4)])
-    def test_matches_whole_batch_scan(self, monkeypatch, kind, n, N):
-        That = _scan_tensors(kind, n, N, seed=1000 * n + N)
-        for steps in (0, dp.NEWTON_STEPS):
-            got = dp2_margins(That, steps=steps)
-            with monkeypatch.context() as m:
-                m.setattr(dp, "_grid_scan", _whole_batch_scan)
-                want = dp2_margins(That, steps=steps)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+class TestMemory:
+    """A batch of open rows needs no temporary of the batch times a grid."""
 
     @pytest.mark.parametrize("search", [lambda T: dp2_margins(T, steps=0), null_quadratic_margins],
                              ids=["dp2_margins", "null_quadratic_margins"])
     def test_memory_bounded(self, search):
-        # a single whole-batch (N, 642) float array at this N is 84 MB
+        # a single whole-batch (N, 642) float array at this N is 84 MB; an
+        # open row's 19 candidate directions take 57 doubles
         rng = np.random.default_rng(5)
         A = rng.normal(size=(16384, 4, 4))
         That = 0.5 * (A + np.transpose(A, (0, 2, 1)))
@@ -275,14 +238,14 @@ class TestPairGridScan:
 
 
 class TestRowIndependence:
-    """A row's search result depends on that row alone, not on the batch
-    around it; the Newton polish drops finished rows from its batch on
-    this basis, and a flow's parameter values share one stacked search on
-    it.  Both searches are also checked row by row: a one-row grid-scan
-    chunk is scanned as two equal rows, because BLAS's matrix-vector
-    product for `a @ gT` rounds differently in the last bit."""
+    """A row's result depends on that row alone, not on the batch around
+    it: a flow's parameter values share one stacked solve on this basis,
+    and a check's sample blocks can be cut anywhere.  The open rows' sums
+    run over components, never over rows."""
 
     SEARCHES = {
+        # steps=0: the sphere quadratic at its Newton start (the id keeps
+        # its old name)
         "dp2_margins_grid": lambda T: dp2_margins(T, steps=0),
         "dp2_margins": lambda T: dp2_margins(T, steps=dp.NEWTON_STEPS),
         "null_quadratic_margins": null_quadratic_margins,
@@ -320,36 +283,11 @@ class TestRowIndependence:
             for g, s in zip(got, dp2_margins(That[i:i + 1], steps=steps)):
                 assert np.array_equal(g[i], s[0])
 
-    # the id keeps naming the objective: the pair search is the polish's only one
-    @pytest.mark.parametrize("objective", ["pair"])
-    @pytest.mark.parametrize("kind,n", KINDS)
-    def test_polish_beside_finished_row(self, kind, n, objective):
-        # a constant objective (T = diag(1, 0, ..., 0)) has no gradient, so
-        # that row is finished at once and the other row goes on as the only
-        # moving one; it must end exactly as it does in the full batch
-        That = _scan_tensors(kind, n, 40, seed=91 * n)
-        flat = np.zeros((n, n))
-        flat[0, 0] = 1.0
-        grid = sphere_directions(n - 1)
-        starts = grid[np.random.default_rng(n).integers(len(grid), size=len(That))]
-
-        def split(T):
-            # contiguous rows, as dp2_margins passes them: einsum's loop order
-            # (and so its rounding) can follow the operands' strides
-            return tuple(np.ascontiguousarray(x) for x in (T[:, 0, 0], T[:, 0, 1:], T[:, 1:, 1:]))
-
-        nn, f = dp._newton_polish(split(That), starts.copy(), dp.NEWTON_STEPS)
-        for i in range(len(That)):
-            pair = np.stack([That[i], flat])
-            ni, fi = dp._newton_polish(split(pair), starts[[i, i]], dp.NEWTON_STEPS)
-            assert np.array_equal(nn[i], ni[0]) and f[i] == fi[0]
-            assert np.array_equal(ni[1], starts[i]) and fi[1] == 1.0
-
-
 class TestBoundsFirst:
     """Rows whose DP+ bounds meet take the closed form; elsewhere the
-    margin is the grid+Newton search's, and the check's status is the
-    full two-row search's."""
+    margin is the lowest stationary pair's, never above the grid+Newton
+    reference search's, and the check's status is the full two-row
+    search's."""
 
     KINDS = TestRowIndependence.KINDS
 
@@ -358,16 +296,18 @@ class TestBoundsFirst:
         That = _scan_tensors(kind, n, 2000, seed=97 * n)
         margins, nhat, mhat = dp2_margins(That)
         closed = dp._pair_bounds(That)[3]
-        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
+        searched = pair_search(That)[0]
         scale = np.abs(That).max(axis=(1, 2))
         assert np.any(closed)
         assert np.all(np.abs(margins - searched)[closed] <= 1e-14 * scale[closed])
-        assert np.array_equal(margins[~closed], searched[~closed])
-        # the closed witness pair attains the margin
+        assert np.all((margins - searched)[~closed] <= 1e-13 * scale[~closed])
+        # the witness pair attains the margin
         c, a, M = dp._rows(That)
         pair = (c + np.einsum("nd,nd->n", a, nhat + mhat)
                 + np.einsum("nd,nde,ne->n", nhat, M, mhat))
         assert np.all(np.abs(pair - margins)[closed] <= 1e-14 * scale[closed])
+        assert np.all(np.abs(pair - margins) <= 1e-13 * scale)
+        assert np.allclose(np.linalg.norm(nhat, axis=1), 1.0, atol=1e-15)
         assert np.allclose(np.linalg.norm(mhat, axis=1), 1.0, atol=1e-15)
 
     def test_closed_exactly_when_ball_minimum_on_sphere(self):
@@ -392,7 +332,7 @@ class TestBoundsFirst:
 
     @staticmethod
     def _full_search_verdict(T, tol_dp=dp.TOL_DP):
-        m = dp._pair_search(dp._rows(np.stack([T, -T])), dp.NEWTON_STEPS)[0]
+        m = pair_search(np.stack([T, -T]))[0]
         tol = tol_dp * max(1.0, float(np.abs(T).max()))
         if m[0] >= -tol:
             return DPStatus.IN_DP_PLUS, bool(abs(m[0]) <= tol)
@@ -420,15 +360,15 @@ class TestBoundsFirst:
 
     @staticmethod
     def _search_off_by(monkeypatch, shift):
-        """Moves every searched margin by `shift`; returns tensors whose two
-        metric rows close and whose sums of causal squares stay open."""
-        search = dp._pair_search
+        """Moves every open row's margin by `shift`; returns tensors whose
+        two metric rows close and whose sums of causal squares stay open."""
+        solve = dp._pair_min
 
-        def off(data, steps):
-            margins, nhat = search(data, steps)
+        def off(*rows):
+            margins, nhat = solve(*rows)
             return margins + shift, nhat
 
-        monkeypatch.setattr(dp, "_pair_search", off)
+        monkeypatch.setattr(dp, "_pair_min", off)
         return np.concatenate([[ETA4, 2.0 * ETA4], _scan_tensors("causal_squares", 4, 8, seed=102)])
 
     def test_search_below_lower_bound_raises(self, monkeypatch):
@@ -439,28 +379,128 @@ class TestBoundsFirst:
             dp2_margins(That)
         assert err.value.index == 2
         assert not isinstance(err.value, (ValueError, ArithmeticError))
-        # the grid-only pass has no bounds to check against
-        dp2_margins(That, steps=0)
+        # whatever the Newton cap of the bounds
+        with pytest.raises(dp.SandwichError, match="row 2 left its bounds"):
+            dp2_margins(That, steps=0)
 
-    def test_search_above_upper_bound_keeps_the_bounds_pair(self, monkeypatch):
+    def test_search_above_upper_bound_raises(self, monkeypatch):
+        # the bounds' diagonal pair is one of the candidates, so an open
+        # row's margin above its upper bound is a fault too
         That = self._search_off_by(monkeypatch, 1e6)
-        lb, ub, nhat, _ = dp._pair_bounds(That)
-        margins, got, _ = dp2_margins(That)
-        assert np.array_equal(got, nhat)
-        assert np.array_equal(margins, dp._pair_value(nhat, *dp._rows(That))[0])
-        assert np.all((lb <= margins) & (margins <= ub))
+        with pytest.raises(dp.SandwichError, match="row 2 left its bounds") as err:
+            dp2_margins(That)
+        assert err.value.index == 2
 
-    def test_stalled_search_keeps_the_bounds_pair(self):
-        # on a hard case with a lowest eigenspace of dimension 2 the polish
-        # can stall short of the flat minimum; the margin never exceeds the
-        # upper bound, a pair the bounds attain
+    def test_hard_case_margin_at_most_upper_bound(self):
+        # on a hard case with a lowest eigenspace of dimension 2 the
+        # reference search's polish can stall short of the flat minimum; the
+        # margin never exceeds the upper bound, a pair the bounds attain, nor
+        # the search, and equals the search wherever that ends within them
         That = _known_quadratics("hard_inside", 4, 2000, seed=15)[0]
         lb, ub, _, closed = dp._pair_bounds(That)
         eps = 1e-12 * np.abs(That).max(axis=(1, 2))
-        searched = dp._pair_search(dp._rows(That), dp.NEWTON_STEPS)[0]
-        assert np.any((searched > ub + eps) & ~closed)
+        searched = pair_search(That)[0]
+        stalled = searched > ub + eps
+        assert np.any(stalled & ~closed)
         margins = dp2_margins(That)[0]
         assert np.all((lb - eps <= margins) & (margins <= ub + eps))
+        assert np.all(margins <= searched + 0.1 * eps)
+        assert np.all(np.abs(margins - searched)[~stalled] <= eps[~stalled])
+
+    @pytest.mark.parametrize("kind,n", KINDS)
+    def test_newton_cap_zero_stays_a_pair_margin(self, kind, n):
+        # steps=0 leaves the sphere quadratic at its Newton start: its pair
+        # is still a true pair, so the margin is finite, within the bounds
+        # and never below the converged margin, and above it where the
+        # minimum is a diagonal pair the start misses (not for d = 1, whose
+        # start is exact, nor on de Sitter, whose quadratic is constant)
+        That = _scan_tensors(kind, n, 500, seed=103 * n)
+        lb, _, _, _ = dp._pair_bounds(That)
+        margins = dp2_margins(That)[0]
+        capped = dp2_margins(That, steps=0)[0]
+        eps = 1e-12 * np.abs(That).max(axis=(1, 2))
+        assert np.all(np.isfinite(capped))
+        assert np.all((capped >= margins - eps) & (capped >= lb - eps))
+        assert np.any(capped > margins + eps) == (n > 2 and kind != "de_sitter")
+
+
+def _frame_tensors(lam, b, c, rng):
+    """Frame tensors with spatial eigenvalues lam and a = Q b in a random
+    eigenbasis Q, one per row of lam and b."""
+    N, d = lam.shape
+    Q = np.linalg.qr(rng.normal(size=(N, d, d)))[0]
+    M = np.einsum("nij,nj,nkj->nik", Q, lam, Q)
+    That = np.zeros((N, d + 1, d + 1))
+    That[:, 0, 0] = c
+    That[:, 0, 1:] = That[:, 1:, 0] = np.einsum("nij,nj->ni", Q, b)
+    That[:, 1:, 1:] = 0.5 * (M + np.transpose(M, (0, 2, 1)))
+    return That
+
+
+def _hard_configurations(d, seed):
+    """Spectra with repeated, opposite and zero eigenvalues (and two
+    generic ones), each with b_j = 0 on every subset of j, at three
+    amplitudes of b, three random eigenbases each."""
+    rng = np.random.default_rng(seed)
+    spectra = [np.sort(rng.uniform(-2.0, 2.0, d)) for _ in range(2)]
+    spectra += [np.ones(d), -np.ones(d), np.zeros(d), np.r_[np.zeros(d - 1), 1.0],
+                np.array([1.0, -1.0, 0.5])[:d], np.array([0.7, 0.7, -0.3])[:d]]
+    if d == 3:
+        spectra += [np.array([0.5, -0.5, 0.5]), np.array([0.0, 1.0, -1.0])]
+    rows = [(lam, rng.normal(size=d) * mask * amp)
+            for lam in spectra
+            for mask in np.ndindex(*(2,) * d)
+            for amp in (0.3, 1.0, 3.0)
+            for _ in range(3)]
+    lam, b = (np.array(x) for x in zip(*rows))
+    return _frame_tensors(lam, b, rng.normal(size=len(lam)), rng)
+
+
+def _near_repeated(d, gap, seed, N=300):
+    """Spectra whose lowest two (for d = 3 at random all three) eigenvalues
+    lie within `gap` of each other, b generic or with its last component 0."""
+    rng = np.random.default_rng(seed)
+    lam = np.repeat(rng.uniform(-2.0, 2.0, (N, 1)), d, axis=1)
+    lam[:, 1:] += gap * rng.uniform(0.0, 1.0, (N, d - 1))
+    if d == 3:
+        far = rng.uniform(size=N) < 0.5
+        lam[far, 2] = rng.uniform(-2.0, 2.0, far.sum())
+    b = rng.normal(size=(N, d)) * rng.choice([0.1, 1.0, 3.0], size=(N, 1))
+    b[rng.uniform(size=N) < 0.3, -1] = 0.0
+    return _frame_tensors(np.sort(lam, axis=1), b, rng.normal(size=N), rng)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRowSolver:
+    """The open rows' stationary pairs against the grid+Newton reference
+    search: never above it by more than rounding, and within the bounds."""
+
+    @staticmethod
+    def assert_solved(That):
+        margins = dp2_margins(That)[0]
+        lb, ub, _, closed = dp._pair_bounds(That)
+        scale = np.maximum(1.0, np.abs(That).max(axis=(1, 2)))
+        assert not np.all(closed)
+        assert np.all((margins - pair_search(That)[0]) <= 1e-13 * scale)
+        assert np.all((lb - 1e-12 * scale <= margins) & (margins <= ub + 1e-12 * scale))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hard_configurations(self, d):
+        self.assert_solved(_hard_configurations(d, seed=110 + d))
+
+    @pytest.mark.parametrize("gap", [1e-15, 1e-13, 1e-11, 1e-9, 3e-9, 2e-8, 1e-7, 1e-5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_near_repeated_eigenvalues(self, d, gap):
+        # a secular root between poles this close is not resolved in the
+        # eigenbasis, and taking the poles as one moves the pair by the gap
+        self.assert_solved(_near_repeated(d, gap, seed=120 + d))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_free(self, scale):
+        That = _hard_configurations(3, seed=130)
+        margins = dp2_margins(That)[0]
+        assert np.all(np.abs(dp2_margins(scale * That)[0] / scale - margins)
+                      <= 1e-14 * np.abs(That).max(axis=(1, 2)))
 
 
 class TestPairMinOracle:

@@ -234,6 +234,34 @@ class TestCheckSubmonoid:
         assert all(s.verdict is Verdict.HOLDS_SAMPLED for s in rep.steps)
         assert rep.samples_checked == 128
 
+    def test_bad_chart_is_an_input_error(self):
+        # g_tt = x loses the signature at x = 0: the identity at s = 0 fails
+        # the chart's stage, and that located error is raised as bad input
+        st = SpacetimeDef.create(
+            name="bad", coords=("t", "x"), domain={"t": (-1.0, 1.0), "x": (-1.0, 1.0)},
+            params={}, metric={(0, 0): "x", (1, 1): "-1"}, orientation=("1", "0"))
+        fl = FlowDef.create(st, "s", {"t": "t + s", "x": "x"}, (-1.0, 1.0))
+        with pytest.raises(ValueError) as err:
+            check_submonoid(fl, [-0.5, 0.5], RegionSampler.build(st, count=64))
+        assert str(err.value) == ("source metric loses Lorentzian signature at sample 0, "
+                                  "x = [0.0, 0.0]")
+
+    @pytest.mark.parametrize("verdict", [Verdict.VIOLATED, Verdict.TIME_REVERSED])
+    def test_failing_identity_is_an_internal_fault(self, monkeypatch, verdict):
+        from causalkit import flows
+
+        check = flows._check_relations
+
+        def identity_fails(maps, *args):
+            reports = check(maps, *args)
+            return [r if i != 1 else relate.RelationReport(verdict, r.samples_checked, -1.0, (), None)
+                    for i, r in enumerate(reports)]
+
+        monkeypatch.setattr(flows, "_check_relations", identity_fails)
+        st = mink4()
+        with pytest.raises(ArithmeticError, match="identity map itself failed"):
+            check_submonoid(translation_flow(st), [-1.0, 1.0], RegionSampler.build(st, count=16))
+
     def test_zero_inserted_into_grid(self):
         st = mink4()
         rep = check_submonoid(translation_flow(st), [-1.0, 1.0],

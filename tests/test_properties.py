@@ -14,6 +14,8 @@ from causalkit.exprcore import (
 from causalkit.lorentz import CausalClass, OrientedPoint, causal_character, validate_metric
 from causalkit.relate import MapDef, RegionSampler, Verdict, check_proper_causal, compose_maps
 
+from oracles import pair_min_oracle, pair_search
+
 ETA4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # derandomized examples, no example database
@@ -41,6 +43,28 @@ def dp_plus_tensors(draw, n=4):
 def symmetric_tensors(draw, n=4):
     A = np.array(draw(st.lists(_unit, min_size=n * n, max_size=n * n))).reshape(n, n)
     return A + A.T
+
+
+@st.composite
+def hard_pair_rows(draw):
+    """Frame tensors of spatial dimension d = 1, 2, 3 whose spectrum has
+    repeated, opposite or zero eigenvalues and whose linear part b = Q^T a
+    vanishes on a drawn subset of the eigenvectors, at three amplitudes."""
+    d = draw(st.integers(1, 3))
+    pool = draw(st.sampled_from([(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (0.0, 0.0, 1.0),
+                                 (1.0, -1.0, 0.5), (0.7, 0.7, -0.3), (0.5, -0.5, 0.5)]))
+    lam = np.array(pool[:d]) * draw(st.sampled_from((0.5, 1.0, 2.0)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    b = np.array(draw(st.lists(_unit, min_size=d, max_size=d))) * mask
+    b *= draw(st.sampled_from((0.3, 1.0, 3.0)))
+    Q = np.linalg.qr(np.array(draw(st.lists(_unit, min_size=d * d, max_size=d * d))).reshape(d, d)
+                     + 2.0 * np.eye(d))[0]
+    M = Q @ np.diag(lam) @ Q.T
+    T = np.zeros((d + 1, d + 1))
+    T[0, 0] = draw(_unit)
+    T[0, 1:] = T[1:, 0] = Q @ b
+    T[1:, 1:] = 0.5 * (M + M.T)
+    return T
 
 
 def _boost(rapidity, theta, phi):
@@ -137,11 +161,26 @@ class TestProperties:
     @PROPERTY
     @given(st.one_of(symmetric_tensors(), dp_plus_tensors(), dp_plus_tensors().map(lambda T: -T)))
     def test_search_between_bounds(self, T):
-        # LB <= grid+Newton margin <= UB: the bounds share no code with the search
+        # LB <= grid+Newton margin <= UB: the bounds share no code with the
+        # reference search
         lb, ub, _, _ = dp._pair_bounds(T[None])
-        m = dp._pair_search(dp._rows(T[None]), dp.NEWTON_STEPS)[0]
+        m = pair_search(T[None])[0]
         eps = 1e-12 * np.abs(T).max()
         assert lb[0] - eps <= m[0] <= ub[0] + eps
+
+    @PROPERTY
+    @given(hard_pair_rows())
+    def test_row_solver_on_hard_configurations(self, T):
+        # the margin of an open row lies within its bounds, never above the
+        # reference search, and at the enumeration oracle, which overshoots
+        # the minimum by at most 1e-6
+        lb, ub, _, closed = dp._pair_bounds(T[None])
+        m = dp2_margins(T[None])[0][0]
+        scale = max(1.0, np.abs(T).max())
+        assert lb[0] - 1e-12 * scale <= m <= ub[0] + 1e-12 * scale
+        assert m <= pair_search(T[None])[0][0] + 1e-13 * scale
+        ref = pair_min_oracle(T)
+        assert ref - 1e-6 * scale <= m <= ref + 1e-12 * scale
 
     @PROPERTY
     @given(lorentz_transforms(), lorentz_transforms(), st.floats(0.3, np.pi), st.floats(0.2, 2.0))

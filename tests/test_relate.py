@@ -347,6 +347,11 @@ class TestRegionSampler:
         assert np.all(pts[:, 3] >= 1e-3 - 1e-12)
         assert np.all(pts[:, 3] <= 2 * PI - 1e-3 + 1e-12)
 
+    @pytest.mark.parametrize("margin", [-0.5, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_nonnegative(self, margin):
+        with pytest.raises(ValueError, match="margin must be a finite number of at least 0"):
+            RegionSampler.build(schwarzschild(c=3.0), count=16, margin=margin)
+
     def test_no_margin_at_interior_window(self):
         st = schwarzschild(c=3.0)
         samp = RegionSampler.build(st, count=64, window={"r": (4.0, 5.0)})
@@ -465,14 +470,14 @@ class TestPullbackMetric:
 class TestCheckProperCausal:
     def test_search_outside_bounds_names_the_sample(self, monkeypatch):
         # the identity's rows all close; t -> t + x^2 leaves rows open from
-        # sample 1 on, so its first breach is row N + 1 of the stacked search
-        search = dp._pair_search
+        # sample 1 on, so its first breach is row N + 1 of the stacked solve
+        solve = dp._pair_min
 
-        def off(data, steps):
-            margins, nhat = search(data, steps)
+        def off(*rows):
+            margins, nhat = solve(*rows)
             return margins - 1e6, nhat
 
-        monkeypatch.setattr(dp, "_pair_search", off)
+        monkeypatch.setattr(dp, "_pair_min", off)
         st = mink4()
         maps = [MapDef.create(st, st, {"t": "t", "x": "x", "y": "y", "z": "z"}, {}),
                 MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
@@ -645,7 +650,7 @@ class TestCheckProperCausal:
                 params={}, metric={(0, 0): g00, (1, 1): g11}, orientation=("1", "0"))
         return chart("tiny", "t^40", "-(t^40)"), chart("flat2", "1", "-1")
 
-    @pytest.mark.parametrize("side,entry", [("source", e) for e in SAMPLED_ENTRIES]
+    @pytest.mark.parametrize("side,entry", [("source", e) for e in SAMPLED_ENTRIES if e != "conformal"]
                              + [("target", "check"), ("target", "curve")])
     def test_degenerate_time_axis_names_the_sample(self, side, entry):
         tiny, flat = self._tiny_and_flat()
@@ -657,6 +662,18 @@ class TestCheckProperCausal:
         error, at = first_error(entry, st, MapDef.create(st, tgt, {"t": "t", "x": "x"}, {}),
                                 sampler)
         assert error == f"timelike normalization below 1e-13 at sample {i}, x = {at[i].tolist()}"
+
+    def test_conformal_factors_need_no_source_frame(self):
+        # the conformal check builds no frame, so a source chart whose only
+        # fault is its time axis still gets its factors: t^40 (1, -1) pulls
+        # back from the flat chart with lambda = t^-40
+        tiny, flat = self._tiny_and_flat()
+        sampler = RegionSampler.build(tiny, count=32)
+        t = sampler.points()[:, 0]
+        assert np.any(2.0 * t ** 20 < 1e-13)
+        rep = check_conformal(MapDef.create(tiny, flat, {"t": "t", "x": "x"}, {}), sampler)
+        assert rep.everywhere
+        assert np.allclose(rep.lambdas, t ** -40.0, rtol=1e-12)
 
     @pytest.mark.parametrize("side", ["source", "target"])
     def test_degenerate_time_axis_at_one_point(self, side):
@@ -1122,7 +1139,7 @@ class TestThreads:
     @pytest.mark.parametrize("count", [2, 5, 1021, 2048])
     def test_searched_rows_equal_one_thread(self, many_cores, monkeypatch, count):
         # t -> t + x^2 leaves the bounds open from sample 1 on, so its rows
-        # are searched: grid scan and Newton polish on each block's rows
+        # are solved: the stationary pairs of each block's open rows
         st = mink4()
         maps = [MapDef.create(st, st, {"t": "t", "x": "x", "y": "y", "z": "z"}, {}),
                 MapDef.create(st, st, {"t": "t + x*x", "x": "x", "y": "y", "z": "z"}, {})]
@@ -1351,7 +1368,7 @@ class TestThreads:
         def fail_at_marker(That):
             hit = np.flatnonzero(np.all(That == marker, axis=(1, 2)))
             if len(hit):
-                raise dp.SandwichError(f"searched pair margin of row {hit[0]} left its bounds",
+                raise dp.SandwichError(f"pair margin of row {hit[0]} left its bounds",
                                        int(hit[0]))
             return search(That)
 
