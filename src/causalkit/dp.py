@@ -83,6 +83,15 @@ def _rows(That):
     return That[:, 0, 0], That[:, 0, 1:], That[:, 1:, 1:]
 
 
+def _unit_rows(That):
+    """(That 2^-e, e): each row scaled by a power of two to max|That| in [0.5,
+    1), rows of zeros or with a non-finite entry as they are.  The scaling is
+    exact, so np.ldexp(margin, e) is the row's margin, and no square of the
+    solvers over- or underflows on merely large or small tensors."""
+    e = np.frexp(_abs_max(That))[1]
+    return np.ldexp(That, -e[:, None, None]), e
+
+
 def _pair_value(n, c, a, M):
     w = np.einsum("rde,re->rd", M, n) + a
     return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
@@ -222,17 +231,18 @@ def _pair_min(c, a, M, nhat):
     return f[k, rows], n[:, k, rows].T
 
 
-def _solve_rows(That, todo, lb, ub, margins, nhat):
-    """Solve the open rows `todo` of That into margins and nhat, in place, by
-    `_pair_min`; a margin more than _SANDWICH max|That| outside the row's
-    bounds raises SandwichError."""
+def _solve_rows(That, todo, lb, ub, margins, nhat, e):
+    """Solve the open rows `todo` of That (scaled by `_unit_rows`, exponents e)
+    into margins and nhat, in place, by `_pair_min`; a margin more than
+    _SANDWICH max|That| outside the row's bounds raises SandwichError."""
     found, fn = _pair_min(*(x[todo] for x in _rows(That)), nhat[todo])
     lb, ub, eps = lb[todo], ub[todo], _SANDWICH * _abs_max(That[todo])
     out = np.flatnonzero(~((lb - eps <= found) & (found <= ub + eps)))
     if len(out):
         j = out[0]
-        raise SandwichError(f"pair margin {found[j]:.17g} of row {todo[j]} left "
-                            f"its bounds [{lb[j]:.17g}, {ub[j]:.17g}]", int(todo[j]))
+        unscaled = np.ldexp([found[j], lb[j], ub[j]], e[todo[j]])
+        raise SandwichError("pair margin {:.17g} of row {} left its bounds [{:.17g}, {:.17g}]".format(
+            unscaled[0], todo[j], *unscaled[1:]), int(todo[j]))
     margins[todo], nhat[todo] = found, fn
 
 
@@ -245,16 +255,17 @@ def dp2_margins(That, steps=NEWTON_STEPS):
     closed form; the other rows take their lowest stationary pair
     (`_pair_min`), held to the row's bounds.  `steps` caps the Newton steps
     of the bounds' sphere quadratic (0: its start, still a true pair).
-    Each row's result depends on that row alone.
+    Each row's result depends on that row alone, and is computed on the row
+    scaled by a power of two (`_unit_rows`).
     """
-    That = np.asarray(That, dtype=float)
+    That, e = _unit_rows(np.asarray(That, dtype=float))
     data = _rows(That)
     lb, ub, nhat, closed = _pair_bounds(That, steps)
     margins = _pair_value(nhat, *data)[0]
     todo = np.flatnonzero(~closed)
     if len(todo):
-        _solve_rows(That, todo, lb, ub, margins, nhat)
-    return margins, nhat, _partner(nhat, *data[1:])
+        _solve_rows(That, todo, lb, ub, margins, nhat, e)
+    return np.ldexp(margins, e), nhat, _partner(nhat, *data[1:])
 
 
 def _check_sym(T, n):
@@ -303,19 +314,19 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     # it open: T's unless closed, -T's only when T fails and -T's bounds
     # straddle the band [-tol, tol].  Otherwise -T's pair value at nhat
     # lies between its bounds, on the side of the band that decides.
-    both = np.stack([That, -That])
+    both, e = _unit_rows(np.stack([That, -That]))
     data = _rows(both)
     lb, ub, nhat, closed = _pair_bounds(both)
     margins = _pair_value(nhat, *data)[0]
 
     if not closed[0]:
-        _solve_rows(both, np.array([0]), lb, ub, margins, nhat)
-    margin = float(margins[0])
+        _solve_rows(both, np.array([0]), lb, ub, margins, nhat, e)
+    margin = float(np.ldexp(margins[0], e[0]))
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
-    if not closed[1] and lb[1] <= tol and ub[1] >= -tol:
-        _solve_rows(both, np.array([1]), lb, ub, margins, nhat)
-    minus_margin = float(margins[1])
+    if not closed[1] and np.ldexp(lb[1], e[1]) <= tol and np.ldexp(ub[1], e[1]) >= -tol:
+        _solve_rows(both, np.array([1]), lb, ub, margins, nhat, e)
+    minus_margin = float(np.ldexp(margins[1], e[1]))
     k = E @ np.concatenate([[1.0], nhat[0]])
     l = E @ np.concatenate([[1.0], _partner(nhat, *data[1:])[0]])
     if minus_margin >= -tol:
@@ -383,11 +394,12 @@ def _sphere_quadratic(a, M, steps=NEWTON_STEPS):
 def null_quadratic_margins(Lhat):
     """min over future null k = e0 + n of L(k, k) = c + 2a.n + n.Mn for
     stacked frame tensors, in closed form (`_sphere_quadratic`); returns
-    (margins, nhat).  The margin is the quadratic evaluated at nhat."""
-    Lhat = np.asarray(Lhat, dtype=float)
+    (margins, nhat).  The margin is the quadratic evaluated at nhat, on the
+    row scaled by a power of two (`_unit_rows`)."""
+    Lhat, e = _unit_rows(np.asarray(Lhat, dtype=float))
     c, a, M = _rows(Lhat)
     nhat = _sphere_quadratic(a, M)[2]
-    return _quad_value(nhat, c, a, M), nhat
+    return np.ldexp(_quad_value(nhat, c, a, M), e), nhat
 
 
 # ---------------------------------------------------------------------------

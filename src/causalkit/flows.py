@@ -122,7 +122,8 @@ def lie_derivative_metric(st, xi, pts):
     """Lie derivative of the metric along xi at the given point(s).
 
     (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c, with all
-    partials taken by dual seeding of the coordinate symbols.
+    partials taken by dual seeding of the coordinate symbols; with S = G dxi
+    (dxi[c, b] = d_b xi^c) it is dG xi + S + S^T, as matrix products.
     """
     if xi.spacetime.name != st.name:
         raise ValueError("generator field belongs to a different spacetime")
@@ -131,9 +132,12 @@ def lie_derivative_metric(st, xi, pts):
     P = pts[None] if single else pts
     G, dG = st.metric_partials_at(P)
     xiv, dxi = _dual_components(xi.exprs, seed_env(st.coords, P, st.params))
-    lie = np.einsum("...c,...abc->...ab", xiv, dG)
-    lie += np.einsum("...cb,...ca->...ab", G, dxi)
-    lie += np.einsum("...ac,...cb->...ab", G, dxi)
+    N, n = xiv.shape
+    # dG xi = sum_c xi^c d_c G, one (1, n) @ (n, n^2) product per point
+    lie = (xiv[:, None, :] @ np.moveaxis(dG, -1, 1).reshape(N, n, n * n)).reshape(N, n, n)
+    S = G @ dxi
+    lie += S
+    lie += np.swapaxes(S, -1, -2)
     return lie[0] if single else lie
 
 
@@ -203,14 +207,15 @@ class NullConeReport(_Report):
     samples_checked: int
 
 
-def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
-    """Sign of (L_xi g)(k, k) minimized over future null k at each sample."""
+def null_cone_nonneg(st, xi, sampler, tol=TOL_DP, threads=None):
+    """Sign of (L_xi g)(k, k) minimized over future null k at each sample, on
+    up to `threads` worker threads, as in `check_proper_causal`."""
     def block(x, _):
         E = _source_stage(st, x)[2]
         Lhat = np.swapaxes(E, -1, -2) @ lie_derivative_metric(st, xi, x) @ E
         margins, nhat = null_quadratic_margins(Lhat)
         return margins, _witnesses(x, E, Lhat, margins, tol, nhat)
 
-    margins, witnesses = zip(*_blocks(block, _sample(st, sampler), None))
+    margins, witnesses = zip(*_blocks(block, _sample(st, sampler), threads))
     margins, witnesses = np.concatenate(margins), _worst(witnesses)
     return NullConeReport(not witnesses, float(margins.min()), witnesses, len(margins))

@@ -7,13 +7,18 @@ each point; every classification here is relative to that choice.
 
 Frame construction and classification accept stacked inputs (leading
 batch axis) and treat every point with the same array operations, so
-region-sized workloads avoid per-point Python overhead.  Classification
-reads only a frame's time axis, and the chart rules are batched masks.
+region-sized workloads avoid per-point Python overhead.  A frame's time
+axis is the normalized declared future; its spatial axes come from a
+Cholesky factorization of the negative metric projected off that axis,
+with the pivot order fixed per point, written out as n - 1 whole-batch
+steps (no eigen-solver).  Classification reads only a frame's time axis,
+and the chart rules are batched masks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +96,17 @@ def _signature(G, zero_tol=1e-12):
     return (w[..., -1] > cut) & (w[..., -2] < -cut) & ~np.isnan(w).any(axis=-1), w, cut
 
 
-def _future_causal(G, f):
-    """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|."""
-    q = np.einsum("...i,...ij,...j->...", f, G, f)
-    scale = np.einsum("...i,...i->...", f, f) * _abs_max(G)
+def _orientation(G, f):
+    """(g(f, f), |f|^2, max|G|) of stacked fields f: the values `_future_causal`
+    tests and `_time_axis` normalizes with."""
+    return np.einsum("...i,...ij,...j->...", f, G, f), np.einsum("...i,...i->...", f, f), _abs_max(G)
+
+
+def _future_causal(values):
+    """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|,
+    from their `_orientation` values."""
+    q, ff, gmax = values
+    scale = ff * gmax
     return (scale > 0) & (q >= -TOL_NULL * scale)
 
 
@@ -127,15 +139,16 @@ class OrientedPoint:
         f, G = self.future, self.metric.matrix
         if float(f @ f) == 0.0:
             raise ValueError("future vector must be nonzero")
-        if not _future_causal(G, f):
+        if not _future_causal(_orientation(G, f)):
             raise ValueError(f"declared future vector is spacelike (g(f,f) = {float(f @ G @ f)})")
 
 
-def _time_axis(G, f):
+def _time_axis(G, f, values=None):
     """Future unit timelike vectors e0 (N, n) of metrics G (N, n, n): the
-    declared future f, pushed into the cone when not timelike, normalized."""
-    scale = np.maximum(1.0, _abs_max(G)) * np.einsum("bi,bi->b", f, f)
-    q = np.einsum("bi,bij,bj->b", f, G, f)
+    declared future f, pushed into the cone when not timelike, normalized.
+    `values` are f's `_orientation` values, when the caller has them."""
+    q, ff, gmax = _orientation(G, f) if values is None else values
+    scale = np.maximum(1.0, gmax) * ff
 
     seed = f.copy()
     weak = q <= TOL_NULL * scale
@@ -155,38 +168,59 @@ def _time_axis(G, f):
     return seed / root[:, None]
 
 
-def frames(G, future, tol=FRAME_TOL):
+@functools.cache
+def _frame_constants(n):
+    """For each axis j of n left out, the other n - 1 axes in order, (n, n - 1),
+    and the identity's columns at them, (n, n, n - 1); and diag(1, -1, ..., -1)."""
+    keep = np.array([[i for i in range(n) if i != j] for j in range(n)])
+    return keep, np.eye(n)[:, keep].transpose(1, 0, 2), np.diag([1.0] + [-1.0] * (n - 1))
+
+
+def frames(G, future, tol=FRAME_TOL, values=None):
     """Orthonormal frames E with E^T G E = diag(1, -1, ..., -1), batched.
 
     G has shape (..., n, n) and future (..., n); the result matches.
-    Column 0 is the time axis (see `_time_axis`).  The spatial columns
-    come from the eigenvectors of the projected negative metric, so they
-    are an orthonormal completion determined by the metric alone.
+    Column 0 is the time axis e0 (see `_time_axis`; `values` are the
+    future's `_orientation` values, when the caller has them).  The spatial
+    columns complete it from the g-projections P e_j = e_j - e0 w_j of the
+    coordinate axes, w = G e0: their Gram matrix under -g is H = w w^T - G,
+    positive semidefinite with H e0 = 0, factored by Cholesky with the pivot
+    order fixed per point.  Since adj H is a positive multiple of e0 e0^T,
+    leaving out the axis where |e0| is largest keeps the principal block of
+    H with the largest determinant; the Cholesky factor L of that block (in
+    axis order: a positive definite block needs no further pivoting) turns
+    the kept P e_{p_k} into the columns s_k = (P e_{p_k} - sum_{i<k} L[k, i]
+    s_i) / L[k, k].  The positive pivots L[k, k] fix every sign.
     """
     G, f = np.asarray(G, dtype=float), np.asarray(future, dtype=float)
     squeeze = G.ndim == 2
     if squeeze:
         G, f = G[None], f[None]
     n = G.shape[-1]
-    e0 = _time_axis(G, f)
+    m = n - 1
+    e0 = _time_axis(G, f, values)
 
-    # project g-orthogonally to e0, then diagonalize the negative metric
-    Ge0 = np.einsum("bij,bj->bi", G, e0)
-    P = np.eye(n)[None] - e0[:, :, None] * Ge0[:, None, :]
-    H = -(np.swapaxes(P, -1, -2) @ G @ P)
-    hv, hw = np.linalg.eigh(H)
-    spatial = P @ hw[..., 1:]
-    lam = hv[..., 1:]
-    if np.any(bad := np.any(lam < _DIV_FLOOR**2, axis=-1)):
+    keep, unit, eta = _frame_constants(n)
+    drop = np.argmax(np.abs(e0), axis=1)
+    keep = keep[drop]
+    rows = np.arange(len(G))[:, None]
+    w = (G @ e0[:, :, None])[:, :, 0]
+    wk = w[rows, keep]
+    # C stacks H's kept block over the kept P e_j, (N, m + n, m); the sweep
+    # turns the block's columns into L's and the P e_j into the s_k in place
+    C = np.concatenate([wk, -e0], axis=1)[:, :, None] * wk[:, None, :]
+    C[:, :m] -= G[rows[:, :, None], keep[:, :, None], keep[:, None, :]]
+    C[:, m:] += unit[drop]
+    pivots = np.empty((len(G), m))
+    for k in range(m):
+        pivots[:, k] = C[:, k, k]
+        # a pivot below the floor raises below; clamped, it divides safely
+        C[:, k:, k] /= np.sqrt(np.maximum(pivots[:, k], _DIV_FLOOR**2))[:, None]
+        C[:, k + 1:, k + 1:] -= C[:, k + 1:, k, None] * C[:, None, k + 1:m, k]
+    if np.any(bad := np.any(pivots < _DIV_FLOOR**2, axis=1)):
         raise DegenerateMetricError("spatial normalization below 1e-13", int(np.argmax(bad)))
-    spatial = spatial / np.sqrt(lam)[:, None, :]
-    # deterministic signs: largest-magnitude component positive
-    idx = np.argmax(np.abs(spatial), axis=1)
-    picked = np.take_along_axis(spatial, idx[:, None, :], axis=1)[:, 0, :]
-    spatial = spatial * np.where(picked >= 0.0, 1.0, -1.0)[:, None, :]
 
-    E = np.concatenate([e0[:, :, None], spatial], axis=2)
-    eta = np.diag([1.0] + [-1.0] * (n - 1))
+    E = np.concatenate([e0[:, :, None], C[:, m:]], axis=2)
     err = _abs_max(np.swapaxes(E, -1, -2) @ G @ E - eta)
     if np.any(bad := err > tol):
         raise DegenerateMetricError(f"frame orthonormality error {float(err.max()):.3e}",
@@ -201,12 +235,13 @@ def orthonormal_frame(point, tol=FRAME_TOL):
 
 def _class_codes(G, e0, future, v, tol_null=TOL_NULL):
     """Causal classes (CausalClass order) of stacked inputs, on the time axis e0."""
-    q = np.einsum("bi,bij,bj->b", v, G, v)
-    s = np.einsum("bi,bij,bj->b", v, G, future)
+    Gv = (G @ v[:, :, None])[:, :, 0]
+    q = np.einsum("bi,bi->b", v, Gv)
+    s = np.einsum("bi,bi->b", future, Gv)
     # v's time component and Euclidean norm in any orthonormal frame with time
     # axis e0; sigma = v0^2 + |v_spatial|^2 >= v0^2 >= q, so 2 v0^2 - q loses at
     # most a factor 2 to cancellation
-    v0 = np.einsum("bi,bij,bj->b", e0, G, v)
+    v0 = np.einsum("bi,bi->b", e0, Gv)
     sigma = 2.0 * v0 * v0 - q
     # when g(v, future) degenerates (null future parallel to v), the time
     # component still carries the orientation because e0 is future

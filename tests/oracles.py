@@ -14,7 +14,9 @@ level where both slots share one window (the base level) each unordered
 pair is enumerated once.
 
 The grid-and-Newton pair search below is the solver's search reference:
-a different method, kept for the tests that compare against it.
+a different method, kept for the tests that compare against it.  So is
+`eigh_frames`, the spatial completion of a frame from the eigenvectors of
+the projected negative metric, the reference of `lorentz.frames`.
 """
 
 import numpy as np
@@ -198,3 +200,24 @@ def pair_search(That, steps=40, starts=4, chunk=256):
             else (grid[idx.ravel()], _pair_value(grid[idx.ravel()], *rows)[0]))
     best = np.arange(N) * k + np.argmin(f.reshape(N, k), axis=1)
     return f[best], x[best]
+
+
+# ---------------------------------------------------------------------------
+# the eigenvector frame completion
+
+
+def eigh_frames(G, e0):
+    """Frames (N, n, n) with time axis e0 (N, n) and spatial columns from the
+    eigenvectors of the projected negative metric H = -P^T G P, P = I - e0
+    (G e0)^T, largest-magnitude component positive.  No check: a direction
+    with an eigenvalue of H at or below 0 comes out of size 1e150."""
+    n = G.shape[-1]
+    Ge0 = np.einsum("bij,bj->bi", G, e0)
+    P = np.eye(n)[None] - e0[:, :, None] * Ge0[:, None, :]
+    H = -(np.swapaxes(P, -1, -2) @ G @ P)
+    hv, hw = np.linalg.eigh(H)
+    spatial = P @ hw[..., 1:] / np.sqrt(np.maximum(hv[..., 1:], 1e-300))[:, None, :]
+    idx = np.argmax(np.abs(spatial), axis=1)
+    picked = np.take_along_axis(spatial, idx[:, None, :], axis=1)[:, 0, :]
+    spatial = spatial * np.where(picked >= 0.0, 1.0, -1.0)[:, None, :]
+    return np.concatenate([e0[:, :, None], spatial], axis=2)

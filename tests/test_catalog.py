@@ -22,6 +22,7 @@ from causalkit.catalog import (
 )
 import causalkit.dp as dp
 import causalkit.relate as relate
+from causalkit.exprcore import eval_expr, parse_expr
 from causalkit.relate import RegionSampler, Verdict
 
 from oracles import pair_search
@@ -268,6 +269,24 @@ class TestVaidyaScenario:
         res = out.report["result"]
         assert res["interval"] == [-2.0, 2.0]
         assert res["group"] is True
+
+    @pytest.mark.parametrize("mass", [None, "1", "2 + tanh(t)"])
+    def test_expected_block_matches_a_grid_per_shift(self, mass):
+        # the expectation, with the mass evaluated afresh on t + s for every s
+        out = run_scenario("vaidya_flow", samples=16, params={} if mass is None else {"M": mass})
+        mexpr = parse_expr(mass or "2 - tanh(t)", ("t",))
+        t = np.linspace(-5.0, 5.0, 20001)
+
+        def m(shift):
+            return np.broadcast_to(np.asarray(eval_expr(mexpr, {"t": t + shift}), dtype=float), t.shape)
+
+        scale = max(1.0, float(np.max(np.abs(m(0.0)))))
+        holds = {k / 2.0: bool(np.max(m(k / 2.0) - m(0.0)) <= 1e-9 * scale) for k in range(-4, 5)}
+        assert out.report["expected"]["holds"] == {f"{s:g}": v for s, v in holds.items()}
+        lo = -0.5 * next((k for k in range(1, 5) if not holds[-k / 2.0]), 5) + 0.5
+        hi = 0.5 * next((k for k in range(1, 5) if not holds[k / 2.0]), 5) - 0.5
+        assert out.report["expected"]["interval"] == [lo, hi]
+        assert out.matched is True
 
     def test_accreting_mass_flips_interval(self):
         out = run_scenario("vaidya_flow", samples=256,

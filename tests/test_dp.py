@@ -283,6 +283,41 @@ class TestRowIndependence:
             for g, s in zip(got, dp2_margins(That[i:i + 1], steps=steps)):
                 assert np.array_equal(g[i], s[0])
 
+class TestScaleFree:
+    """Each row is solved scaled by a power of two to unit size, so a large
+    or small tensor's margin is its unit copy's times the scale: no square
+    over- or underflows (above max|That| of about 1e154 one used to)."""
+
+    @staticmethod
+    def symmetric(seed, N=20):
+        A = np.random.default_rng(seed).normal(size=(N, 4, 4))
+        return A + np.swapaxes(A, 1, 2)
+
+    @pytest.mark.parametrize("power", [530, 1000, -530, -1000])
+    def test_margins_scale_by_powers_of_two(self, power):
+        T = self.symmetric(530)
+        for run in (dp2_margins, null_quadratic_margins):
+            unit, big = run(T), run(T * 2.0**power)
+            assert np.array_equal(big[0], unit[0] * 2.0**power)
+            for u, b in zip(unit[1:], big[1:]):
+                assert np.array_equal(u, b)
+
+    def test_large_tensors_keep_their_margin(self):
+        T = self.symmetric(160)
+        m = dp2_margins(T)[0]
+        big = dp2_margins(T * 1e160)[0]
+        assert np.all(np.isfinite(big))
+        assert np.max(np.abs(big / 1e160 - m)) <= 1e-12 * np.max(np.abs(T))
+
+    def test_dp2_check_scales(self):
+        p = mink_point()
+        for T in self.symmetric(7, N=6):
+            unit = dp2_check(p, T)
+            big = dp2_check(p, T * 2.0**530)
+            assert big.status is unit.status
+            assert big.margin == unit.margin * 2.0**530
+
+
 class TestBoundsFirst:
     """Rows whose DP+ bounds meet take the closed form; elsewhere the
     margin is the lowest stationary pair's, never above the grid+Newton

@@ -5,6 +5,7 @@ import pytest
 
 from causalkit import relate
 from causalkit.dp import dp2_margins
+from causalkit.exprcore import seed_env
 from causalkit.flows import (
     FlowDef,
     GeneratorField,
@@ -214,6 +215,22 @@ class TestLieDerivative:
         xi = GeneratorField.create(st, ("t", "x", "y", "z"))
         lie = lie_derivative_metric(st, xi, np.array([0.3, 1.0, -2.0, 0.5]))
         assert lie.shape == (4, 4)
+
+    def test_matches_the_einsum_formula(self):
+        # (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c, summed
+        # by einsum on the same metric, partials and generator
+        st = vaidya("2 - tanh(t)")
+        xi = GeneratorField.create(st, ("r*sin(t)", "t + r^2/10", "cos(theta)*r", "phi*t"))
+        pts = vaidya_sampler(st, count=256).points()
+        G, dG = st.metric_partials_at(pts)
+        xiv, dxi = relate._dual_components(xi.exprs, seed_env(st.coords, pts, st.params))
+        want = (np.einsum("...c,...abc->...ab", xiv, dG)
+                + np.einsum("...cb,...ca->...ab", G, dxi)
+                + np.einsum("...ac,...cb->...ab", G, dxi))
+        lie = lie_derivative_metric(st, xi, pts)
+        assert np.max(np.abs(lie - want)) <= 1e-14 * np.max(np.abs(want))
+        one = lie_derivative_metric(st, xi, pts[7])
+        assert np.max(np.abs(one - want[7])) <= 1e-14 * np.max(np.abs(want[7]))
 
     def test_chart_mismatch(self):
         xi = GeneratorField.create(mink4(), ("1", "0", "0", "0"))

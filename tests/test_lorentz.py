@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from causalkit.catalog import builtin, builtin_names, default_window
 from causalkit.lorentz import (
-    AsymmetricError, CausalClass, DegenerateMetricError, MetricValue,
-    OrientedPoint, SignatureError, _abs_max, _signature, causal_character, classify, frames,
-    orthonormal_frame, raise_index, validate_metric,
+    FRAME_TOL, AsymmetricError, CausalClass, DegenerateMetricError, MetricValue,
+    OrientedPoint, SignatureError, _abs_max, _signature, _time_axis, causal_character, classify,
+    frames, orthonormal_frame, raise_index, validate_metric,
 )
+from causalkit.relate import RegionSampler
+from oracles import eigh_frames
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -324,3 +327,90 @@ def test_classify_mixed_batch_matches_reference():
     assert got[i + 2] is CausalClass.FUTURE_NULL and got[i + 3] is CausalClass.PAST_NULL
     one = classify(G[0], E[0], fut[0], V[0])
     assert one is CausalClass.FUTURE_TIMELIKE
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky frame completion against the eigenvector reference
+
+
+def _frame_errors(G, f):
+    """Per-row orthonormality errors max|E^T G E - eta| of `frames` and of the
+    eigenvector completion on the same time axes, inf where `frames` finds a
+    spatial normalization below its floor.  Column 0 of `frames` must be
+    `_time_axis`'s output bit for bit."""
+    e0 = _time_axis(G, f)
+    eta = np.diag([1.0] + [-1.0] * (G.shape[-1] - 1))
+
+    def error(G, E):
+        return _abs_max(np.swapaxes(E, -1, -2) @ G @ E - eta)
+
+    ref = error(G, eigh_frames(G, e0))
+    new = np.full(len(G), np.inf)
+    live = np.arange(len(G))
+    while len(live):
+        try:
+            E = frames(G[live], f[live], tol=np.inf)
+        except DegenerateMetricError as e:
+            assert str(e) == "spatial normalization below 1e-13"
+            live = np.delete(live, e.index)
+            continue
+        assert np.array_equal(E[:, :, 0], e0[live])
+        new[live] = error(G[live], E)
+        break
+    return new, ref
+
+
+def _no_new_failures(G, f):
+    new, ref = _frame_errors(G, f)
+    assert not np.any((ref <= FRAME_TOL) & ~(new <= FRAME_TOL))
+    return new, ref
+
+
+def test_frames_random_metrics_match_the_reference():
+    # G = A^T eta A with A = N(0, 1) + I, |det A| >= 0.1, future A^-1 e_t
+    rng = np.random.default_rng(18)
+    A = rng.normal(size=(30000, 4, 4)) + np.eye(4)
+    A = A[np.abs(np.linalg.det(A)) >= 0.1][:20000]
+    assert len(A) == 20000
+    G = np.swapaxes(A, 1, 2) @ ETA @ A
+    f = np.linalg.solve(A, np.broadcast_to([1.0, 0.0, 0.0, 0.0], (len(A), 4))[..., None])[..., 0]
+    new, ref = _no_new_failures(G, f)
+    assert new.max() <= FRAME_TOL
+    assert new.max() <= 2.0 * ref.max()
+
+
+def test_frames_boosted_near_null_futures_match_the_reference():
+    # boosted and rotated flat charts, futures A^-1 (1, 1 - delta, 0, 0)
+    rng = np.random.default_rng(19)
+    G, f = [], []
+    for rapidity in np.linspace(-3.0, 3.0, 10):
+        for delta in 10.0 ** -np.arange(1, 7):
+            for _ in range(20):
+                A = _boost_rotation(rng, rapidity) * rng.uniform(0.5, 3.0)
+                G.append(A.T @ ETA @ A)
+                f.append(np.linalg.solve(A, [1.0, 1.0 - delta, 0.0, 0.0]))
+    new, ref = _no_new_failures(np.array(G), np.array(f))
+    assert np.sum(new <= FRAME_TOL) >= np.sum(ref <= FRAME_TOL)
+    # the mildest rows, delta = 0.1, all pass
+    assert np.all(new.reshape(10, 6, 20)[:, 0] <= FRAME_TOL)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_frames_catalog_charts_match_the_reference(name):
+    st = builtin(name)
+    pts = RegionSampler.build(st, count=512, window=default_window(st)).points()
+    new, ref = _no_new_failures(st.metric_at(pts), st.orientation_at(pts))
+    assert new.max() <= FRAME_TOL
+
+
+def test_frames_solve_no_eigenproblem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solver called")
+
+    A = _boost_rotation(np.random.default_rng(3), 1.2)
+    G = np.broadcast_to(A.T @ ETA @ A, (8, 4, 4))
+    f = np.broadcast_to(np.linalg.solve(A, [1.0, 0.2, 0.0, 0.1]), (8, 4))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    E = frames(G, f)
+    assert np.max(np.abs(np.swapaxes(E, 1, 2) @ G @ E - ETA)) < 1e-12

@@ -314,6 +314,22 @@ class TestRegionSampler:
             assert np.array_equal(relate._radical_inverse(idx, base),
                                   radical_inverse_loop(idx, base))
 
+    def test_radical_inverse_of_large_indices_equals_digit_loop(self):
+        # float64 digits are exact below 2^52 / base; starts up to 2^40
+        for base in relate._PRIMES:
+            for start in (0, 1, 2**20 + 3, 7301 * 8192 + 1, 2**40 - 4096, 2**40):
+                idx = np.arange(start, start + 4096)
+                assert np.array_equal(relate._radical_inverse(idx, base),
+                                      radical_inverse_loop(idx, base))
+
+    def test_seed_past_the_halton_index_range_is_an_input_error(self):
+        st = mink4()
+        limit = 2**52 // 7  # the largest base of four coordinates
+        RegionSampler.build(st, count=1024, seed=limit // 1024 - 1)
+        with pytest.raises(ValueError, match="Halton indices past 2\\^52 / 7"):
+            RegionSampler.build(st, count=1024, seed=limit // 1024)
+        RegionSampler.build(st, count=1024, seed=limit, scheme="grid")
+
     def test_deterministic(self):
         st = mink4()
         a = RegionSampler.build(st, count=128, seed=0).points()
@@ -1206,6 +1222,27 @@ class TestThreads:
             made.append(SerialPool.made)
         assert made == [[], [3, 3]]
         assert seen[0] == seen[1]
+
+    def test_conformal_and_null_cone_take_a_threads_argument(self, many_cores, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        small_blocks(monkeypatch)
+        # the argument wins over the environment, as in check_proper_causal
+        monkeypatch.setenv("CAUSALKIT_THREADS", "3")
+        m = ds_to_es_map(b=1.5)
+        samp = ds_sampler(m.source, count=64)
+        xi = GeneratorField.create(m.source, ("1", "0", "0", "0"))
+        conf, cone, made = [], [], []
+        for threads in (1, 2):
+            RecordingPool.made = []
+            conf.append(check_conformal(m, samp, threads=threads))
+            cone.append(null_cone_nonneg(m.source, xi, samp, threads=threads))
+            made.append(RecordingPool.made)
+        assert made == [[], [2, 2]]
+        assert conf[0].to_dict() == conf[1].to_dict()
+        assert np.array_equal(conf[0].lambdas, conf[1].lambdas, equal_nan=True)
+        assert cone[0].to_dict() == cone[1].to_dict()
+        with pytest.raises(ValueError, match="threads must be an integer of at least 1, got 0"):
+            null_cone_nonneg(m.source, xi, samp, threads=0)
 
     def test_thread_setting_below_one_is_an_input_error(self, monkeypatch):
         m = ds_to_es_map(b=1.5)
