@@ -40,7 +40,7 @@ TOL_CONF = 1e-8
 NEWTON_STEPS = 40  # Newton iteration cap of the sphere quadratic's secular equation
 _CLOSED = 1e-12  # bound gap, relative to max|That|, below which a row's margin is closed form
 _SANDWICH = 1e-12  # slack, relative to max|That|, of lb <= margin <= ub on an open row
-_REPEATED = 1e-8  # eigenvalue gap of M, relative to its row scale, that counts as repeated
+_REPEATED = 1e-8  # eigenvalue gap of M, relative to max|That| of its row, that counts as repeated
 _HUGE = 2.0 ** 500  # a quotient at least this large has a divisor of rounding residue
 
 
@@ -141,13 +141,12 @@ def _stationary_directions(a, M):
     most _REPEATED apart taken as equal (`_deflate`).  A secular root
     between poles that close cannot be resolved, while taking them as equal
     moves the pair by about their gap, so each set covers the other's
-    failures.  The rows are first scaled by a power of two, which moves no
-    direction, so that no square over- or underflows."""
-    s = np.ldexp(1.0, -np.frexp(np.maximum(_abs_max(M), np.abs(a).max(axis=1)))[1])
-    M = M * s[:, None, None]
+    failures.  The rows come scaled by `_unit_rows`, so gaps are relative to
+    max|That|: where c dominates M and a, more of them count as repeated,
+    which changes the second set only."""
     lam, Q = np.linalg.eigh(M)
     lam, Q = lam.T, Q.transpose(1, 2, 0)
-    b = sum(Q * (a * s[:, None]).T[:, None])  # Q^T a, as in `_sphere_quadratic`
+    b = sum(Q * a.T[:, None])  # Q^T a, as in `_sphere_quadratic`
     return np.concatenate([_eigen_directions(lam, Q, b),
                            _eigen_directions(lam, *_deflate(lam, Q, b, M.transpose(1, 2, 0)))], axis=1)
 

@@ -207,15 +207,14 @@ class NullConeReport(_Report):
     samples_checked: int
 
 
-def null_cone_nonneg(st, xi, sampler, tol=TOL_DP, threads=None):
-    """Sign of (L_xi g)(k, k) minimized over future null k at each sample, on
-    up to `threads` worker threads, as in `check_proper_causal`."""
+def null_cone_nonneg(st, xi, sampler, tol=TOL_DP):
+    """Sign of (L_xi g)(k, k) minimized over future null k at each sample."""
     def block(x, _):
         E = _source_stage(st, x)[2]
         Lhat = np.swapaxes(E, -1, -2) @ lie_derivative_metric(st, xi, x) @ E
         margins, nhat = null_quadratic_margins(Lhat)
         return margins, _witnesses(x, E, Lhat, margins, tol, nhat)
 
-    margins, witnesses = zip(*_blocks(block, _sample(st, sampler), threads))
+    margins, witnesses = zip(*_blocks(block, _sample(st, sampler), None))
     margins, witnesses = np.concatenate(margins), _worst(witnesses)
     return NullConeReport(not witnesses, float(margins.min()), witnesses, len(margins))

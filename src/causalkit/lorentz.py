@@ -96,17 +96,10 @@ def _signature(G, zero_tol=1e-12):
     return (w[..., -1] > cut) & (w[..., -2] < -cut) & ~np.isnan(w).any(axis=-1), w, cut
 
 
-def _orientation(G, f):
-    """(g(f, f), |f|^2, max|G|) of stacked fields f: the values `_future_causal`
-    tests and `_time_axis` normalizes with."""
-    return np.einsum("...i,...ij,...j->...", f, G, f), np.einsum("...i,...i->...", f, f), _abs_max(G)
-
-
-def _future_causal(values):
-    """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|,
-    from their `_orientation` values."""
-    q, ff, gmax = values
-    scale = ff * gmax
+def _future_causal(G, f):
+    """Mask of nonzero future fields f with g(f, f) >= -TOL_NULL |f|^2 max|G|."""
+    q = np.einsum("...i,...ij,...j->...", f, G, f)
+    scale = np.einsum("...i,...i->...", f, f) * _abs_max(G)
     return (scale > 0) & (q >= -TOL_NULL * scale)
 
 
@@ -139,16 +132,15 @@ class OrientedPoint:
         f, G = self.future, self.metric.matrix
         if float(f @ f) == 0.0:
             raise ValueError("future vector must be nonzero")
-        if not _future_causal(_orientation(G, f)):
+        if not _future_causal(G, f):
             raise ValueError(f"declared future vector is spacelike (g(f,f) = {float(f @ G @ f)})")
 
 
-def _time_axis(G, f, values=None):
+def _time_axis(G, f):
     """Future unit timelike vectors e0 (N, n) of metrics G (N, n, n): the
-    declared future f, pushed into the cone when not timelike, normalized.
-    `values` are f's `_orientation` values, when the caller has them."""
-    q, ff, gmax = _orientation(G, f) if values is None else values
-    scale = np.maximum(1.0, gmax) * ff
+    declared future f, pushed into the cone when not timelike, normalized."""
+    scale = np.maximum(1.0, _abs_max(G)) * np.einsum("bi,bi->b", f, f)
+    q = np.einsum("bi,bij,bj->b", f, G, f)
 
     seed = f.copy()
     weak = q <= TOL_NULL * scale
@@ -176,13 +168,12 @@ def _frame_constants(n):
     return keep, np.eye(n)[:, keep].transpose(1, 0, 2), np.diag([1.0] + [-1.0] * (n - 1))
 
 
-def frames(G, future, tol=FRAME_TOL, values=None):
+def frames(G, future, tol=FRAME_TOL):
     """Orthonormal frames E with E^T G E = diag(1, -1, ..., -1), batched.
 
     G has shape (..., n, n) and future (..., n); the result matches.
-    Column 0 is the time axis e0 (see `_time_axis`; `values` are the
-    future's `_orientation` values, when the caller has them).  The spatial
-    columns complete it from the g-projections P e_j = e_j - e0 w_j of the
+    Column 0 is the time axis e0 (see `_time_axis`).  The spatial columns
+    complete it from the g-projections P e_j = e_j - e0 w_j of the
     coordinate axes, w = G e0: their Gram matrix under -g is H = w w^T - G,
     positive semidefinite with H e0 = 0, factored by Cholesky with the pivot
     order fixed per point.  Since adj H is a positive multiple of e0 e0^T,
@@ -198,7 +189,7 @@ def frames(G, future, tol=FRAME_TOL, values=None):
         G, f = G[None], f[None]
     n = G.shape[-1]
     m = n - 1
-    e0 = _time_axis(G, f, values)
+    e0 = _time_axis(G, f)
 
     keep, unit, eta = _frame_constants(n)
     drop = np.argmax(np.abs(e0), axis=1)

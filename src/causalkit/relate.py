@@ -46,7 +46,7 @@ from .exprcore import (
     substitute,
 )
 from .lorentz import (_CLASSES, CausalClass, MetricValue, OrientedPoint, _abs_max, _class_codes,
-                      _future_causal, _orientation, _signature, _time_axis, classify, frames)
+                      _future_causal, _signature, _time_axis, classify, frames)
 
 DEFAULT_SAMPLES = 4096
 BLOCK_SAMPLES = 4096  # per block of a sampled check: about 1.3 KB a sample
@@ -203,7 +203,7 @@ class SpacetimeDef:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"point {x.tolist()} outside the domain of '{self.name}'")
-        G, fut, _ = _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), x[None], 1)[0]
+        G, fut = _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), x[None], 1)[0]
         return OrientedPoint(x, MetricValue(self.n, G[0]), fut[0])
 
     def validate_on(self, pts):
@@ -268,17 +268,23 @@ def compose_maps(f, g):
 
 
 def _radical_inverse(indices, base):
-    """Van der Corput radical inverse of nonnegative integer indices below 2^52
-    / base: the base-`base` digits mirrored about the radix point."""
-    idx = np.array(indices, dtype=float)
+    """Van der Corput radical inverse of nonnegative int64 indices: the
+    base-`base` digits mirrored about the radix point."""
+    idx = np.array(indices, dtype=np.int64)
     out = np.zeros(idx.shape)
     f = 1.0 / base
-    # one round per base-`base` digit of the largest index; in float64,
-    # floor(idx / base) and idx - q base are exact below 2^52 / base
+    # one round per base-`base` digit of the largest index: int64 divmod while
+    # it reaches 2^52 / base, then floor(idx / base) and idx - q base in
+    # float64, which are exact below that and about twice as fast
     top = int(idx.max(initial=0))
     while top > 0:
-        q = np.floor(idx / base)
-        out += f * (idx - q * base)
+        if top < 2**52 // base:
+            idx = idx.astype(float, copy=False)
+            q = np.floor(idx / base)
+            digit = idx - q * base
+        else:
+            q, digit = np.divmod(idx, base)
+        out += f * digit
         idx = q
         top //= base
         f /= base
@@ -321,9 +327,6 @@ class RegionSampler:
             raise ValueError(f"unknown sampling scheme '{scheme}'")
         if spacetime.n > len(_PRIMES):
             raise ValueError("too many coordinates for the Halton base table")
-        if scheme == "halton" and (int(seed) + 1) * int(count) >= 2**52 // _PRIMES[spacetime.n - 1]:
-            raise ValueError(f"seed {seed} with {count} samples takes Halton indices past "
-                             f"2^52 / {_PRIMES[spacetime.n - 1]}")
         resolved = []
         warped = []
         for i, c in enumerate(spacetime.coords):
@@ -556,26 +559,24 @@ def _source_point(source, x):
 
 def _chart_check(chart, what, pts, img=None):
     """Metric and future field of a chart at the samples pts, or at their
-    images img in it, validated, and the future's `_orientation` values;
-    raises naming the first failing sample."""
+    images img in it, validated; raises naming the first failing sample."""
     at, where = (pts, "") if img is None else (img, " at image")
     G = chart.metric_at(at)
     _require(_signature(G)[0], f"{what} metric{where} loses Lorentzian signature")
     fut = chart.orientation_at(at)
-    values = _orientation(G, fut)
-    _require(_future_causal(values), f"{what} orientation{where} is not future causal")
-    return G, fut, values
+    _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal")
+    return G, fut
 
 
 def _source_stage(source, pts):
     """Metric, future field and frames of the source chart, validated."""
-    G, fut, values = _chart_check(source, "source", pts)
-    return G, fut, frames(G, fut, values=values)
+    G, fut = _chart_check(source, "source", pts)
+    return G, fut, frames(G, fut)
 
 
 def _image_stage(mapdef, pts):
-    """Jacobian, target metric, target future field and its `_orientation`
-    values of a map at a batch, validated: the image stays in the target domain (the message names the
+    """Jacobian, target metric and target future field of a map at a batch,
+    validated: the image stays in the target domain (the message names the
     coordinate and its interval), the Jacobian is regular, the target chart
     is valid at the image."""
     img, J = mapdef.image_and_jacobian(pts)
@@ -600,11 +601,11 @@ def _pullback(J, Gt):
 def _map_stage(mapdef, pts, G, fut, E):
     """Frame tensor of the pullback, pushed-orientation signs and conformal
     factors of one map; raises on the first failing check."""
-    J, Gt, futW, values = _image_stage(mapdef, pts)
+    J, Gt, futW = _image_stage(mapdef, pts)
     T = _pullback(J, Gt)
     That = np.swapaxes(E, -1, -2) @ T @ E
     pushed = np.einsum("nai,ni->na", J, fut)
-    e0 = _time_axis(Gt, futW, values)
+    e0 = _time_axis(Gt, futW)
     signs = _ORIENTATION_SIGN[_class_codes(Gt, e0, futW, pushed)]
     return That, signs, conformal_lambdas(G, T)
 
@@ -694,7 +695,7 @@ def _check_relations(maps, pts, tol_dp, threads):
 
 def pullback_metric(mapdef, x):
     """Pullback of the target metric at one source point: J^T G~ J."""
-    J, Gt = _blocks(lambda p, _: _image_stage(mapdef, p), _source_point(mapdef.source, x), 1)[0][:2]
+    J, Gt, _ = _blocks(lambda p, _: _image_stage(mapdef, p), _source_point(mapdef.source, x), 1)[0]
     return _pullback(J, Gt)[0]
 
 
@@ -722,7 +723,7 @@ def canonical_null_directions(mapdef, x):
     """
     def at(pts, _):
         G, fut, E = _source_stage(mapdef.source, pts)
-        J, Gt, futW, values = _image_stage(mapdef, pts)
+        J, Gt, futW = _image_stage(mapdef, pts)
         p = OrientedPoint(pts[0], MetricValue(mapdef.source.n, G[0]), fut[0])
         T = _pullback(J, Gt)[0]
         verdict = dp2_check(p, T, frame=E[0])
@@ -732,7 +733,7 @@ def canonical_null_directions(mapdef, x):
                 f"{verdict.status.value} (margin {verdict.margin:.3e})"
             )
         res = null_eigenvectors(p, T, frame=E[0])
-        e0 = _time_axis(Gt, futW, values)
+        e0 = _time_axis(Gt, futW)
         for lam, v in res.pairs:
             cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None])[0]]
             if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
@@ -742,12 +743,11 @@ def canonical_null_directions(mapdef, x):
     return _blocks(at, _source_point(mapdef.source, x), 1)[0]
 
 
-def check_conformal(mapdef, sampler, threads=None):
-    """Per-sample conformal factor of the pullback, with overall flag, on up
-    to `threads` worker threads, as in `check_proper_causal`."""
+def check_conformal(mapdef, sampler):
+    """Per-sample conformal factor of the pullback, with overall flag."""
     lambdas = _blocks(lambda x, _: conformal_lambdas(_chart_check(mapdef.source, "source", x)[0],
                                                      _pullback(*_image_stage(mapdef, x)[:2])),
-                      _sample(mapdef.source, sampler), threads)
+                      _sample(mapdef.source, sampler), None)
     return _conformal(np.concatenate(lambdas))
 
 
@@ -815,8 +815,8 @@ def curve_pushforward_check(mapdef, curve, u_values):
             if c is not CausalClass.FUTURE_TIMELIKE:
                 raise ValueError(f"curve tangent must be future timelike; classifies {c.value} "
                                  f"at u = {u[start + i]}")
-        J, Gt, futW, values = _image_stage(mapdef, x)
-        codes = _class_codes(Gt, _time_axis(Gt, futW, values), futW, np.einsum("nai,ni->na", J, t))
+        J, Gt, futW = _image_stage(mapdef, x)
+        codes = _class_codes(Gt, _time_axis(Gt, futW), futW, np.einsum("nai,ni->na", J, t))
         return all(c is CausalClass.FUTURE_TIMELIKE for c in _CLASSES[codes])
 
     return all(_blocks(block, pts, None))

@@ -632,6 +632,36 @@ class TestNullEigenvectors:
         # three points of the circle span its plane t = 1 in (t, y, z)
         assert np.linalg.matrix_rank(np.stack([v for _, v in res.pairs])) == 3
 
+    @pytest.mark.parametrize("x", [[0.3, 5.0, 1.2, 0.7], [-1.0, 3.0, 0.4, 2.0]])
+    def test_bases_on_a_chart_with_an_off_diagonal_metric(self, x):
+        # vaidya's dt dr term: both bases are built from the frame's spatial
+        # columns, which no longer coincide with the metric's eigenvectors
+        st = builtin("vaidya")
+        p = st.point(np.array(x))
+        G = p.metric.matrix
+        scale = np.max(np.abs(G))
+
+        def future_null(pairs, T):
+            for lam, v in pairs:
+                assert causal_character(p, v) is CausalClass.FUTURE_NULL
+                assert abs(v @ G @ v) <= 1e-12 * scale * (v @ v)
+                assert np.linalg.norm(T @ v - lam * (G @ v)) <= 1e-10 * scale * np.linalg.norm(v)
+            return np.stack([v for _, v in pairs])
+
+        # identity pullback, T = G: a basis of n null directions
+        res = null_eigenvectors(p, G)
+        assert res.degenerate
+        assert np.linalg.matrix_rank(future_null(res.pairs, G)) == 4
+        # T = G + (Gs)(Gs)^T / 2, s spacelike: zeros on the null directions
+        # g-orthogonal to s, a circle whose points span s's orthogonal space
+        s = np.array([0.1, 1.0, 0.3, 0.0])
+        T = G + 0.5 * np.outer(G @ s, G @ s)
+        res = null_eigenvectors(p, T)
+        assert not res.degenerate
+        basis = future_null(res.pairs, T)
+        assert np.all(np.abs(basis @ G @ s) <= 1e-12 * scale * np.linalg.norm(basis, axis=1))
+        assert np.linalg.matrix_rank(basis) == 3
+
     def test_negative_on_null_cone_raises(self):
         # T(k, k) = -n1^2 < 0 along e0 + e1
         with pytest.raises(ValueError, match=r"T\(k, k\) >= 0"):

@@ -322,13 +322,20 @@ class TestRegionSampler:
                 assert np.array_equal(relate._radical_inverse(idx, base),
                                       radical_inverse_loop(idx, base))
 
-    def test_seed_past_the_halton_index_range_is_an_input_error(self):
+    def test_radical_inverse_past_the_float_range_equals_digit_loop(self):
+        # indices at or above 2^52 / base take int64 digits until they fit
+        for base in relate._PRIMES:
+            for start in (2**52 // base - 2048, 2**62 - 4096):
+                idx = np.arange(start, start + 4096)
+                assert np.array_equal(relate._radical_inverse(idx, base),
+                                      radical_inverse_loop(idx, base))
+
+    def test_large_seed_samples_inside_the_window(self):
+        # S N + 1 ... (S + 1) N reaches past 2^52 / 7 on four coordinates
         st = mink4()
-        limit = 2**52 // 7  # the largest base of four coordinates
-        RegionSampler.build(st, count=1024, seed=limit // 1024 - 1)
-        with pytest.raises(ValueError, match="Halton indices past 2\\^52 / 7"):
-            RegionSampler.build(st, count=1024, seed=limit // 1024)
-        RegionSampler.build(st, count=1024, seed=limit, scheme="grid")
+        pts = RegionSampler.build(st, count=262144 // 64, seed=2**40).points()
+        assert pts.shape == (4096, 4) and np.all(np.isfinite(pts))
+        assert len(np.unique(pts[:, 3])) == 4096
 
     def test_deterministic(self):
         st = mink4()
@@ -1222,27 +1229,6 @@ class TestThreads:
             made.append(SerialPool.made)
         assert made == [[], [3, 3]]
         assert seen[0] == seen[1]
-
-    def test_conformal_and_null_cone_take_a_threads_argument(self, many_cores, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        small_blocks(monkeypatch)
-        # the argument wins over the environment, as in check_proper_causal
-        monkeypatch.setenv("CAUSALKIT_THREADS", "3")
-        m = ds_to_es_map(b=1.5)
-        samp = ds_sampler(m.source, count=64)
-        xi = GeneratorField.create(m.source, ("1", "0", "0", "0"))
-        conf, cone, made = [], [], []
-        for threads in (1, 2):
-            RecordingPool.made = []
-            conf.append(check_conformal(m, samp, threads=threads))
-            cone.append(null_cone_nonneg(m.source, xi, samp, threads=threads))
-            made.append(RecordingPool.made)
-        assert made == [[], [2, 2]]
-        assert conf[0].to_dict() == conf[1].to_dict()
-        assert np.array_equal(conf[0].lambdas, conf[1].lambdas, equal_nan=True)
-        assert cone[0].to_dict() == cone[1].to_dict()
-        with pytest.raises(ValueError, match="threads must be an integer of at least 1, got 0"):
-            null_cone_nonneg(m.source, xi, samp, threads=0)
 
     def test_thread_setting_below_one_is_an_input_error(self, monkeypatch):
         m = ds_to_es_map(b=1.5)
