@@ -8,16 +8,15 @@ unit spatial direction.  The tensor case reduces, per outer direction
 n, to a covector check whose minimum over the second slot is closed
 form.
 
-Bounds first, stationary pairs last.  One eigen-decomposition of the
-spatial block gives two bounds on the pair margin: the diagonal pairs
-k = l (the null-cone quadratic, minimized on the sphere in closed form by
-the trust-region secular equation) from above, and the same problem
-relaxed to a ball from below.  Where they meet, which is always the case
-when the spatial block is negative semidefinite (every near-conformal
-pullback), the margin is closed form.  On the other rows it is the lowest
-of the pair objective's stationary pairs, which are closed form too.  The
-flow null-cone check and the null eigenvectors (its zeros) need the
-quadratic alone.
+Bounds first, stationary pairs last, from one eigen-decomposition of the
+spatial block.  It gives two bounds on the pair margin: the diagonal
+pairs k = l (the null-cone quadratic, minimized on the sphere in closed
+form by the trust-region secular equation) from above, and the same
+problem relaxed to a ball from below.  Where they meet, which is always
+the case when the spatial block is negative semidefinite (every
+near-conformal pullback), the margin is closed form; elsewhere it is the
+lowest stationary pair, closed form in the same eigenbasis.  The flow
+null-cone check and the null eigenvectors (its zeros) need the quadratic.
 
 The reported margin is always the minimum of T over future null pairs
 (or of w over future null vectors), so InDPplus holds exactly when the
@@ -37,10 +36,11 @@ from .lorentz import CausalClass, _abs_max, classify, orthonormal_frame
 
 TOL_DP = 1e-9
 TOL_CONF = 1e-8
-NEWTON_STEPS = 40  # Newton iteration cap of the sphere quadratic's secular equation
+NEWTON_STEPS = 40  # step cap of the sphere quadratic's secular equation
 _CLOSED = 1e-12  # bound gap, relative to max|That|, below which a row's margin is closed form
 _SANDWICH = 1e-12  # slack, relative to max|That|, of lb <= margin <= ub on an open row
 _REPEATED = 1e-8  # eigenvalue gap of M, relative to max|That| of its row, that counts as repeated
+_POLE = 1e-14  # eigenvalue gap of M, relative to max|That|, that the secular step takes as one pole
 _HUGE = 2.0 ** 500  # a quotient at least this large has a divisor of rounding residue
 
 
@@ -103,16 +103,16 @@ def _pair_bounds(That, steps=NEWTON_STEPS):
     With p = (n + m)/2 and q = (n - m)/2 (p orthogonal to q, |p|^2 + |q|^2
     = 1), T(e0 + n, e0 + m) = c + 2a.p + p.Mp - q.Mq.  The diagonal pairs
     q = 0 give the upper bound ub, the null-cone quadratic at its sphere
-    minimizer nhat (`_sphere_quadratic`, at most `steps` Newton steps).
+    minimizer nhat (`_sphere_quadratic`, at most `steps` secular steps).
     Bounding -q.Mq below by -lam_max (1 - |p|^2) gives the lower bound lb,
     the minimum over the ball |p| <= 1 of c - lam_max + 2a.p + p.(M +
     lam_max I)p.  That objective equals the quadratic on the sphere, so lb =
     ub unless the ball minimum is interior, which needs M + lam_max I > 0
     and |(M + lam_max I)^-1 a| < 1.  A row is closed when ub - lb <= _CLOSED
     times its scale max|That|; its margin is then the pair value at nhat.
-    Returns (lb, ub, nhat, closed)."""
+    Returns (lb, ub, nhat, closed, (lam, Q)), the last M's eigenbasis."""
     c, a, M = _rows(That)
-    lam, b, nhat, _ = _sphere_quadratic(a, M, steps)
+    lam, b, nhat, Q = _sphere_quadratic(a, M, steps)
     ub = _quad_value(nhat, c, a, M)
     A = lam + lam[-1]
     # |b_i| < A_i for every i is needed for an interior minimum; testing it
@@ -122,7 +122,7 @@ def _pair_bounds(That, steps=NEWTON_STEPS):
     inside &= sum(y * y) < 1.0
     lb = np.where(inside, c - lam[-1] - sum(b * y), ub)
     closed = ub - lb <= _CLOSED * _abs_max(That)
-    return lb, ub, nhat, closed
+    return lb, ub, nhat, closed, (lam, Q)
 
 
 def _partner(nhat, a, M):
@@ -133,22 +133,22 @@ def _partner(nhat, a, M):
     return np.where(nwv[:, None] > 1e-300, -wvec / np.maximum(nwv, 1e-300)[:, None], nhat)
 
 
-def _stationary_directions(a, M):
+def _stationary_directions(a, M, lam, Q):
     """First slots n of the stationary pairs of F(n, m) = c + a.(n + m) +
     n.Mm on the sphere pair other than the diagonal pairs, component-major
     (d, K, N), not normalized and 0 where a family has no member: those of
-    `_eigen_directions` in M's eigenbasis as it is and with eigenvalues at
-    most _REPEATED apart taken as equal (`_deflate`).  A secular root
+    `_eigen_directions` in M's eigenbasis (lam, Q) and, on rows with a gap of
+    at most _REPEATED (relative to max|That|: the rows come from `_unit_rows`),
+    with those eigenvalues taken as equal (`_deflate`).  A secular root
     between poles that close cannot be resolved, while taking them as equal
-    moves the pair by about their gap, so each set covers the other's
-    failures.  The rows come scaled by `_unit_rows`, so gaps are relative to
-    max|That|: where c dominates M and a, more of them count as repeated,
-    which changes the second set only."""
-    lam, Q = np.linalg.eigh(M)
-    lam, Q = lam.T, Q.transpose(1, 2, 0)
+    moves the pair by about their gap, so each set covers the other's."""
     b = sum(Q * a.T[:, None])  # Q^T a, as in `_sphere_quadratic`
-    return np.concatenate([_eigen_directions(lam, Q, b),
-                           _eigen_directions(lam, *_deflate(lam, Q, b, M.transpose(1, 2, 0)))], axis=1)
+    n = _eigen_directions(lam, Q, b)
+    if len(rep := np.flatnonzero(np.any(lam[1:] - lam[:-1] <= _REPEATED, axis=0))):
+        n = np.concatenate([n, n], axis=1)
+        n[:, n.shape[1] // 2:, rep] = _eigen_directions(lam[:, rep], *_deflate(
+            lam[:, rep], Q[..., rep], b[:, rep], M[rep].transpose(1, 2, 0)))
+    return n
 
 
 def _deflate(lam, Q, b, M):
@@ -214,13 +214,14 @@ def _eigen_directions(lam, Q, b):
     return sum(Q[:, j, None] * y[j] for j in range(d))  # Q y
 
 
-def _pair_min(c, a, M, nhat):
+def _pair_min(c, a, M, nhat, lam, Q):
     """(margins, nhat): the lowest pair margin of rows (c, a, M) over the
     first slots of their stationary pairs, the diagonal pairs' nhat and
-    `_stationary_directions` (nhat in place of a missing one), each scored
-    by the exact inner minimum c + a.n - |Mn + a|, so a candidate can only
-    over-estimate.  Sums run over components, the same for every row."""
-    n = np.concatenate([nhat.T[:, None], _stationary_directions(a, M)], axis=1)
+    `_stationary_directions` in M's eigenbasis (lam, Q) (nhat in place of a
+    missing one), each scored by the exact inner minimum c + a.n - |Mn + a|,
+    so a candidate can only over-estimate.  Sums run over components, the
+    same for every row."""
+    n = np.concatenate([nhat.T[:, None], _stationary_directions(a, M, lam, Q)], axis=1)
     size = np.sqrt(sum(n * n))
     n = np.where(size > 0.0, n / np.where(size > 0.0, size, 1.0), nhat.T[:, None])
     aT, MT = a.T[:, None], M.transpose(1, 2, 0)[:, :, None]
@@ -230,11 +231,11 @@ def _pair_min(c, a, M, nhat):
     return f[k, rows], n[:, k, rows].T
 
 
-def _solve_rows(That, todo, lb, ub, margins, nhat, e):
-    """Solve the open rows `todo` of That (scaled by `_unit_rows`, exponents e)
-    into margins and nhat, in place, by `_pair_min`; a margin more than
-    _SANDWICH max|That| outside the row's bounds raises SandwichError."""
-    found, fn = _pair_min(*(x[todo] for x in _rows(That)), nhat[todo])
+def _solve_rows(That, todo, lb, ub, margins, nhat, e, eig):
+    """Solve the open rows `todo` of That (scaled by `_unit_rows`, exponents e,
+    eigenbasis eig) into margins and nhat, in place, by `_pair_min`; a margin
+    more than _SANDWICH max|That| outside the row's bounds raises SandwichError."""
+    found, fn = _pair_min(*(x[todo] for x in _rows(That)), nhat[todo], *(x[..., todo] for x in eig))
     lb, ub, eps = lb[todo], ub[todo], _SANDWICH * _abs_max(That[todo])
     out = np.flatnonzero(~((lb - eps <= found) & (found <= ub + eps)))
     if len(out):
@@ -252,18 +253,18 @@ def dp2_margins(That, steps=NEWTON_STEPS):
     witness pair is k = e0 + nhat, l = e0 + mhat in frame components.
     Bounds first: where the bounds of `_pair_bounds` meet, the margin is
     closed form; the other rows take their lowest stationary pair
-    (`_pair_min`), held to the row's bounds.  `steps` caps the Newton steps
+    (`_pair_min`), held to the row's bounds.  `steps` caps the secular steps
     of the bounds' sphere quadratic (0: its start, still a true pair).
     Each row's result depends on that row alone, and is computed on the row
     scaled by a power of two (`_unit_rows`).
     """
     That, e = _unit_rows(np.asarray(That, dtype=float))
     data = _rows(That)
-    lb, ub, nhat, closed = _pair_bounds(That, steps)
+    lb, ub, nhat, closed, eig = _pair_bounds(That, steps)
     margins = _pair_value(nhat, *data)[0]
     todo = np.flatnonzero(~closed)
     if len(todo):
-        _solve_rows(That, todo, lb, ub, margins, nhat, e)
+        _solve_rows(That, todo, lb, ub, margins, nhat, e, eig)
     return np.ldexp(margins, e), nhat, _partner(nhat, *data[1:])
 
 
@@ -315,16 +316,16 @@ def dp2_check(point, T, tol_dp=TOL_DP, frame=None):
     # lies between its bounds, on the side of the band that decides.
     both, e = _unit_rows(np.stack([That, -That]))
     data = _rows(both)
-    lb, ub, nhat, closed = _pair_bounds(both)
+    lb, ub, nhat, closed, eig = _pair_bounds(both)
     margins = _pair_value(nhat, *data)[0]
 
     if not closed[0]:
-        _solve_rows(both, np.array([0]), lb, ub, margins, nhat, e)
+        _solve_rows(both, np.array([0]), lb, ub, margins, nhat, e, eig)
     margin = float(np.ldexp(margins[0], e[0]))
     if margin >= -tol:
         return DPVerdict(DPStatus.IN_DP_PLUS, margin, None, bool(abs(margin) <= tol))
     if not closed[1] and np.ldexp(lb[1], e[1]) <= tol and np.ldexp(ub[1], e[1]) >= -tol:
-        _solve_rows(both, np.array([1]), lb, ub, margins, nhat, e)
+        _solve_rows(both, np.array([1]), lb, ub, margins, nhat, e, eig)
     minus_margin = float(np.ldexp(margins[1], e[1]))
     k = E @ np.concatenate([[1.0], nhat[0]])
     l = E @ np.concatenate([[1.0], _partner(nhat, *data[1:])[0]])
@@ -349,14 +350,15 @@ def _sphere_quadratic(a, M, steps=NEWTON_STEPS):
     (ascending), b = Q^T a and the eigenvectors Q, component-major: (d, N),
     (d, N) and (d, d, N) with Q[:, j] the eigenvector of lam[j].
 
-    With M = Q diag(lam) Q^T, the minimizer is n = Q y,
-    y_i = -b_i / (lam_i - lam_1 + s), where s >= 0 solves |y| = 1 (the
-    trust-region secular equation: More and Sorensen 1983; Gander, Golub
-    and von Matt 1989).  1/|y| - 1 is increasing and concave in s, so Newton
-    from the lower bound max_i |b_i| - (lam_i - lam_1) climbs to the root
-    without overshooting; it stops when no row moves.  When b is orthogonal
-    to the lowest eigenspace and |y| <= 1 at s = 0 (the hard case), s = 0
-    and the rest of the unit norm is filled along q_1."""
+    With M = Q diag(lam) Q^T, the minimizer is n = Q y, y_i = -b_i / (lam_i
+    - lam_1 + s), where s >= 0 solves |y| = 1 (the trust-region secular
+    equation: More and Sorensen 1983; Gander, Golub and von Matt 1989).  Newton
+    on 1/|y| - 1 (increasing, concave) climbs from the lower bound max_i |b_i|
+    - (lam_i - lam_1) without passing the root; once its steps stop shrinking,
+    s also takes the root of |y|^2 with the lowest eigenspace (gaps <= _POLE)
+    one pole and the convex rest its tangent, short of the root too.  Rows
+    move where Newton moves them, until none does.  If b is orthogonal to the
+    lowest eigenspace and |y| <= 1 at s = 0 (the hard case), q_1 fills the norm."""
     lam, Q = np.linalg.eigh(M)
     # component-major arrays: the builtin sums below add whole components
     # in index order, the same arithmetic for every row
@@ -366,7 +368,7 @@ def _sphere_quadratic(a, M, steps=NEWTON_STEPS):
     # below the overflow threshold (|y_i| <= 1 and t_i >= |b_i|)
     b = np.where(np.abs(b) >= np.finfo(float).tiny, b, 0.0)
     gap = lam - lam[0]
-    s = np.max(np.abs(b) - gap, axis=0)
+    s, last = np.max(np.abs(b) - gap, axis=0), np.inf
 
     def secular(s):
         # t = 1 where b_i = 0 keeps y_i = 0 without a 0/0 at s = gap_i = 0
@@ -376,18 +378,36 @@ def _sphere_quadratic(a, M, steps=NEWTON_STEPS):
 
     for _ in range(steps):
         t, y, yy = secular(s)
-        grow = yy > 1.0
-        q = sum(y * y / t)
-        # Newton step -psi/psi' = |y|^2 (|y| - 1) / sum_i y_i^2 / t_i
-        new = s + np.where(grow, yy * (np.sqrt(yy) - 1.0) / np.where(grow, q, 1.0), 0.0)
-        if not np.any(new > s):
+        # Newton step -psi/psi' = |y|^2 (|y| - 1) / sum_i y_i^2 / t_i, <= 0 where |y| <= 1
+        new = s + yy * (np.sqrt(yy) - 1.0) / np.where(yy > 1.0, sum(y * y / t), 1.0)
+        if not np.any(move := new > s):
             break
-        s = new
+        if len(i := np.flatnonzero(move & (new - s >= last))):  # Newton's steps stopped shrinking
+            pole = gap[:, i] <= _POLE  # beta^2 / (s + shift)^2 is at most their share of |y|^2
+            shift, beta = np.max(gap[:, i] * pole, axis=0), np.hypot.reduce(b[:, i] * pole, axis=0)
+            rest = np.where(pole, 0.0, y[:, i] ** 2)  # R, with tangent R - g (s' - s)
+            g = 2.0 * sum(rest / t[:, i])
+            new[i] = np.fmax(new[i], _pole_root(beta, g, 1.0 - sum(rest) - g * (s[i] + shift)) - shift)
+        s, last = np.where(move, new, s), new - s
     _, y, yy = secular(s)
     y[0] += np.where(s == 0.0, np.sqrt(np.maximum(1.0 - yy, 0.0)), 0.0)
     nhat = sum(np.swapaxes(Q, 0, 1) * y[:, None]).T.copy()  # Q y
     nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
     return lam, b, nhat, Q
+
+
+def _pole_root(beta, g, A):
+    """The root sigma > 0 of beta^2 / sigma^2 = A + g sigma (g >= 0), 0 if none, as beta /
+    (rho v): v^3 - p v - q = 0 (|p|, q <= 1) by Cardano where v is its only real root, as q U^2
+    / (U^4 - U^2 p / 3 + p^2 / 9) = U + p / 3U (no cancellation), else by cosines (p = 1)."""
+    h, k = np.sqrt(np.abs(A)), np.cbrt(g * beta)
+    rho = np.maximum(np.maximum(h, k), np.finfo(float).tiny)
+    p, q = np.copysign((h / rho) ** 2, A), (k / rho) ** 3
+    D = q * q / 4.0 - p ** 3 / 27.0
+    U2 = np.cbrt(q / 2.0 + np.sqrt(np.maximum(D, 0.0))) ** 2
+    v = np.where(D >= 0.0, _quotient(q * U2, U2 * U2 - U2 * p / 3.0 + p * p / 9.0),
+                 np.cos(np.arccos(np.minimum(q * 27.0 ** 0.5 / 2.0, 1.0)) / 3.0) * 2.0 / 3.0 ** 0.5)
+    return _quotient(beta, rho * v)
 
 
 def null_quadratic_margins(Lhat):

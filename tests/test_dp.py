@@ -99,9 +99,9 @@ class TestDP2:
         calls = []
         solve = dp._pair_min
 
-        def counting(c, a, M, nhat):
+        def counting(c, a, M, nhat, lam, Q):
             calls.append(len(c))
-            return solve(c, a, M, nhat)
+            return solve(c, a, M, nhat, lam, Q)
 
         monkeypatch.setattr(dp, "_pair_min", counting)
         cases = [
@@ -352,7 +352,7 @@ class TestBoundsFirst:
         That[:, 1:, 1:] = np.eye(3)
         That[:, 0, 1] = That[:, 1, 0] = [1.5, 0.5, 2.5]
         That[:, 0, 2] = That[:, 2, 0] = [1.5, 0.0, 0.0]
-        lb, ub, _, closed = dp._pair_bounds(That)
+        lb, ub, _, closed, _ = dp._pair_bounds(That)
         assert closed.tolist() == [True, False, True]
         # interior: lb = -lam_max - |a|^2 / 2, ub = 1 - 2|a|
         assert lb[1] == pytest.approx(-1.125, abs=1e-15) and ub[1] == pytest.approx(0.0, abs=1e-15)
@@ -432,7 +432,7 @@ class TestBoundsFirst:
         # margin never exceeds the upper bound, a pair the bounds attain, nor
         # the search, and equals the search wherever that ends within them
         That = _known_quadratics("hard_inside", 4, 2000, seed=15)[0]
-        lb, ub, _, closed = dp._pair_bounds(That)
+        lb, ub, _, closed, _ = dp._pair_bounds(That)
         eps = 1e-12 * np.abs(That).max(axis=(1, 2))
         searched = pair_search(That)[0]
         stalled = searched > ub + eps
@@ -450,7 +450,7 @@ class TestBoundsFirst:
         # minimum is a diagonal pair the start misses (not for d = 1, whose
         # start is exact, nor on de Sitter, whose quadratic is constant)
         That = _scan_tensors(kind, n, 500, seed=103 * n)
-        lb, _, _, _ = dp._pair_bounds(That)
+        lb, _, _, _, _ = dp._pair_bounds(That)
         margins = dp2_margins(That)[0]
         capped = dp2_margins(That, steps=0)[0]
         eps = 1e-12 * np.abs(That).max(axis=(1, 2))
@@ -513,7 +513,7 @@ class TestRowSolver:
     @staticmethod
     def assert_solved(That):
         margins = dp2_margins(That)[0]
-        lb, ub, _, closed = dp._pair_bounds(That)
+        lb, ub, _, closed, _ = dp._pair_bounds(That)
         scale = np.maximum(1.0, np.abs(That).max(axis=(1, 2)))
         assert not np.all(closed)
         assert np.all((margins - pair_search(That)[0]) <= 1e-13 * scale)
@@ -536,6 +536,56 @@ class TestRowSolver:
         margins = dp2_margins(That)[0]
         assert np.all(np.abs(dp2_margins(scale * That)[0] / scale - margins)
                       <= 1e-14 * np.abs(That).max(axis=(1, 2)))
+
+
+class TestOneDecomposition:
+    """The bounds' eigenbasis serves the open rows; the repeated-spectrum
+    candidates are built only on rows with a repeated gap."""
+
+    def test_one_eigh_per_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(A, *args, **kwargs):
+            calls.append(len(A))
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        That = _scan_tensors("symmetric", 4, 16, seed=140)
+        assert not np.all(dp._pair_bounds(That)[3])
+        calls.clear()
+        dp2_margins(That)
+        assert calls == [16]
+        p = mink_point()
+        for T in (That[0], np.diag([1.0, 2.0, 2.0, 2.0]), ETA4):
+            calls.clear()
+            dp2_check(p, T, frame=np.eye(4))
+            assert calls == [2]
+
+    def test_deflation_only_where_a_gap_repeats(self, monkeypatch):
+        seen = []
+        deflate = dp._deflate
+
+        def recording(lam, Q, b, M):
+            seen.append(lam.T.copy())
+            return deflate(lam, Q, b, M)
+
+        monkeypatch.setattr(dp, "_deflate", recording)
+        rng = np.random.default_rng(141)
+        # a positive spatial block and a short a leave every row open
+        lam = np.sort(rng.uniform(0.5, 2.0, (12, 3)), axis=1)
+        lam[::3, 1] = lam[::3, 0] + 1e-12
+        lam[1::3, 2] = lam[1::3, 1]
+        That = _frame_tensors(lam, 0.1 * rng.normal(size=(12, 3)), rng.normal(size=12), rng)
+        closed, (lam, _) = dp._pair_bounds(dp._unit_rows(That)[0])[3:]
+        assert not np.any(closed)
+        repeated = np.any(np.diff(lam, axis=0) <= dp._REPEATED, axis=0)
+        assert 0 < repeated.sum() < len(That)
+        want = dp2_margins(That)
+        assert len(seen) == 1 and np.array_equal(seen[0], lam.T[repeated])
+        # each row still equals its one-row batch
+        for i in range(len(That)):
+            assert all(np.array_equal(x[i], y[0]) for x, y in zip(want, dp2_margins(That[i:i + 1])))
 
 
 class TestPairMinOracle:
@@ -959,11 +1009,38 @@ class TestNullQuadratic:
         assert abs(m[0]) <= 1e-15 and abs(np.linalg.norm(nhat[0]) - 1.0) <= 1e-15
         assert abs(dp2_margins(L[None])[0][0]) <= 1e-15
 
+    def test_rank_one_null_converges_in_few_steps(self):
+        # L = alpha u (x) u with u null in a boosted frame: the lowest
+        # eigenspace of M is a double 0 that a carries only as rounding
+        # residue, so the secular root sits decades above its start.  Ten
+        # steps give the capped result
+        rng = np.random.default_rng(150)
+        N = 20000
+        v = rng.normal(size=(N, 3))
+        u = np.concatenate([np.linalg.norm(v, axis=1, keepdims=True), v], axis=1)
+        r, axis = rng.uniform(0.0, 2.0, N), rng.normal(size=(N, 3))
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        along = np.einsum("nd,nd->n", axis, u[:, 1:])
+        u = np.concatenate([(np.cosh(r) * u[:, 0] + np.sinh(r) * along)[:, None],
+                            u[:, 1:] + ((np.cosh(r) - 1.0) * along + np.sinh(r) * u[:, 0])[:, None] * axis], axis=1)
+        w = u @ ETA4
+        L = rng.uniform(0.2, 2.0, (N, 1, 1)) * w[:, :, None] * w[:, None, :]
+        m, nhat = null_quadratic_margins(L)
+        U, e = dp._unit_rows(L)
+        c, a, M = dp._rows(U)
+        n10 = dp._sphere_quadratic(a, M, 10)[2]
+        m10 = np.ldexp(dp._quad_value(n10, c, a, M), e)
+        scale = np.abs(L).max(axis=(1, 2))
+        assert np.all(np.abs(m10 - m) <= 1e-15 * scale)
+        assert np.all(np.abs(np.linalg.norm(nhat, axis=1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(np.linalg.norm(n10, axis=1) - 1.0) <= 1e-15)
+
     def test_capped_rows_stay_on_sphere(self):
-        # b_1 = 1e-30 beside |(M - lam_1 I)^+ a| = 1: Newton on the secular
-        # equation grows s by about 1.5x a step from 1e-30 towards its root
-        # near 1e-20, so these rows stop at the NEWTON_STEPS cap; nhat must
-        # still be a unit vector at the minimum lam_1 - 1
+        # b_1 = 1e-30 beside |(M - lam_1 I)^+ a| = 1: the secular root lies
+        # near 1e-20, ten decades above the start s = 1e-30, which Newton
+        # alone climbs by about 1.5x a step, short of the NEWTON_STEPS cap
+        # only through the pole-exact step; nhat must be a unit vector at the
+        # minimum lam_1 - 1
         lam1 = np.array([-3.0, 0.0, 2.0])
         L = np.zeros((3, 3, 3))
         L[:, 1, 1], L[:, 2, 2] = lam1, lam1 + 1.0

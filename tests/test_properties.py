@@ -163,7 +163,7 @@ class TestProperties:
     def test_search_between_bounds(self, T):
         # LB <= grid+Newton margin <= UB: the bounds share no code with the
         # reference search
-        lb, ub, _, _ = dp._pair_bounds(T[None])
+        lb, ub, _, _, _ = dp._pair_bounds(T[None])
         m = pair_search(T[None])[0]
         eps = 1e-12 * np.abs(T).max()
         assert lb[0] - eps <= m[0] <= ub[0] + eps
@@ -174,7 +174,7 @@ class TestProperties:
         # the margin of an open row lies within its bounds, never above the
         # reference search, and at the enumeration oracle, which overshoots
         # the minimum by at most 1e-6
-        lb, ub, _, closed = dp._pair_bounds(T[None])
+        lb, ub, _, closed, _ = dp._pair_bounds(T[None])
         m = dp2_margins(T[None])[0][0]
         scale = max(1.0, np.abs(T).max())
         assert lb[0] - 1e-12 * scale <= m <= ub[0] + 1e-12 * scale
