@@ -1,7 +1,8 @@
 """Command-line front end over the file loaders and sampled checks.
 
 Subcommands take definition files (spacetimes, maps, flows) or a
-packaged scenario name, print a short text summary, and optionally
+packaged scenario name, print the text of the report's result (one
+renderer, `_summary`, for every subcommand and scenario), and optionally
 write the full canonical report with `--json PATH`.  Exit codes encode
 the outcome: 0 the relation holds (or the pair is isomorphic), 1 it
 does not, 2 the inputs are unusable, 3 the tool failed an internal
@@ -35,6 +36,7 @@ from .relate import (
     BLOCK_SAMPLES,
     DEFAULT_MARGIN,
     DEFAULT_SAMPLES,
+    NotDPPlusError,
     Verdict,
     _nonnegative,
     _thread_count,
@@ -193,34 +195,72 @@ def _verdict_exit(verdict):
     return EXIT_NEGATIVE
 
 
-def _format_point(coords, values):
+def _format_point(values, coords=None):
+    if coords is None:
+        return ", ".join(f"{float(v):.6g}" for v in values)
     return ", ".join(f"{c} = {float(v):.6g}" for c, v in zip(coords, values))
 
 
-def _relation_lines(rep, coords):
-    lines = [f"verdict: {rep.verdict.value}"]
-    if rep.error:
-        lines.append(f"  {rep.error}")
-    lines.append(f"samples checked: {rep.samples_checked}")
-    if rep.min_margin is not None:
-        lines.append(f"min margin: {rep.min_margin:.6e}")
-    conf = rep.conformal
-    if conf is not None and conf.everywhere and conf.lam_range is not None:
-        lines.append(f"conformal: lambda in [{conf.lam_range[0]:.9g}, "
-                     f"{conf.lam_range[1]:.9g}]")
-    if rep.witnesses:
-        w = rep.witnesses[0]
-        lines.append(f"witnesses: {len(rep.witnesses)}, worst margin "
-                     f"{w.margin:.6e} at ({_format_point(coords, w.point)})")
-    return lines
+def _conformal_lines(conf):
+    if conf is None or not conf["everywhere"] or conf["lam_range"] is None:
+        return []
+    lo, hi = conf["lam_range"]
+    return [f"conformal: lambda in [{lo:.9g}, {hi:.9g}]"]
 
 
 def _direction_line(tag, rep):
-    """One direction of an iso report, from the report's JSON data."""
+    """One direction of an iso result."""
     m = rep["min_margin"]
     extra = "" if m is None else f", min margin {m:.6e}"
     err = f" ({rep['error']})" if rep["error"] else ""
     return f"{tag}: {rep['verdict']}{extra}{err}"
+
+
+def _summary(result, coords=None, declared=None):
+    """The text of a report's `result`: a relation, iso, flow or cnd result.
+    Points name the source coordinates `coords` where given; `declared` is a
+    flow's declared parameter range, where known."""
+    yes = {True: "yes", False: "no"}
+    if "isomorphic" in result:
+        return [f"isomorphic: {yes[result['isomorphic']]}",
+                _direction_line("forward", result["forward"]),
+                _direction_line("backward", result["backward"]),
+                f"time reversed: {yes[result['time_reversed']]}; "
+                f"inverse verified: {yes[result['inverse_verified']]}",
+                *_conformal_lines(result["conformal"])]
+    if "steps" in result:
+        lines = []
+        for step in result["steps"]:
+            m = step["min_margin"]
+            extra = "" if m is None else f"   min margin {m:.6e}"
+            lines.append(f"s = {step['s']:<8g} {step['verdict']}{extra}")
+        lo, hi = result["interval"]
+        tail = "" if declared is None else f" of declared [{declared[0]:g}, {declared[1]:g}]"
+        return lines + [f"causal for s in [{lo:g}, {hi:g}]{tail}", f"group: {yes[result['group']]}"]
+    if "in_dp_plus" in result:
+        where = _format_point(result["point"], coords)
+        if not result["in_dp_plus"]:
+            return [f"no canonical null directions at ({where}):", f"  {result['note']}"]
+        head = f"canonical null directions at ({where}): {len(result['pairs'])}"
+        if result["degenerate"]:
+            head += " (degenerate: every null direction is canonical)"
+        lines = [head]
+        for p in result["pairs"]:
+            comps = ", ".join(f"{c:.9g}" for c in p["direction"])
+            lines.append(f"  lambda = {p['eigenvalue']:.9g}   direction: ({comps})")
+        return lines
+    lines = [f"verdict: {result['verdict']}"]
+    if result["error"]:
+        lines.append(f"  {result['error']}")
+    lines.append(f"samples checked: {result['samples_checked']}")
+    if result["min_margin"] is not None:
+        lines.append(f"min margin: {result['min_margin']:.6e}")
+    lines += _conformal_lines(result["conformal"])
+    if result["witnesses"]:
+        w = result["witnesses"][0]
+        lines.append(f"witnesses: {len(result['witnesses'])}, worst margin "
+                     f"{w['margin']:.6e} at ({_format_point(w['point'], coords)})")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +275,7 @@ def _cmd_check(args):
     rep = check_proper_causal(m, run.sampler(src, window={}), tol_dp=run.tol_dp,
                               threads=run.threads)
     env = run.report("check", relation_inputs(src, tgt, map=m), rep.to_dict())
-    _emit(args, _relation_lines(rep, src.coords), env)
+    _emit(args, _summary(env["result"], src.coords), env)
     return _verdict_exit(rep.verdict)
 
 
@@ -250,17 +290,7 @@ def _cmd_iso(args):
                             run.sampler(tgt, window={}), tol_dp=run.tol_dp, threads=run.threads)
     env = run.report("iso", relation_inputs(src, tgt, forward=fwd, backward=bwd),
                      rep.to_dict())
-    lines = [
-        f"isomorphic: {'yes' if rep.isomorphic else 'no'}",
-        _direction_line("forward", env["result"]["forward"]),
-        _direction_line("backward", env["result"]["backward"]),
-        f"time reversed: {'yes' if rep.time_reversed else 'no'}; "
-        f"inverse verified: {'yes' if rep.inverse_verified else 'no'}",
-    ]
-    if rep.conformal is not None and rep.conformal.everywhere:
-        lo, hi = rep.conformal.lam_range
-        lines.append(f"conformal: lambda in [{lo:.9g}, {hi:.9g}]")
-    _emit(args, lines, env)
+    _emit(args, _summary(env["result"], src.coords), env)
     if Verdict.ERROR in (rep.forward.verdict, rep.backward.verdict):
         return EXIT_INPUT
     return EXIT_POSITIVE if rep.isomorphic else EXIT_NEGATIVE
@@ -292,41 +322,19 @@ def _cmd_cnd(args):
     _expect_direction(m, src, tgt)
     x = _parse_point(args.point, src)
     run = _run(args)
-    note = None
     try:
         res = canonical_null_directions(m, x)
-    except ValueError as exc:
-        # only the cone-inclusion failure is a negative answer; domain
-        # and parse problems keep propagating as input errors
-        if "InDPplus" not in str(exc):
-            raise
-        note = str(exc)
-    where = _format_point(src.coords, x)
-    if note is not None:
-        result = {"point": [float(v) for v in x], "in_dp_plus": False,
-                  "degenerate": None, "pairs": [], "note": note}
-        lines = [f"no canonical null directions at ({where}):", f"  {note}"]
-        code = EXIT_NEGATIVE
-    else:
-        result = {
-            "point": [float(v) for v in x],
-            "in_dp_plus": True,
-            "degenerate": bool(res.degenerate),
-            "pairs": [{"eigenvalue": float(lam),
-                       "direction": [float(c) for c in v]}
-                      for lam, v in res.pairs],
-        }
-        head = f"canonical null directions at ({where}): {len(res.pairs)}"
-        if res.degenerate:
-            head += " (degenerate: every null direction is canonical)"
-        lines = [head]
-        for lam, v in res.pairs:
-            comps = ", ".join(f"{float(c):.9g}" for c in v)
-            lines.append(f"  lambda = {float(lam):.9g}   direction: ({comps})")
+        result = {"point": [float(v) for v in x], "in_dp_plus": True,
+                  "degenerate": bool(res.degenerate),
+                  "pairs": [{"eigenvalue": float(lam), "direction": [float(c) for c in v]}
+                            for lam, v in res.pairs]}
         code = EXIT_POSITIVE
-    env = run.report("cnd", relation_inputs(src, tgt, map=m), result,
-                     sampled=False)
-    _emit(args, lines, env)
+    except NotDPPlusError as exc:  # a negative answer, not an input error
+        result = {"point": [float(v) for v in x], "in_dp_plus": False,
+                  "degenerate": None, "pairs": [], "note": str(exc)}
+        code = EXIT_NEGATIVE
+    env = run.report("cnd", relation_inputs(src, tgt, map=m), result, sampled=False)
+    _emit(args, _summary(env["result"], src.coords), env)
     return code
 
 
@@ -342,15 +350,7 @@ def _cmd_flow(args):
                           threads=run.threads)
     env = run.report("flow", {"spacetime": spacetime_digest(st),
                               "flow": flow_digest(fl)}, rep.to_dict())
-    lines = []
-    for step in rep.steps:
-        extra = "" if step.min_margin is None else \
-            f"   min margin {step.min_margin:.6e}"
-        lines.append(f"s = {step.s:<8g} {step.verdict.value}{extra}")
-    lines.append(f"causal for s in [{rep.interval[0]:g}, {rep.interval[1]:g}] "
-                 f"of declared [{lo:g}, {hi:g}]")
-    lines.append(f"group: {'yes' if rep.group else 'no'}")
-    _emit(args, lines, env)
+    _emit(args, _summary(env["result"], st.coords, declared=fl.s_range), env)
     if all(s.verdict is Verdict.HOLDS_SAMPLED for s in rep.steps):
         return EXIT_POSITIVE
     return EXIT_NEGATIVE
@@ -373,41 +373,18 @@ def _parse_params(pairs):
     return out
 
 
-def _result_lines(result):
-    if "isomorphic" in result:
-        return [f"isomorphic: {'yes' if result['isomorphic'] else 'no'}",
-                _direction_line("forward", result["forward"]),
-                _direction_line("backward", result["backward"])]
-    if "steps" in result:
-        lines = [f"s = {s['s']:<8g} {s['verdict']}" for s in result["steps"]]
-        lines.append(f"interval: [{result['interval'][0]:g}, "
-                     f"{result['interval'][1]:g}]")
-        return lines
-    lines = [f"verdict: {result['verdict']}"]
-    if result["error"]:
-        lines.append(f"  {result['error']}")
-    m = result.get("min_margin")
-    if m is not None:
-        lines.append(f"min margin: {m:.6e}")
-    if result.get("witnesses"):
-        lines.append(f"witnesses: {len(result['witnesses'])}")
-    return lines
-
-
 def _cmd_scenario(args):
     params = _parse_params(args.param)
     out = run_scenario(args.name, samples=args.samples, seed=args.seed,
                        scheme=args.scheme, margin=args.margin, tol_dp=args.tol,
                        threads=args.threads, params=params,
                        map_path=args.map_path)
-    lines = [f"scenario: {out.name}"]
-    lines.extend(_result_lines(out.report["result"]))
     if out.matched is None:
-        lines.append("expectation: none (reporting only)")
+        expectation = "expectation: none (reporting only)"
     else:
-        lines.append("matched analytic expectation: "
-                     + ("yes" if out.matched else "NO"))
-    _emit(args, lines, out.report)
+        expectation = f"matched analytic expectation: {'yes' if out.matched else 'NO'}"
+    _emit(args, [f"scenario: {out.name}", *_summary(out.report["result"]), expectation],
+          out.report)
     return out.exit_code
 
 

@@ -92,6 +92,14 @@ def _unit_rows(That):
     return np.ldexp(That, -e[:, None, None]), e
 
 
+def _unit_tensor(T, E):
+    """(T 2^-e, That 2^-e, e): one tensor and its frame components E^T T E
+    scaled as one `_unit_rows` row.  A tolerance stays on the unscaled size:
+    its floor 1 is 2^-e on the scaled tensor."""
+    That, e = _unit_rows((E.T @ T @ E)[None])
+    return np.ldexp(T, -e[0]), That[0], int(e[0])
+
+
 def _pair_value(n, c, a, M):
     w = np.einsum("rde,re->rd", M, n) + a
     return c + np.einsum("rd,rd->r", a, n) - np.linalg.norm(w, axis=1), w
@@ -439,29 +447,30 @@ def null_eigenvectors(point, T, tol=TOL_DP, residual_tol=1e-10, frame=None):
     is a zero (nhat carries rounding residue along q_1 there); otherwise
     nhat and the spanning points yc + r q_j, yc - r q_1 that pass the
     eigen-residual check (relative residual_tol) and are future null.
+    The arithmetic runs on T scaled by a power of two (`_unit_tensor`).
     """
     G = point.metric.matrix
     n = point.metric.dim
-    T = _check_sym(T, n)
     E = orthonormal_frame(point) if frame is None else frame
+    T, That, e = _unit_tensor(_check_sym(T, n), E)
+    floor = np.ldexp(1.0, -e)
     A = np.linalg.solve(G, T)
-    scale = max(1.0, float(np.max(np.abs(A))))
+    scale = max(floor, float(np.max(np.abs(A))))
 
     lam0 = float(np.trace(A)) / n
     if np.max(np.abs(A - lam0 * np.eye(n))) <= tol * scale:
         basis = [E[:, 0] + E[:, j] for j in range(1, n)]
         basis.append(E[:, 0] - E[:, 1])
-        pairs = tuple((lam0, v) for v in basis)
+        pairs = tuple((float(np.ldexp(lam0, e)), v) for v in basis)
         return NullEigenResult(pairs, True)
 
-    That = E.T @ T @ E
     c, a, M = _rows(That[None])
     lam, _, nhat, Q = _sphere_quadratic(a, M)
     lmin = float(_quad_value(nhat, c, a, M)[0])
-    zero = tol * max(1.0, float(np.max(np.abs(That))))
+    zero = tol * max(floor, float(np.max(np.abs(That))))
     if lmin < -zero:
         raise ValueError(f"null eigenvectors need T(k, k) >= 0 on the null cone, "
-                         f"got a minimum of {lmin:.3e}")
+                         f"got a minimum of {np.ldexp(lmin, e):.3e}")
     if lmin > zero:
         return NullEigenResult((), False)
     nhat, low = nhat[0], Q[:, lam[:, 0] - lam[0, 0] <= zero, 0]
@@ -477,7 +486,7 @@ def null_eigenvectors(point, T, tol=TOL_DP, residual_tol=1e-10, frame=None):
             return None
         if classify(G, E, point.future, v) is not CausalClass.FUTURE_NULL:
             return None
-        return mu, v
+        return float(np.ldexp(mu, e)), v
 
     if yc @ yc > 0.0 and (centre := pair(yc)):
         return NullEigenResult((centre,), False)
@@ -494,7 +503,8 @@ def dp_zero_test(point, T, X, tol=1e-8, frame=None):
 
     Side one: T(X, X) vanishes.  Side two: X is a null eigenvector of T
     with respect to G.  Returns (value_zero, eigenvector) booleans; for
-    tensors in DPplus the two must agree.
+    tensors in DPplus the two must agree.  The arithmetic runs on T scaled
+    by a power of two (`_unit_tensor`).
     """
     E = orthonormal_frame(point) if frame is None else frame
     verdict = dp2_check(point, T, frame=E)
@@ -505,11 +515,10 @@ def dp_zero_test(point, T, X, tol=1e-8, frame=None):
         raise ValueError(f"dp_zero_test needs a future causal X, got {cls.value}")
 
     G = point.metric.matrix
-    T = _check_sym(T, point.metric.dim)
+    T, That, e = _unit_tensor(_check_sym(T, point.metric.dim), E)
     Xh = np.linalg.solve(E, np.asarray(X, dtype=float))
     Xn = np.asarray(X, dtype=float) / np.linalg.norm(Xh)
-    That = E.T @ T @ E
-    t_scale = max(1.0, float(np.max(np.abs(That))))
+    t_scale = max(np.ldexp(1.0, -e), float(np.max(np.abs(That))))
 
     value_zero = abs(float(Xn @ T @ Xn)) <= tol * t_scale
 

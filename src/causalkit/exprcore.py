@@ -20,7 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")
+# name -> (value, slope in the argument); sqrt's slope is taken from its value
+_CALLS = {
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda x: -np.sin(x)),
+    "tan": (np.tan, lambda x: 1.0 / np.cos(x) ** 2),
+    "sinh": (np.sinh, np.cosh),
+    "cosh": (np.cosh, np.sinh),
+    "tanh": (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2),
+    "exp": (np.exp, np.exp),
+    "log": (np.log, lambda x: 1.0 / x),
+    "sqrt": (np.sqrt, None),
+    "abs": (np.abs, np.sign),
+}
+FUNCTIONS = tuple(_CALLS)
 
 _CONSTANTS = {"pi": math.pi}
 
@@ -492,31 +505,16 @@ def _apply_call(func, arg, node):
         raise EvalDomainError("log of non-positive value", node, _first_bad(v <= 0.0))
     if func == "sqrt" and np.any(v < 0.0):
         raise EvalDomainError("sqrt of negative value", node, _first_bad(v < 0.0))
-    plain = {
-        "sin": np.sin, "cos": np.cos, "tan": np.tan,
-        "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-        "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    }[func]
+    plain, chain = _CALLS[func]
     if not isinstance(arg, Dual):
         return _check_finite(plain(v), node)
     val = plain(arg.value)
-    chain = {
-        "sin": lambda x: np.cos(x),
-        "cos": lambda x: -np.sin(x),
-        "tan": lambda x: 1.0 / np.cos(x) ** 2,
-        "sinh": lambda x: np.cosh(x),
-        "cosh": lambda x: np.sinh(x),
-        "tanh": lambda x: 1.0 / np.cosh(x) ** 2,
-        "exp": lambda x: np.exp(x),
-        "log": lambda x: 1.0 / x,
-        "abs": lambda x: np.sign(x),
-    }
     if func == "sqrt":
         if np.any(v == 0.0):
             raise EvalDomainError("sqrt slope at zero", node, _first_bad(v == 0.0))
         slope = 0.5 / val
     else:
-        slope = chain[func](arg.value)
+        slope = chain(arg.value)
     _check_finite(val, node)
     return Dual(val, np.asarray(slope, dtype=float)[..., None] * arg.deriv)
 

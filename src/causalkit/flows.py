@@ -16,8 +16,9 @@ import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
 from .exprcore import parse_expr, seed_env, substitute
-from .relate import (MapDef, Verdict, _at_sample, _blocks, _check_relations, _check_symbols,
-                     _components, _dual_components, _Report, _sample, _source_stage, _witnesses, _worst)
+from .relate import (MapDef, Verdict, _at_sample, _blocks, _by_coordinate, _check_relations,
+                     _check_symbols, _components, _dual_components, _Report, _sample, _source_stage,
+                     _witnesses, _worst)
 
 IDENTITY_TOL = 1e-10
 
@@ -48,10 +49,8 @@ class FlowDef:
     def create(cls, spacetime, s_symbol, exprs, s_range, params=()):
         params = dict(params)
         symbols = tuple(spacetime.coords) + tuple(params) + (s_symbol,)
-        missing = [c for c in spacetime.coords if c not in exprs]
-        if missing:
-            raise ValueError(f"flow lacks components for {missing}")
-        parsed = tuple(parse_expr(exprs[c], symbols) for c in spacetime.coords)
+        parsed = _by_coordinate(exprs, spacetime.coords, spacetime.name, "flow",
+                                lambda src: parse_expr(src, symbols))
         return cls(spacetime, s_symbol, parsed, (float(s_range[0]), float(s_range[1])), params)
 
 
@@ -72,13 +71,11 @@ class GeneratorField:
 
     @classmethod
     def create(cls, spacetime, exprs):
+        symbols = tuple(spacetime.coords) + tuple(spacetime.params)
         # a bare iterable is taken in coordinate order; a dict by name
         if isinstance(exprs, dict):
-            missing = [c for c in spacetime.coords if c not in exprs]
-            if missing:
-                raise ValueError(f"generator lacks components for {missing}")
-            exprs = tuple(exprs[c] for c in spacetime.coords)
-        symbols = tuple(spacetime.coords) + tuple(spacetime.params)
+            return cls(spacetime, _by_coordinate(exprs, spacetime.coords, spacetime.name,
+                                                 "generator", lambda src: parse_expr(src, symbols)))
         return cls(spacetime, tuple(parse_expr(src, symbols) for src in exprs))
 
     def values(self, pts):

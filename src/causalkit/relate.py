@@ -58,6 +58,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 _ORIENTATION_SIGN = np.array([1 if c.is_future else (-1 if c.is_causal else 0) for c in CausalClass])
 
 
+class NotDPPlusError(ValueError):
+    """The pullback at the queried point is not InDPplus: a negative answer of
+    `canonical_null_directions`, not bad input."""
+
+
 class Verdict(enum.Enum):
     HOLDS_SAMPLED = "HOLDS_SAMPLED"
     TIME_REVERSED = "TIME_REVERSED"
@@ -69,6 +74,18 @@ def _check_symbols(expr, allowed, what):
     stray = free_symbols(expr) - allowed
     if stray:
         raise ValueError(f"{what} references unknown symbols {sorted(stray)}")
+
+
+def _by_coordinate(entries, coords, chart, what, parse):
+    """parse(entry) of a {coordinate: entry} table in the order of `coords`,
+    the coordinates of chart `chart`; a missing or unknown name is a ValueError."""
+    missing = [c for c in coords if c not in entries]
+    if missing:
+        raise ValueError(f"{what} lacks components for {missing}")
+    stray = [k for k in entries if k not in coords]
+    if stray:
+        raise ValueError(f"'{stray[0]}' is not a coordinate of '{chart}'")
+    return tuple(parse(entries[c]) for c in coords)
 
 
 def _components(exprs, coords, params, pts):
@@ -156,7 +173,7 @@ class SpacetimeDef:
         coords = tuple(coords)
         params = dict(params)
         symbols = coords + tuple(params)
-        dom = tuple((float(domain[c][0]), float(domain[c][1])) for c in coords)
+        dom = _by_coordinate(domain, coords, name, "domain", lambda iv: (float(iv[0]), float(iv[1])))
         met = {(int(i), int(j)): parse_expr(src, symbols) for (i, j), src in metric.items()}
         ori = tuple(parse_expr(src, symbols) for src in orientation)
         exc = tuple(parse_expr(src, symbols) for src in exclusions)
@@ -232,10 +249,8 @@ class MapDef:
         """Parse map components given as {target coord: expression text}."""
         params = dict(params)
         symbols = tuple(source.coords) + tuple(params)
-        missing = [c for c in target.coords if c not in exprs]
-        if missing:
-            raise ValueError(f"map lacks components for {missing}")
-        parsed = tuple(parse_expr(exprs[c], symbols) for c in target.coords)
+        parsed = _by_coordinate(exprs, target.coords, target.name, "map",
+                                lambda src: parse_expr(src, symbols))
         return cls(source, target, parsed, params)
 
     def image(self, pts):
@@ -728,7 +743,7 @@ def canonical_null_directions(mapdef, x):
         T = _pullback(J, Gt)[0]
         verdict = dp2_check(p, T, frame=E[0])
         if verdict.status is not DPStatus.IN_DP_PLUS:
-            raise ValueError(
+            raise NotDPPlusError(
                 f"canonical null directions need an InDPplus pullback, got "
                 f"{verdict.status.value} (margin {verdict.margin:.3e})"
             )

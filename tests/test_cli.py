@@ -5,7 +5,7 @@ import json
 import pytest
 
 from causalkit.catalog import builtin
-from causalkit.cli import main
+from causalkit.cli import _summary, main
 from causalkit.defio import serialize_spacetime
 from causalkit.relate import SpacetimeDef
 
@@ -96,6 +96,10 @@ map x = x
 map y = y
 map z = z
 """
+
+
+MINKOWSKI = ("t", "x", "y", "z")
+VAIDYA = ("t", "r", "theta", "phi")
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +285,47 @@ class TestReport:
         assert one == two
 
 
+# runs whose text covers every block of the summary: witnesses, conformal
+# factor, both cnd answers, flow steps; the scenario lines sit between its
+# header and its expectation line
+SUMMARY_ARGV = {
+    "check": (lambda f: ["check", f["mink.st"], f["mink.st"], f["slowtime.cm"]], MINKOWSKI, {}),
+    "iso": (lambda f: ["iso", f["mink.st"], f["mink.st"], f["dilate.cm"], f["halve.cm"]],
+            MINKOWSKI, {}),
+    "cnd": (lambda f: ["cnd", f["mink.st"], f["mink.st"], f["dilate.cm"],
+                       "--point", "t=0,x=1,y=0,z=0"], MINKOWSKI, {}),
+    "cnd_not_dp": (lambda f: ["cnd", f["mink.st"], f["mink.st"], f["slowtime.cm"],
+                              "--point", "t=0,x=0,y=0,z=0"], MINKOWSKI, {}),
+    "flow": (lambda f: ["flow", f["vaidya.st"], f["vshift.fl"]], VAIDYA,
+             {"declared": (-2.0, 2.0)}),
+    "scenario": (lambda f: ["scenario", "desitter_to_einstein", "--param", "b=0.95"], None, {}),
+    "scenario_iso": (lambda f: ["scenario", "schwarzschild_iso"], None, {}),
+    "scenario_flow": (lambda f: ["scenario", "vaidya_flow"], None, {}),
+}
+
+
+class TestSummary:
+    @pytest.mark.parametrize("kind", SUMMARY_ARGV)
+    def test_text_is_summary_of_json_result(self, kind, files, tmp_path, capsys):
+        argv, coords, extra = SUMMARY_ARGV[kind]
+        path = tmp_path / "r.json"
+        run(argv(files) + ["--samples", "256", "--threads", "1", "--json", str(path)], capsys)
+        _, out, _ = run(argv(files) + ["--samples", "256", "--threads", "1"], capsys)
+        lines = out.splitlines()
+        if kind.startswith("scenario"):
+            lines = lines[1:-1]
+        assert lines == _summary(json.loads(path.read_text())["result"], coords, **extra)
+
+    def test_scenario_prints_the_subcommand_lines(self, capsys):
+        _, out, _ = run(["scenario", "vaidya_flow", "--samples", "256", "--threads", "1"], capsys)
+        assert "causal for s in [0, 2]\ngroup: no\n" in out
+        assert "s = 0.5      HOLDS_SAMPLED   min margin " in out
+        _, out, _ = run(["scenario", "desitter_to_einstein", "--param", "b=0.95",
+                         "--samples", "256", "--threads", "1"], capsys)
+        assert "samples checked: 256\n" in out
+        assert "witnesses: 16, worst margin -9.750000e-02 at (0, " in out
+
+
 class TestIso:
     def test_dilation_pair_isomorphic(self, files, capsys):
         rc, out, _ = run(["iso", files["mink.st"], files["mink.st"],
@@ -349,6 +394,24 @@ class TestCnd:
         assert rc == 2
         assert err == ("input error: timelike normalization below 1e-13 "
                        "at sample 0, x = [0.05, 0.0]\n")
+
+    def test_coordinate_named_like_the_answer_is_still_an_input_error(self, tmp_path, capsys):
+        # the map leaves its target domain, whose error names the coordinate
+        # InDPplus: an input error (exit 2) for cnd as for check
+        src, tgt = tmp_path / "flat2.st", tmp_path / "odd.st"
+        src.write_text("name = flat2\ncoords = [t, x]\ndomain t = (-1, 1)\ndomain x = (-1, 1)\n"
+                       "metric[0][0] = 1\nmetric[1][1] = -1\norientation = [1, 0]\n",
+                       encoding="utf-8")
+        tgt.write_text(src.read_text(encoding="utf-8").replace("flat2", "odd").replace("x", "InDPplus"),
+                       encoding="utf-8")
+        mp = tmp_path / "out.cm"
+        mp.write_text("source = flat2\ntarget = odd\nmap t = t\nmap InDPplus = t + 5\n",
+                      encoding="utf-8")
+        paths = [str(src), str(tgt), str(mp)]
+        rc, out, err = run(["cnd", *paths, "--point", "t=0, x=0"], capsys)
+        assert (rc, out) == (2, "")
+        assert "InDPplus" in err and err.startswith("input error: ")
+        assert run(["check", *paths, "--samples", "16"], capsys)[0] == 2
 
     def test_point_outside_domain_exits_2(self, files, capsys):
         rc, _, err = run(["cnd", files["schw.st"], files["schw.st"],
@@ -441,7 +504,7 @@ class TestScenario:
         rep = json.loads(p.read_text())
         assert rep["result"]["interval"] == [0.0, 2.0]
         assert rep["inputs"]["params"] == {"M": "3 - tanh(t)"}
-        assert "interval: [0, 2]" in out
+        assert "causal for s in [0, 2]" in out
 
     @pytest.mark.parametrize("name", ["minkowski_to_schwarzschild", "schwarzschild_iso"])
     def test_exterior_one_sample(self, name, tmp_path, capsys):

@@ -286,7 +286,8 @@ class TestRowIndependence:
 class TestScaleFree:
     """Each row is solved scaled by a power of two to unit size, so a large
     or small tensor's margin is its unit copy's times the scale: no square
-    over- or underflows (above max|That| of about 1e154 one used to)."""
+    over- or underflows (above max|That| of about 1e154 one used to).  The
+    zero-set functions work on the scaled tensor too."""
 
     @staticmethod
     def symmetric(seed, N=20):
@@ -316,6 +317,31 @@ class TestScaleFree:
             big = dp2_check(p, T * 2.0**530)
             assert big.status is unit.status
             assert big.margin == unit.margin * 2.0**530
+
+    @staticmethod
+    def null_family(seed, N=20):
+        # lam eta + mu (eta u)(eta u)^T, u null: u is the one null eigenvector
+        rng = np.random.default_rng(seed)
+        for _ in range(N):
+            n = rng.normal(size=3)
+            u = np.concatenate([[1.0], n / np.linalg.norm(n)]) * rng.uniform(0.5, 2.0)
+            yield rng.uniform(0.0, 2.0) * ETA4 + rng.uniform(0.1, 3.0) * null_square(u), u
+
+    @pytest.mark.parametrize("power", [600, 900])
+    def test_null_eigenvectors_scale_by_powers_of_two(self, power):
+        p = mink_point()
+        for T, u in self.null_family(600):
+            unit, big = null_eigenvectors(p, T), null_eigenvectors(p, T * 2.0**power)
+            assert len(unit.pairs) == 1 and not unit.degenerate
+            assert big.degenerate is unit.degenerate
+            assert [(lam * 2.0**power, tuple(v)) for lam, v in unit.pairs] == \
+                [(lam, tuple(v)) for lam, v in big.pairs]
+
+    @pytest.mark.parametrize("power", [600, 900])
+    def test_zero_test_sides_scale_free(self, power):
+        p = mink_point()
+        for T, u in self.null_family(900):
+            assert dp_zero_test(p, T, u) == dp_zero_test(p, T * 2.0**power, u) == (True, True)
 
 
 class TestBoundsFirst:

@@ -76,6 +76,11 @@ class TestFlowDef:
         with pytest.raises(ValueError, match="lacks components"):
             FlowDef.create(mink4(), "s", {"t": "t + s"}, (-1.0, 1.0))
 
+    def test_unknown_component(self):
+        with pytest.raises(ValueError, match="'X' is not a coordinate of 'mink'"):
+            FlowDef.create(mink4(), "s", {"t": "t + s", "x": "x", "y": "y", "z": "z", "X": "s"},
+                           (-1.0, 1.0))
+
     def test_param_shadowing_coordinate(self):
         with pytest.raises(ValueError, match="shadows"):
             FlowDef.create(mink4(), "t",
@@ -172,6 +177,10 @@ class TestGeneratorField:
     def test_dict_missing_component(self):
         with pytest.raises(ValueError, match="lacks components"):
             GeneratorField.create(mink4(), {"t": "1"})
+
+    def test_dict_unknown_component(self):
+        with pytest.raises(ValueError, match="'X' is not a coordinate of 'mink'"):
+            GeneratorField.create(mink4(), {"t": "1", "x": "0", "y": "0", "z": "0", "X": "1"})
 
 
 class TestLieDerivative:

@@ -211,6 +211,15 @@ class TestSpacetimeDef:
                 orientation=("1",),
             )
 
+    @pytest.mark.parametrize("domain, message", [
+        ({"t": (-1.0, 1.0)}, r"domain lacks components for \['x'\]"),
+        ({"t": (-1.0, 1.0), "x": (-1.0, 1.0), "X": (0.0, 1.0)}, "'X' is not a coordinate of 'bad'"),
+    ])
+    def test_domain_by_coordinate(self, domain, message):
+        with pytest.raises(ValueError, match=message):
+            SpacetimeDef.create(name="bad", coords=("t", "x"), domain=domain, params={},
+                                metric={(0, 0): "1", (1, 1): "-1"}, orientation=("1", "0"))
+
     def test_contains_strict(self):
         st = schwarzschild(c=3.0)
         assert st.contains(np.array([0.0, 3.5, 1.0, 1.0]))
@@ -252,6 +261,11 @@ class TestMapDef:
         src, dst = mink4(), mink4()
         with pytest.raises(ValueError, match="lacks components"):
             MapDef.create(src, dst, {"t": "t", "x": "x", "y": "y"}, {})
+
+    def test_unknown_component_rejected(self):
+        src, dst = mink4(), mink4()
+        with pytest.raises(ValueError, match="'X' is not a coordinate of 'mink'"):
+            MapDef.create(src, dst, {"t": "t", "x": "x", "y": "y", "z": "z", "X": "x"}, {})
 
     def test_image_and_jacobian(self):
         m = exterior_map(b=3.0)
