@@ -18,7 +18,7 @@ import re
 
 from .exprcore import ParseError, eval_expr, parse_expr, to_text
 from .flows import FlowDef
-from .relate import MapDef, SpacetimeDef
+from .relate import MapDef, SpacetimeDef, _by_coordinate
 
 _METRIC_KEY = re.compile(r"^metric\[(\d+)\]\[(\d+)\]$")
 _MAP_KEY = re.compile(r"^map\s+([A-Za-z_]\w*)$")
@@ -216,15 +216,11 @@ def _resolve(name, spacetimes, what):
 
 
 def _map_body(comps, chart, symbols, build):
-    """build(exprs) for the `map <coord>` lines of a map or flow file, one
-    per coordinate of `chart` in its order, each parsed in `symbols`."""
-    missing = [c for c in chart.coords if c not in comps]
-    if missing:
-        raise DefFileError(None, f"missing map components for {missing}")
-    stray = [c for c in comps if c not in chart.coords]
-    if stray:
-        raise DefFileError(comps[stray[0]][1], f"'{stray[0]}' is not a coordinate of '{chart.name}'")
-    exprs = tuple(_parse_with(comps[c][0], symbols, comps[c][1], f"map {c}") for c in chart.coords)
+    """build(exprs) for the `map <coord>` lines of a map or flow file, read by
+    `_by_coordinate` (a stray name fails at its line) and parsed in `symbols`."""
+    exprs = _by_coordinate(comps, chart.coords, chart.name, "missing map components",
+                           lambda c, entry: _parse_with(entry[0], symbols, entry[1], f"map {c}"),
+                           lambda c, msg: DefFileError(None if c is None else comps[c][1], msg))
     return _build(build, exprs)
 
 

@@ -49,8 +49,8 @@ class FlowDef:
     def create(cls, spacetime, s_symbol, exprs, s_range, params=()):
         params = dict(params)
         symbols = tuple(spacetime.coords) + tuple(params) + (s_symbol,)
-        parsed = _by_coordinate(exprs, spacetime.coords, spacetime.name, "flow",
-                                lambda src: parse_expr(src, symbols))
+        parsed = _by_coordinate(exprs, spacetime.coords, spacetime.name, "flow lacks components",
+                                lambda _, src: parse_expr(src, symbols))
         return cls(spacetime, s_symbol, parsed, (float(s_range[0]), float(s_range[1])), params)
 
 
@@ -75,7 +75,8 @@ class GeneratorField:
         # a bare iterable is taken in coordinate order; a dict by name
         if isinstance(exprs, dict):
             return cls(spacetime, _by_coordinate(exprs, spacetime.coords, spacetime.name,
-                                                 "generator", lambda src: parse_expr(src, symbols)))
+                                                 "generator lacks components",
+                                                 lambda _, src: parse_expr(src, symbols)))
         return cls(spacetime, tuple(parse_expr(src, symbols) for src in exprs))
 
     def values(self, pts):

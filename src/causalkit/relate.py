@@ -76,16 +76,17 @@ def _check_symbols(expr, allowed, what):
         raise ValueError(f"{what} references unknown symbols {sorted(stray)}")
 
 
-def _by_coordinate(entries, coords, chart, what, parse):
-    """parse(entry) of a {coordinate: entry} table in the order of `coords`,
-    the coordinates of chart `chart`; a missing or unknown name is a ValueError."""
+def _by_coordinate(entries, coords, chart, lacks, parse, error=lambda name, msg: ValueError(msg)):
+    """parse(coordinate, entry) of a {coordinate: entry} table in the order of
+    `coords`, the coordinates of chart `chart`; raises error(None, "<lacks> for
+    [...]") for missing names, error(name, ...) for a name that is not one."""
     missing = [c for c in coords if c not in entries]
     if missing:
-        raise ValueError(f"{what} lacks components for {missing}")
+        raise error(None, f"{lacks} for {missing}")
     stray = [k for k in entries if k not in coords]
     if stray:
-        raise ValueError(f"'{stray[0]}' is not a coordinate of '{chart}'")
-    return tuple(parse(entries[c]) for c in coords)
+        raise error(stray[0], f"'{stray[0]}' is not a coordinate of '{chart}'")
+    return tuple(parse(c, entries[c]) for c in coords)
 
 
 def _components(exprs, coords, params, pts):
@@ -173,7 +174,8 @@ class SpacetimeDef:
         coords = tuple(coords)
         params = dict(params)
         symbols = coords + tuple(params)
-        dom = _by_coordinate(domain, coords, name, "domain", lambda iv: (float(iv[0]), float(iv[1])))
+        dom = _by_coordinate(domain, coords, name, "domain lacks components",
+                             lambda _, iv: (float(iv[0]), float(iv[1])))
         met = {(int(i), int(j)): parse_expr(src, symbols) for (i, j), src in metric.items()}
         ori = tuple(parse_expr(src, symbols) for src in orientation)
         exc = tuple(parse_expr(src, symbols) for src in exclusions)
@@ -249,8 +251,8 @@ class MapDef:
         """Parse map components given as {target coord: expression text}."""
         params = dict(params)
         symbols = tuple(source.coords) + tuple(params)
-        parsed = _by_coordinate(exprs, target.coords, target.name, "map",
-                                lambda src: parse_expr(src, symbols))
+        parsed = _by_coordinate(exprs, target.coords, target.name, "map lacks components",
+                                lambda _, src: parse_expr(src, symbols))
         return cls(source, target, parsed, params)
 
     def image(self, pts):

@@ -304,6 +304,48 @@ SUMMARY_ARGV = {
 }
 
 
+# the subcommands' text, literally: pins _summary's format independently of itself
+PINNED_TEXT = {
+    "check": """\
+verdict: VIOLATED
+samples checked: 256
+min margin: -7.500000e-01
+witnesses: 16, worst margin -7.500000e-01 at (t = 0, x = 0, y = 0, z = 0)
+""",
+    "iso": """\
+isomorphic: yes
+forward: HOLDS_SAMPLED, min margin 0.000000e+00
+backward: HOLDS_SAMPLED, min margin 0.000000e+00
+time reversed: no; inverse verified: yes
+conformal: lambda in [4, 4]
+""",
+    "cnd": """\
+canonical null directions at (t = 0, x = 1, y = 0, z = 0): 4 (degenerate: every null direction is canonical)
+  lambda = 4   direction: (1, 1, 0, 0)
+  lambda = 4   direction: (1, 0, 1, 0)
+  lambda = 4   direction: (1, 0, 0, 1)
+  lambda = 4   direction: (1, -1, 0, 0)
+""",
+    "cnd_not_dp": """\
+no canonical null directions at (t = 0, x = 0, y = 0, z = 0):
+  canonical null directions need an InDPplus pullback, got NotDP (margin -7.500e-01)
+""",
+    "flow": """\
+s = -2       HOLDS_SAMPLED   min margin 0.000000e+00
+s = -1.5     HOLDS_SAMPLED   min margin 0.000000e+00
+s = -1       HOLDS_SAMPLED   min margin 0.000000e+00
+s = -0.5     HOLDS_SAMPLED   min margin 0.000000e+00
+s = 0        HOLDS_SAMPLED   min margin 0.000000e+00
+s = 0.5      HOLDS_SAMPLED   min margin 0.000000e+00
+s = 1        HOLDS_SAMPLED   min margin 0.000000e+00
+s = 1.5      HOLDS_SAMPLED   min margin 0.000000e+00
+s = 2        HOLDS_SAMPLED   min margin 0.000000e+00
+causal for s in [-2, 2] of declared [-2, 2]
+group: yes
+""",
+}
+
+
 class TestSummary:
     @pytest.mark.parametrize("kind", SUMMARY_ARGV)
     def test_text_is_summary_of_json_result(self, kind, files, tmp_path, capsys):
@@ -315,6 +357,14 @@ class TestSummary:
         if kind.startswith("scenario"):
             lines = lines[1:-1]
         assert lines == _summary(json.loads(path.read_text())["result"], coords, **extra)
+
+    @pytest.mark.parametrize("kind", PINNED_TEXT)
+    def test_subcommand_text(self, kind, files, capsys):
+        argv = SUMMARY_ARGV[kind][0](files)
+        if kind == "flow":
+            argv = ["flow", files["mink.st"], files["shift.fl"]]
+        _, out, _ = run(argv + ["--samples", "256", "--threads", "1"], capsys)
+        assert out == PINNED_TEXT[kind]
 
     def test_scenario_prints_the_subcommand_lines(self, capsys):
         _, out, _ = run(["scenario", "vaidya_flow", "--samples", "256", "--threads", "1"], capsys)

@@ -327,7 +327,7 @@ class TestScaleFree:
             u = np.concatenate([[1.0], n / np.linalg.norm(n)]) * rng.uniform(0.5, 2.0)
             yield rng.uniform(0.0, 2.0) * ETA4 + rng.uniform(0.1, 3.0) * null_square(u), u
 
-    @pytest.mark.parametrize("power", [600, 900])
+    @pytest.mark.parametrize("power", [-10, 10, 100, 500, 600, 900])
     def test_null_eigenvectors_scale_by_powers_of_two(self, power):
         p = mink_point()
         for T, u in self.null_family(600):
@@ -337,7 +337,15 @@ class TestScaleFree:
             assert [(lam * 2.0**power, tuple(v)) for lam, v in unit.pairs] == \
                 [(lam, tuple(v)) for lam, v in big.pairs]
 
-    @pytest.mark.parametrize("power", [600, 900])
+    def test_null_eigenvectors_floor_stays_unscaled(self):
+        # the tolerance floor 1 is on the unscaled size: far below it, at
+        # 2^-500, T is within tol of a multiple of G and every direction counts
+        p = mink_point()
+        for T, u in self.null_family(600):
+            small = null_eigenvectors(p, T * 2.0**-500)
+            assert small.degenerate and len(small.pairs) == 4
+
+    @pytest.mark.parametrize("power", [-500, 10, 100, 500, 600, 900])
     def test_zero_test_sides_scale_free(self, power):
         p = mink_point()
         for T, u in self.null_family(900):
