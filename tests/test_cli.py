@@ -1,6 +1,10 @@
 """End-to-end tests of the command line: exit codes, text, JSON."""
 
 import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -102,9 +106,8 @@ MINKOWSKI = ("t", "x", "y", "z")
 VAIDYA = ("t", "r", "theta", "phi")
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("cli")
+def write_files(d):
+    """The test definition files in directory `d`, by name."""
     paths = {}
 
     def put(name, text):
@@ -127,6 +130,11 @@ def files(tmp_path_factory):
     put("broken.st", "name = broken\nmetric[0][0] = 1\n")
     paths["dir"] = str(d)
     return paths
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return write_files(tmp_path_factory.mktemp("cli"))
 
 
 def run(argv, capsys):
@@ -663,3 +671,71 @@ class TestDispatch:
         assert rc == 3
         assert "internal error: SandwichError" in err
         assert "left its bounds" in err and "at sample 1, x = [" in err
+
+
+# golden reports: the --threads 1 JSON of each run, compared on every change;
+# regenerate with `PYTHONPATH=src python tests/test_cli.py` (a reviewed change)
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "check_dilate": lambda f: ["check", f["mink.st"], f["mink.st"], f["dilate.cm"]],
+    "check_slowtime": lambda f: ["check", f["mink.st"], f["mink.st"], f["slowtime.cm"]],
+    "check_reverse": lambda f: ["check", f["mink.st"], f["mink.st"], f["reverse.cm"]],
+    "iso_dilate_halve": lambda f: ["iso", f["mink.st"], f["mink.st"], f["dilate.cm"],
+                                   f["halve.cm"]],
+    "cnd_dilate": lambda f: ["cnd", f["mink.st"], f["mink.st"], f["dilate.cm"],
+                             "--point", "t=0,x=1,y=0,z=0"],
+    "cnd_slowtime": lambda f: ["cnd", f["mink.st"], f["mink.st"], f["slowtime.cm"],
+                               "--point", "t=0,x=0,y=0,z=0"],
+    "flow_vaidya_shift": lambda f: ["flow", f["vaidya.st"], f["vshift.fl"]],
+    "scenario_desitter_to_einstein": lambda f: ["scenario", "desitter_to_einstein"],
+    "scenario_desitter_to_einstein_b0.95": lambda f: ["scenario", "desitter_to_einstein",
+                                                      "--param", "b=0.95"],
+    "scenario_frw_candidate": lambda f: ["scenario", "frw_candidate", "--map", f["frw.cm"]],
+    "scenario_minkowski_to_schwarzschild": lambda f: ["scenario", "minkowski_to_schwarzschild"],
+    "scenario_schwarzschild_iso": lambda f: ["scenario", "schwarzschild_iso"],
+    "scenario_schwarzschild_to_minkowski": lambda f: ["scenario", "schwarzschild_to_minkowski"],
+    "scenario_vaidya_flow": lambda f: ["scenario", "vaidya_flow"],
+}
+
+
+def golden_report(name, files, path):
+    main(GOLDEN_ARGV[name](files) + ["--samples", "2048", "--threads", "1",
+                                     "--json", str(path)])
+    return path.read_text(encoding="utf-8")
+
+
+def assert_matches(got, want, where="report"):
+    """got == want, floats within 1e-9 relative or 1e-12 absolute (CI has its
+    own BLAS); witness `vectors` are skipped, since last-bit ties pick them on
+    spheres of equal minima."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for k in want:
+            if k != "vectors":
+                assert_matches(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", GOLDEN_ARGV)
+    def test_report_matches_golden(self, name, files, tmp_path, capsys):
+        got = json.loads(golden_report(name, files, tmp_path / "r.json"))
+        capsys.readouterr()
+        assert_matches(got, json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as d:
+        made = write_files(Path(d))
+        for golden_name in (sys.argv[1:] or GOLDEN_ARGV):
+            text = golden_report(golden_name, made, Path(d) / "r.json")
+            (GOLDEN / f"{golden_name}.json").write_text(text, encoding="utf-8")
