@@ -126,8 +126,8 @@ def _build_parser():
     p.add_argument("spacetime", help="spacetime definition file")
     p.add_argument("flowfile", help="flow definition file")
     p.add_argument("--steps", type=int, default=9,
-                   help="grid points across the declared parameter range "
-                        "(default %(default)s)")
+                   help="grid points across the declared parameter range, "
+                        "both ends included, at least 2 (default %(default)s)")
     _add_common(p)
     p.set_defaults(func=_cmd_flow)
 
@@ -323,7 +323,7 @@ def _cmd_cnd(args):
     x = _parse_point(args.point, src)
     run = _run(args)
     try:
-        res = canonical_null_directions(m, x)
+        res = canonical_null_directions(m, x, tol_dp=run.tol_dp)
         result = {"point": [float(v) for v in x], "in_dp_plus": True,
                   "degenerate": bool(res.degenerate),
                   "pairs": [{"eigenvalue": float(lam), "direction": [float(c) for c in v]}
@@ -341,8 +341,8 @@ def _cmd_cnd(args):
 def _cmd_flow(args):
     st = load_spacetime(args.spacetime)
     fl = load_flow(args.flowfile, _registry(st))
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1")
+    if args.steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
     lo, hi = fl.s_range
     grid = [float(s) for s in np.linspace(lo, hi, args.steps)]
     run = _run(args)

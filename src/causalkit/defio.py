@@ -20,10 +20,14 @@ from .exprcore import ParseError, eval_expr, parse_expr, to_text
 from .flows import FlowDef
 from .relate import MapDef, SpacetimeDef, _by_coordinate
 
-_METRIC_KEY = re.compile(r"^metric\[(\d+)\]\[(\d+)\]$")
-_MAP_KEY = re.compile(r"^map\s+([A-Za-z_]\w*)$")
-_PARAM_KEY = re.compile(r"^param\s+([A-Za-z_]\w*)$")
-_DOMAIN_KEY = re.compile(r"^domain\s+([A-Za-z_]\w*)$")
+# the table keys: the pattern of each, whose groups name its entry (a metric
+# entry by its index pair), and how a duplicate entry reads
+_TABLES = {
+    "param": (re.compile(r"^param\s+([A-Za-z_]\w*)$"), "parameter '{}'"),
+    "domain": (re.compile(r"^domain\s+([A-Za-z_]\w*)$"), "domain for '{}'"),
+    "metric": (re.compile(r"^metric\[(\d+)\]\[(\d+)\]$"), "metric[{0[0]}][{0[1]}]"),
+    "map": (re.compile(r"^map\s+([A-Za-z_]\w*)$"), "map component '{}'"),
+}
 
 
 class DefFileError(ValueError):
@@ -33,15 +37,42 @@ class DefFileError(ValueError):
         self.lineno = lineno
 
 
-def _entries(text):
+def _read(text, keys, tables):
+    """The entries of a definition file as (value, line): a {key: entry} dict
+    of the plain `keys`, each given at most once (`exclude` repeats, as a
+    list), and one {name: entry} table for each of the table keys `tables`.
+    A duplicate key, or any other key, fails at its line."""
+    plain, named = {}, {t: {} for t in tables}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise DefFileError(lineno, "expected 'key = value'")
-        key, value = line.split("=", 1)
-        yield lineno, key.strip(), value.strip()
+        key, entry = key.strip(), (value.strip(), lineno)
+        for t in tables:
+            if m := _TABLES[t][0].match(key):
+                name = (int(m[1]), int(m[2])) if t == "metric" else m[1]
+                table, what = named[t], _TABLES[t][1].format(name)
+                break
+        else:
+            if key not in keys:
+                raise DefFileError(lineno, f"unknown key '{key}'")
+            if key == "exclude":
+                plain.setdefault(key, []).append(entry)
+                continue
+            table, name, what = plain, key, f"'{key}'"
+        if name in table:
+            raise DefFileError(lineno, f"duplicate {what}")
+        table[name] = entry
+    return plain, *named.values()
+
+
+def _required(entries, key):
+    if key not in entries:
+        raise DefFileError(None, f"missing '{key}'")
+    return entries[key]
 
 
 def parse_number(text):
@@ -95,117 +126,48 @@ def _build(cls, *args):
         raise DefFileError(None, str(e)) from e
 
 
+def _by_coordinate_at(table, coords, chart, lacks, parse):
+    """parse(coordinate, value, line) of a {coordinate: (value, line)} table
+    in the order of `coords`, read by `_by_coordinate`: a stray name fails at
+    its line."""
+    return _by_coordinate(table, coords, chart, lacks, lambda c, e: parse(c, *e),
+                          lambda c, msg: DefFileError(None if c is None else table[c][1], msg))
+
+
 def parse_spacetime(text):
-    name = None
-    dim = None
-    coords = None
-    params = {}
-    domains = {}
-    metric_src = {}
-    orientation_src = None
-    exclude_src = []
-    lines = {}
-    seen = set()
-
-    for lineno, key, value in _entries(text):
-        if key in ("name", "dim", "coords", "orientation"):
-            if key in seen:
-                raise DefFileError(lineno, f"duplicate '{key}'")
-            seen.add(key)
-        if key == "name":
-            name = value
-        elif key == "dim":
-            try:
-                dim = int(value)
-            except ValueError:
-                raise DefFileError(lineno, f"bad dimension '{value}'") from None
-        elif key == "coords":
-            coords = _bracket_list(value, lineno)
-            for c in coords:
-                if not c.isidentifier():
-                    raise DefFileError(lineno, f"bad coordinate name '{c}'")
-        elif m := _PARAM_KEY.match(key):
-            pname = m.group(1)
-            if pname in params:
-                raise DefFileError(lineno, f"duplicate parameter '{pname}'")
-            params[pname] = _number(value, lineno)
-        elif m := _DOMAIN_KEY.match(key):
-            cname = m.group(1)
-            if cname in domains:
-                raise DefFileError(lineno, f"duplicate domain for '{cname}'")
-            domains[cname] = _interval(value, lineno)
-        elif m := _METRIC_KEY.match(key):
-            i, j = int(m.group(1)), int(m.group(2))
-            if j > i:
-                raise DefFileError(lineno, f"metric[{i}][{j}] is above the diagonal; give the lower triangle")
-            if (i, j) in metric_src:
-                raise DefFileError(lineno, f"duplicate metric[{i}][{j}]")
-            metric_src[(i, j)] = value
-            lines[("metric", i, j)] = lineno
-        elif key == "orientation":
-            orientation_src = _bracket_list(value, lineno)
-            lines[("orientation",)] = lineno
-        elif key == "exclude":
-            exclude_src.append(value)
-            lines[("exclude", len(exclude_src) - 1)] = lineno
-        else:
-            raise DefFileError(lineno, f"unknown key '{key}'")
-
-    if name is None:
-        raise DefFileError(None, "missing 'name'")
-    if coords is None:
-        raise DefFileError(None, "missing 'coords'")
-    if dim is not None and dim != len(coords):
-        raise DefFileError(None, f"dim = {dim} but {len(coords)} coordinates listed")
-    missing = [c for c in coords if c not in domains]
-    if missing:
-        raise DefFileError(None, f"missing domain for {missing}")
-    stray = [c for c in domains if c not in coords]
-    if stray:
-        raise DefFileError(None, f"domain given for unknown coordinates {stray}")
-    if orientation_src is None:
-        raise DefFileError(None, "missing 'orientation'")
-    if len(orientation_src) != len(coords):
-        raise DefFileError(lines[("orientation",)], "orientation length differs from coords")
-
-    symbols = tuple(coords) + tuple(params)
-    metric = {
-        key: _parse_with(src, symbols, lines[("metric",) + key], f"metric[{key[0]}][{key[1]}]")
-        for key, src in metric_src.items()
-    }
-    orientation = tuple(
-        _parse_with(src, symbols, lines[("orientation",)], "orientation")
-        for src in orientation_src
-    )
-    exclusions = tuple(
-        _parse_with(src, symbols, lines[("exclude", k)], "exclude")
-        for k, src in enumerate(exclude_src)
-    )
-    return _build(SpacetimeDef, name, tuple(coords), tuple(domains[c] for c in coords),
-                  params, metric, orientation, exclusions)
-
-
-def _parse_map_entries(text, kinds):
-    """The keys of a map or flow file, each at most once: `source`, `target`,
-    `map <coord>` and the extra `kinds` as (text, line), `param <name>` as
-    numbers."""
-    entries, params, comps = {}, {}, {}
-    for lineno, key, value in _entries(text):
-        if m := _PARAM_KEY.match(key):
-            table, name, what = params, m.group(1), f"parameter '{m.group(1)}'"
-        elif m := _MAP_KEY.match(key):
-            table, name, what = comps, m.group(1), f"map component '{m.group(1)}'"
-        elif key in ("source", "target") + kinds:
-            table, name, what = entries, key, f"'{key}'"
-        else:
-            raise DefFileError(lineno, f"unknown key '{key}'")
-        if name in table:
-            raise DefFileError(lineno, f"duplicate {what}")
-        table[name] = _number(value, lineno) if table is params else (value, lineno)
-    for key in ("source", "target"):
-        if key not in entries:
-            raise DefFileError(None, f"missing '{key}'")
-    return entries, params, comps
+    entries, params, domains, metric = _read(
+        text, ("name", "dim", "coords", "orientation", "exclude"), ("param", "domain", "metric"))
+    name = _required(entries, "name")[0]
+    coords_src, coords_line = _required(entries, "coords")
+    coords = tuple(_bracket_list(coords_src, coords_line))
+    for c in coords:
+        if not c.isidentifier():
+            raise DefFileError(coords_line, f"bad coordinate name '{c}'")
+    if "dim" in entries:
+        dim_src, dim_line = entries["dim"]
+        try:
+            dim = int(dim_src)
+        except ValueError:
+            raise DefFileError(dim_line, f"bad dimension '{dim_src}'") from None
+        if dim != len(coords):
+            raise DefFileError(None, f"dim = {dim} but {len(coords)} coordinates listed")
+    params = {p: _number(*e) for p, e in params.items()}
+    domain = _by_coordinate_at(domains, coords, name, "missing domain",
+                               lambda _, src, line: _interval(src, line))
+    ori_src, ori_line = _required(entries, "orientation")
+    ori_src = _bracket_list(ori_src, ori_line)
+    if len(ori_src) != len(coords):
+        raise DefFileError(ori_line, "orientation length differs from coords")
+    for (i, j), (_, line) in metric.items():
+        if j > i:
+            raise DefFileError(line, f"metric[{i}][{j}] is above the diagonal; give the lower triangle")
+    symbols = coords + tuple(params)
+    return _build(SpacetimeDef, name, coords, domain, params,
+                  {k: _parse_with(src, symbols, line, f"metric[{k[0]}][{k[1]}]")
+                   for k, (src, line) in metric.items()},
+                  tuple(_parse_with(src, symbols, ori_line, "orientation") for src in ori_src),
+                  tuple(_parse_with(src, symbols, line, "exclude")
+                        for src, line in entries.get("exclude", ())))
 
 
 def _resolve(name, spacetimes, what):
@@ -215,39 +177,41 @@ def _resolve(name, spacetimes, what):
     return spacetimes[name]
 
 
+def _read_map(text, keys=()):
+    """The entries of a map or flow file (`source`, `target` and `keys`), its
+    source and target names, its parameters as numbers and its `map` lines."""
+    entries, params, comps = _read(text, ("source", "target") + keys, ("param", "map"))
+    ends = [_required(entries, k)[0] for k in ("source", "target")]
+    return entries, *ends, {p: _number(*e) for p, e in params.items()}, comps
+
+
 def _map_body(comps, chart, symbols, build):
-    """build(exprs) for the `map <coord>` lines of a map or flow file, read by
-    `_by_coordinate` (a stray name fails at its line) and parsed in `symbols`."""
-    exprs = _by_coordinate(comps, chart.coords, chart.name, "missing map components",
-                           lambda c, entry: _parse_with(entry[0], symbols, entry[1], f"map {c}"),
-                           lambda c, msg: DefFileError(None if c is None else comps[c][1], msg))
-    return _build(build, exprs)
+    """build(exprs) for the `map <coord>` lines of a map or flow file, parsed
+    in `symbols`."""
+    return _build(build, _by_coordinate_at(
+        comps, chart.coords, chart.name, "missing map components",
+        lambda c, src, line: _parse_with(src, symbols, line, f"map {c}")))
 
 
 def parse_map(text, spacetimes):
     """Parse a map file; `spacetimes` maps names to SpacetimeDef."""
-    entries, params, comps = _parse_map_entries(text, ())
-    src = _resolve(entries["source"][0], spacetimes, "source")
-    tgt = _resolve(entries["target"][0], spacetimes, "target")
+    _, source, target, params, comps = _read_map(text)
+    src = _resolve(source, spacetimes, "source")
+    tgt = _resolve(target, spacetimes, "target")
     return _map_body(comps, tgt, tuple(src.coords) + tuple(params),
                      lambda exprs: MapDef(src, tgt, exprs, params))
 
 
 def parse_flow(text, spacetimes):
     """Parse a flow file: a self-map family with `flow_param` and `s_range`."""
-    entries, params, comps = _parse_map_entries(text, ("flow_param", "s_range"))
-    source, target = entries["source"][0], entries["target"][0]
+    entries, source, target, params, comps = _read_map(text, ("flow_param", "s_range"))
     if source != target:
         raise DefFileError(None, f"a flow must be a self-map; source '{source}' differs from target '{target}'")
     st = _resolve(source, spacetimes, "flow")
-    if "flow_param" not in entries:
-        raise DefFileError(None, "missing 'flow_param'")
-    if "s_range" not in entries:
-        raise DefFileError(None, "missing 's_range'")
-    s_symbol, s_line = entries["flow_param"]
+    s_symbol, s_line = _required(entries, "flow_param")
+    rng_src, rng_line = _required(entries, "s_range")
     if not s_symbol.isidentifier():
         raise DefFileError(s_line, f"bad flow parameter name '{s_symbol}'")
-    rng_src, rng_line = entries["s_range"]
     s_range = _interval(rng_src, rng_line)
     if not (math.isfinite(s_range[0]) and math.isfinite(s_range[1])):
         raise DefFileError(rng_line, "s_range must be finite")

@@ -596,21 +596,3 @@ def seed_env(coords, point, params=None, extra=None):
         env[name] = float(value)
     return env
 
-
-def jacobian(exprs, coords, point, params=None, check_singular=True, det_tol=1e-12):
-    """Derivative matrix of len(exprs) expressions in len(coords) variables.
-
-    Returns shape (m, n) for a single point or (N, m, n) for a batch.
-    A square matrix whose determinant falls below det_tol scaled by the
-    matrix max-norm raises SingularJacobianError (only checked pointwise).
-    """
-    point = np.asarray(point, dtype=float)
-    env = seed_env(coords, point, params)
-    rows = [eval_dual(e, env) for e in exprs]
-    # a constant component's derivative row is (n,) even on a batch
-    J = np.stack([np.broadcast_to(r.deriv, point.shape) for r in rows], axis=-2)
-    if check_singular and J.shape[-1] == J.shape[-2] and J.ndim == 2:
-        scale = max(1.0, float(np.max(np.abs(J))))
-        if abs(np.linalg.det(J)) < det_tol * scale ** J.shape[-1]:
-            raise SingularJacobianError(f"jacobian determinant below {det_tol} at {point}")
-    return J

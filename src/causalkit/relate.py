@@ -45,8 +45,8 @@ from .exprcore import (
     seed_env,
     substitute,
 )
-from .lorentz import (_CLASSES, CausalClass, MetricValue, OrientedPoint, _abs_max, _class_codes,
-                      _future_causal, _signature, _time_axis, classify, frames)
+from .lorentz import (_CLASSES, TOL_NULL, CausalClass, MetricValue, OrientedPoint, _abs_max,
+                      _class_codes, _future_causal, _signature, _time_axis, classify, frames)
 
 DEFAULT_SAMPLES = 4096
 BLOCK_SAMPLES = 4096  # per block of a sampled check: about 1.3 KB a sample
@@ -114,6 +114,23 @@ def _dual_components(exprs, env):
         vals[..., i] = r.value
         rows[..., i, :] = r.deriv
     return vals, rows
+
+
+def _singular(J):
+    """Where square Jacobians J (..., n, n) are singular: |det J| below 1e-12
+    max(1, max|J|)^n."""
+    return np.abs(np.linalg.det(J)) < 1e-12 * np.maximum(1.0, _abs_max(J)) ** J.shape[-1]
+
+
+def jacobian(exprs, coords, point, params=None):
+    """Derivative matrix of len(exprs) expressions in len(coords) variables:
+    (m, n) at one point, (N, m, n) on a batch.  A square matrix at one point
+    raises SingularJacobianError where `_singular`."""
+    point = np.asarray(point, dtype=float)
+    J = _dual_components(exprs, seed_env(coords, point, params))[1]
+    if J.ndim == 2 and J.shape[0] == J.shape[1] and _singular(J):
+        raise SingularJacobianError(f"jacobian determinant below 1e-12 at {point}")
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +620,7 @@ def _image_stage(mapdef, pts):
         return f": {mapdef.target.coords[k]} = {float(img[i, k])} not in {mapdef.target.domain[k]}"
 
     _require(mapdef.target.contains(img), "image leaves the target domain", tail=leaves)
-    jscale = np.maximum(1.0, _abs_max(J)) ** J.shape[-1]
-    _require(~(np.abs(np.linalg.det(J)) < 1e-12 * jscale), "map Jacobian singular",
-             SingularJacobianError)
+    _require(~_singular(J), "map Jacobian singular", SingularJacobianError)
     return (J,) + _chart_check(mapdef.target, "target", pts, img)
 
 
@@ -646,11 +661,13 @@ def _worst(witnesses):
 
 
 def _verdict(pts, parts):
-    """One map's report from its blocks' parts: the first error, or the verdict."""
+    """One map's report from its blocks' parts: the first error, with the
+    samples of the blocks before it as checked, or the verdict."""
     N = len(pts)
-    error = next((p for p in parts if isinstance(p, Exception)), None)
-    if error is not None:
-        return RelationReport(Verdict.ERROR, N, None, (), None, error=str(error))
+    for b, error in enumerate(parts):
+        if isinstance(error, Exception):
+            checked = sum(len(p[0]) for p in parts[:b])
+            return RelationReport(Verdict.ERROR, checked, None, (), None, error=str(error))
     margins, signs, lambdas, witnesses = zip(*parts)
     signs = np.concatenate(signs)
     conformal = _conformal(np.concatenate(lambdas))
@@ -725,34 +742,37 @@ def check_proper_causal(mapdef, sampler, tol_dp=TOL_DP, threads=None):
     sorted worst-first; a consistently past-pointing push yields
     TIME_REVERSED; evaluation, domain, signature, orientation, or
     Jacobian failures yield ERROR with the first failure of the first failing
-    block of BLOCK_SAMPLES samples; memory grows with the block, not with N.
+    block of BLOCK_SAMPLES samples, counting the samples of the blocks before
+    it as checked; memory grows with the block, not with N.
     `threads` (default CAUSALKIT_THREADS, else 1) caps the blocks checked at
     once; the report is the same for any value."""
     return _check_relations([mapdef], _sample(mapdef.source, sampler), tol_dp, threads)[0]
 
 
-def canonical_null_directions(mapdef, x):
+def canonical_null_directions(mapdef, x, tol_dp=TOL_DP):
     """Null directions whose push-forward stays null, at one point.
 
-    Requires the pullback to satisfy the dominant property at x.  Each
-    reported direction is cross-checked by classifying its push-forward
-    in the target chart.
+    Requires the pullback to satisfy the dominant property at x, decided
+    at tolerance `tol_dp`, which also bounds the zeros taken as null
+    directions.  Each reported direction is cross-checked by classifying its
+    push-forward in the target chart, within tol_dp but never within less
+    than the rounding band TOL_NULL.
     """
     def at(pts, _):
         G, fut, E = _source_stage(mapdef.source, pts)
         J, Gt, futW = _image_stage(mapdef, pts)
         p = OrientedPoint(pts[0], MetricValue(mapdef.source.n, G[0]), fut[0])
         T = _pullback(J, Gt)[0]
-        verdict = dp2_check(p, T, frame=E[0])
+        verdict = dp2_check(p, T, tol_dp=tol_dp, frame=E[0])
         if verdict.status is not DPStatus.IN_DP_PLUS:
             raise NotDPPlusError(
                 f"canonical null directions need an InDPplus pullback, got "
                 f"{verdict.status.value} (margin {verdict.margin:.3e})"
             )
-        res = null_eigenvectors(p, T, frame=E[0])
-        e0 = _time_axis(Gt, futW)
+        res = null_eigenvectors(p, T, tol=tol_dp, frame=E[0])
+        e0, band = _time_axis(Gt, futW), max(tol_dp, TOL_NULL)
         for lam, v in res.pairs:
-            cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None])[0]]
+            cls = _CLASSES[_class_codes(Gt, e0, futW, (J[0] @ v)[None], band)[0]]
             if cls not in (CausalClass.FUTURE_NULL, CausalClass.PAST_NULL):
                 raise ArithmeticError(f"push-forward of a reported null direction classifies {cls.value}")
         return res

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -478,6 +480,23 @@ class TestCnd:
         assert rc == 2
         assert "outside the source domain" in err
 
+    @pytest.mark.parametrize("tol,rc,head", [
+        ("1e-9", 1, "no canonical null directions at (t = 0, x = 0, y = 0, z = 0):\n"
+                    "  canonical null directions need an InDPplus pullback, "
+                    "got NotDP (margin -1.999e-03)\n"),
+        ("0.01", 0, "canonical null directions at (t = 0, x = 0, y = 0, z = 0): 4 "
+                    "(degenerate: every null direction is canonical)\n"),
+    ])
+    def test_tol_decides_as_check_does(self, files, tmp_path, capsys, tol, rc, head):
+        # t -> 0.999 t narrows the cone by a margin of -1.999e-3, which holds
+        # for `check` within --tol 0.01 and must for `cnd` too
+        p = tmp_path / "slight.cm"
+        p.write_text(SLOWTIME.replace("t/2", "0.999*t"), encoding="utf-8")
+        argv = [files["mink.st"], files["mink.st"], str(p), "--tol", tol]
+        assert run(["check", *argv, "--samples", "64", "--threads", "1"], capsys)[0] == rc
+        code, out, _ = run(["cnd", *argv, "--point", "t=0,x=0,y=0,z=0"], capsys)
+        assert (code, out[:len(head)]) == (rc, head)
+
     def test_json_lists_pairs(self, files, tmp_path, capsys):
         p = tmp_path / "cnd.json"
         rc, _, _ = run(["cnd", files["mink.st"], files["mink.st"],
@@ -513,6 +532,13 @@ class TestFlow:
                           "--threads", "1"], capsys)
         assert rc == 0
         assert out.count("HOLDS_SAMPLED") == 5
+
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_steps_below_two_exit_2(self, files, capsys, steps):
+        # one grid point would check [lo, 0] alone, never the declared upper end
+        rc, out, err = run(["flow", files["mink.st"], files["shift.fl"], "--samples", "64",
+                            "--steps", steps], capsys)
+        assert (rc, out, err) == (2, "", f"input error: --steps must be at least 2, got {steps}\n")
 
     def test_bad_chart_exits_2(self, tmp_path, capsys):
         # g_tt = x loses the signature at x = 0, so s = 0 reports ERROR
@@ -579,6 +605,7 @@ class TestScenario:
                           "--samples", "64", "--threads", "1"], capsys)
         assert rc == 1
         assert "verdict: ERROR\n  map Jacobian singular at sample 0, x = [" in out
+        assert "samples checked: 0\n" in out
         rc, out, _ = run(["scenario", "schwarzschild_iso", "--param", "b=0",
                           "--samples", "64", "--threads", "1"], capsys)
         assert rc == 1
@@ -639,6 +666,16 @@ class TestDispatch:
         rc, _, err = run(["frobnicate"], capsys)
         assert rc == 2
         assert "usage error" in err
+
+    def test_library_import_loads_no_cli(self):
+        # the console script and `python -m causalkit` import the CLI themselves
+        import causalkit
+
+        code = "import sys, causalkit; print(sorted({'causalkit.cli', 'argparse'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(causalkit.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
     def test_unexpected_failure_exits_3(self, files, capsys, monkeypatch):
         import causalkit.cli as cli

@@ -58,8 +58,9 @@ class TestParseSpacetime:
 
     def test_stray_domain(self):
         text = SPHERE_TEXT + "domain w = (0, 1)\n"
-        with pytest.raises(DefFileError, match="unknown coordinates"):
+        with pytest.raises(DefFileError, match="'w' is not a coordinate of 'cyl'") as exc:
             parse_spacetime(text)
+        assert exc.value.lineno == 19
 
     def test_missing_orientation(self):
         text = SPHERE_TEXT.replace("orientation = [1, 0, 0, 0]\n", "")

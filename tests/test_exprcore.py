@@ -6,9 +6,9 @@ import pytest
 from causalkit.exprcore import (
     Add, Call, Div, Dual, EvalDomainError, Mul, Neg, Num, ParseError, Pow,
     SingularJacobianError, Sub, Sym, UnknownIdentifierError, eval_dual,
-    eval_expr, free_symbols, jacobian, parse_expr, seed_env, substitute,
-    to_text,
+    eval_expr, free_symbols, parse_expr, seed_env, substitute, to_text,
 )
+from causalkit import jacobian
 
 
 def test_parse_structure():
@@ -183,7 +183,7 @@ def test_jacobian_radial_block():
 def test_jacobian_batched():
     exprs = [parse_expr("t*r", {"t", "r"}), parse_expr("r^2", {"r"})]
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    J = jacobian(exprs, ["t", "r"], pts, check_singular=False)
+    J = jacobian(exprs, ["t", "r"], pts)
     assert J.shape == (2, 2, 2)
     assert np.allclose(J[0], [[2.0, 1.0], [0.0, 4.0]])
     assert np.allclose(J[1], [[4.0, 3.0], [0.0, 8.0]])
@@ -193,7 +193,7 @@ def test_jacobian_batched_constant_component():
     # a constant component has a zero derivative row at every point
     exprs = [parse_expr("t", {"t", "x"}), parse_expr("0", {"t", "x"})]
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    J = jacobian(exprs, ["t", "x"], pts, check_singular=False)
+    J = jacobian(exprs, ["t", "x"], pts)
     assert J.shape == (2, 2, 2)
     assert np.array_equal(J, [[[1.0, 0.0], [0.0, 0.0]]] * 2)
 

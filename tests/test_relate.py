@@ -1316,8 +1316,12 @@ class TestThreads:
         assert one[0].verdict is Verdict.ERROR
         assert f"at sample 63, x = {pts[63].tolist()}" in one[0].error
         small_blocks(monkeypatch)
-        for threads in (1, 2, 3):
-            assert_same_relations(one, relations([m], pts, threads))
+        blocks = relations([m], pts, 1)
+        # an ERROR counts the samples of the blocks before the failing one
+        assert (one[0].samples_checked, blocks[0].samples_checked) == (0, 48)
+        assert_same_relations(one, [dataclasses.replace(blocks[0], samples_checked=0)])
+        for threads in (2, 3):
+            assert_same_relations(blocks, relations([m], pts, threads))
 
     def test_image_leaves_target_in_second_block(self, many_cores, monkeypatch):
         st = SpacetimeDef.create(
@@ -1334,8 +1338,11 @@ class TestThreads:
         assert one[3].error.startswith(f"image leaves the target domain at sample 40, "
                                        f"x = {pts[40].tolist()}")
         small_blocks(monkeypatch)
-        for threads in (1, 2, 3):
-            assert_same_relations(one, relations(maps, pts, threads))
+        blocks = relations(maps, pts, 1)
+        assert (one[3].samples_checked, blocks[3].samples_checked) == (0, 32)
+        assert_same_relations(one, blocks[:3] + [dataclasses.replace(blocks[3], samples_checked=0)])
+        for threads in (2, 3):
+            assert_same_relations(blocks, relations(maps, pts, threads))
 
     def test_first_failing_block_names_the_error(self, many_cores, monkeypatch):
         # block 0 fails the image stage at sample 3, block 1 the source
@@ -1357,6 +1364,21 @@ class TestThreads:
             with pytest.raises(ValueError) as err:
                 check_conformal(m, sampler)
             assert str(err.value) == image
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_counts_the_blocks_before_it(self, many_cores, monkeypatch, threads):
+        # the image leaves the target at sample 20 only, in the second block of
+        # 16: the 16 samples of the first block were checked; the whole batch
+        # as one block checked none
+        m, _, pts = two_failing_blocks()
+        pts[3, 0], pts[20, 1], pts[20, 0] = 0.0, 0.0, 2.5
+        assert relations([m], pts, threads)[0].samples_checked == 0
+        small_blocks(monkeypatch)
+        rep = relations([m], pts, threads)[0]
+        assert (rep.verdict, rep.samples_checked) == (Verdict.ERROR, 16)
+        assert rep.error.startswith("image leaves the target domain at sample 20, ")
+        pts[5, 0] = 2.5
+        assert relations([m], pts, threads)[0].samples_checked == 0
 
     def test_peak_memory_grows_with_the_block(self, monkeypatch):
         # a one-thread check keeps per sample only its margin, sign and
