@@ -67,7 +67,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="sampler seed (default %(default)s)")
     p.add_argument("--tol", type=float, default=TOL_DP,
-                   help="margin tolerance of the cone checks, finite and at least 0 "
+                   help="margin tolerance of the cone checks, finite and above 0: at 0 "
+                        "the rounding residue of an exact map reads as a violation "
                         "(default %(default)s)")
     p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="standoff from finite domain edges, finite and at least 0 "
@@ -398,7 +399,8 @@ def main(argv=None):
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_INPUT
     try:
         _thread_count(args.threads, "--threads")
-        _nonnegative(args.tol, "--tol")
+        if not (np.isfinite(args.tol) and args.tol > 0.0):
+            raise ValueError(f"--tol must be a finite number above 0, got {args.tol!r}")
         _nonnegative(args.margin, "--margin")
         return args.func(args)
     except (EvalDomainError, SingularJacobianError, DegenerateMetricError, ValueError,

@@ -12,7 +12,11 @@ axis is the normalized declared future; its spatial axes come from a
 Cholesky factorization of the negative metric projected off that axis,
 with the pivot order fixed per point, written out as n - 1 whole-batch
 steps (no eigen-solver).  Classification reads only a frame's time axis,
-and the chart rules are batched masks.
+and the chart rules are batched masks.  A frame also proves its metric
+Lorentzian: by Ostrowski's quantitative form of Sylvester's law of inertia
+(Ostrowski 1959), E^T G E = diag(1, -1, ..., -1) bounds every |eigenvalue of
+G| below by about 1/|E|_F^2, so `_lorentzian` runs the eigen-solver only on
+the rows where that bound does not settle `_signature`'s cut.
 """
 
 from __future__ import annotations
@@ -94,6 +98,28 @@ def _signature(G, zero_tol=1e-12):
     cut = zero_tol * np.maximum(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])), 1e-300)
     # NaN eigenvalues come out unsorted
     return (w[..., -1] > cut) & (w[..., -2] < -cut) & ~np.isnan(w).any(axis=-1), w, cut
+
+
+def _lorentzian(G, E=None, zero_tol=1e-12):
+    """`_signature`'s mask of G (N, n, n), read off frames E with E^T G E = eta
+    to FRAME_TOL (see `frames`) where they prove it: the eigen-solver runs on
+    the other rows only, and on every row without frames.
+
+    A frame proves its row when 2 zero_tol n max|G| |E|_F^2 < 1.  For then
+    E^T G E = eta + R makes G congruent to a matrix with one eigenvalue within
+    |R|_2 of 1 and n - 1 within |R|_2 of -1, so G has their signs, and by
+    Ostrowski's theorem |lambda(G)| >= (1 - |R|_2) / sigma_max(E)^2 >=
+    (1 - |R|_2) / |E|_F^2.  The cut is zero_tol times the spectral radius, at
+    most zero_tol n max|G|, under half that.  The bound also holds the
+    rounding of the computed residual to n 1.1e-4 (below 1e-3 up to n = 8), so
+    |R|_2 < 0.01 and the eigenvalues clear the cut twice over.  NaN rows fail
+    the bound."""
+    if E is None:
+        return _signature(G, zero_tol)[0]
+    ok = 2.0 * zero_tol * G.shape[-1] * _abs_max(G) * np.einsum("nij,nij->n", E, E) < 1.0
+    if not ok.all():
+        ok[~ok] = _signature(G[~ok], zero_tol)[0]
+    return ok
 
 
 def _future_causal(G, f):

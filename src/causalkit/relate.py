@@ -13,8 +13,12 @@ point set: a source stage (metric, signature, orientation, frames) runs
 once, a map-image stage per map (target domain, Jacobian, target metric
 and orientation) feeds the pullback through forward-mode Jacobians, and
 the frame tensors of all maps go through one vectorized `dp2_margins`
-call.  Frames are built for the source chart only; the target is
-classified on its time axis.  A check is one map, a flow scan one map per
+call.  Frames are built for the source chart only, and the source
+signature is read off them, with the eigen-solver only on rows that a frame
+does not prove (`_chart_check`); the target keeps the eigen-solver for its
+signature and is classified on its time axis.  The regular-Jacobian test
+takes its determinants from whole-batch minor arithmetic (`_det`), not one
+LAPACK call per matrix.  A check is one map, a flow scan one map per
 parameter value.  Every stage works sample by sample, so every sampled
 check runs on fixed blocks of the samples (`_blocks`), one or `threads` at
 a time: memory grows with the block, and no result depends on `threads`.
@@ -28,6 +32,8 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import enum
+import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -45,8 +51,9 @@ from .exprcore import (
     seed_env,
     substitute,
 )
-from .lorentz import (_CLASSES, TOL_NULL, CausalClass, MetricValue, OrientedPoint, _abs_max,
-                      _class_codes, _future_causal, _signature, _time_axis, classify, frames)
+from .lorentz import (_CLASSES, TOL_NULL, CausalClass, DegenerateMetricError, MetricValue,
+                      OrientedPoint, _abs_max, _class_codes, _future_causal, _lorentzian,
+                      _time_axis, classify, frames)
 
 DEFAULT_SAMPLES = 4096
 BLOCK_SAMPLES = 4096  # per block of a sampled check: about 1.3 KB a sample
@@ -116,10 +123,87 @@ def _dual_components(exprs, env):
     return vals, rows
 
 
+@functools.cache
+def _det_tables(n):
+    """Index tables of `_det` for n x n matrices.
+
+    Level k lists the k-subsets of the columns in lexicographic order, from
+    k = 2 - n % 2.  The step from level k to k + 2 is Laplace's expansion along
+    rows k and k + 1: the minor at columns S sums, over the pairs {a, b} in S,
+    the level-k minor at S - {a, b} times the 2 x 2 minor of rows k, k + 1 at
+    columns (a, b), the expansion's sign folded in by swapping a and b.  A
+    table (2, 2, L) gathers L such minors from the rows X[i n + j] holding
+    entry (i, j): minor l is X[t00] X[t11] - X[t01] X[t10].
+
+    Returns the table of the minors of rows 0 and 1 (even n only, in level-2
+    order) followed by those of the last step, whose terms come in level
+    n - 2 order; and per middle step, its table and the indexes (t, C) of
+    term t of each of its C minors into level k and into its own minors."""
+    def table(minors):
+        return np.array([[[r * n + a, r * n + b], [(r + 1) * n + b, (r + 1) * n + a]]
+                         for r, a, b in minors], dtype=np.intp).reshape(-1, 2, 2).transpose(1, 2, 0)
+
+    k = 2 - n % 2
+    level = list(itertools.combinations(range(n), k))
+    ends = [(0, a, b) for a, b in level] if k == 2 else []
+    middle = []
+    for k in range(k, n - 1, 2):
+        pos = {cols: i for i, cols in enumerate(level)}
+        level = list(itertools.combinations(range(n), k + 2))
+        minors, sub, blk = {}, [], []
+        for S in level:
+            terms = []
+            for pa, pb in itertools.combinations(range(k + 2), 2):
+                a, b = (S[pb], S[pa]) if (pa + pb) % 2 == 0 else (S[pa], S[pb])
+                terms.append((pos[tuple(c for c in S if c not in (a, b))], (k, a, b)))
+            terms.sort()
+            sub.append([i for i, _ in terms])
+            blk.append([minors.setdefault(m, len(minors)) for _, m in terms])
+        if k + 2 == n:
+            ends += list(minors)
+        else:
+            middle.append((table(minors), np.array(sub).T, np.array(blk).T))
+    return table(ends), middle
+
+
+def _minors(X, table):
+    """The 2 x 2 minors (L, B) that a `_det_tables` table (2, 2, L) gathers from X."""
+    Q = X[table]
+    np.multiply(Q[0], Q[1], out=Q[0])
+    return Q[0, 0] - Q[0, 1]
+
+
+def _det(J):
+    """Determinants of square matrices J (..., n, n), in whole-batch products
+    and sums with the batch last: level k holds every k x k minor of the
+    first k rows (level 1 is row 0, level 2 the 2 x 2 minors of rows 0 and 1),
+    and each step to level k + 2 adds rows k and k + 1 (`_det_tables`).
+    Temporaries stay within 4 n (n - 1) + 3 C(n, n/2) floats a matrix."""
+    n = J.shape[-1]
+    if J.shape[-2] != n:  # a map between charts of different dimensions
+        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+    ends, middle = _det_tables(n)
+    X = J.reshape(-1, n * n).T
+    P = _minors(X, ends)
+    c = n * (n - 1) // 2
+    M = X[:n] if n % 2 else P[:c]
+    for table, sub, blk in middle:
+        Pk = _minors(X, table)
+        M = sum(M[s] * Pk[b] for s, b in zip(sub, blk))
+    det = (M * P[-c:]).sum(axis=0) if n > 2 else M[0]
+    return det.reshape(J.shape[:-2])
+
+
 def _singular(J):
     """Where square Jacobians J (..., n, n) are singular: |det J| below 1e-12
-    max(1, max|J|)^n."""
-    return np.abs(np.linalg.det(J)) < 1e-12 * np.maximum(1.0, _abs_max(J)) ** J.shape[-1]
+    max(1, max|J|)^n; no warning where J holds NaN or inf, which never count."""
+    n = J.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = np.abs(_det(J))
+        cut = np.abs(J.reshape(-1, n * n).T, order="C").max(axis=0, initial=1.0)
+        cut **= n
+        cut *= 1e-12
+        return det < cut.reshape(J.shape[:-2])
 
 
 def jacobian(exprs, coords, point, params=None):
@@ -239,7 +323,7 @@ class SpacetimeDef:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise ValueError(f"point {x.tolist()} outside the domain of '{self.name}'")
-        G, fut = _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), x[None], 1)[0]
+        G, fut, _ = _blocks(lambda p, _: _chart_check(self, f"'{self.name}'", p), x[None], 1)[0]
         return OrientedPoint(x, MetricValue(self.n, G[0]), fut[0])
 
     def validate_on(self, pts):
@@ -591,21 +675,38 @@ def _source_point(source, x):
     return x[None]
 
 
-def _chart_check(chart, what, pts, img=None):
-    """Metric and future field of a chart at the samples pts, or at their
-    images img in it, validated; raises naming the first failing sample."""
+def _chart_check(chart, what, pts, img=None, framed=False):
+    """Metric, future field and (with `framed`, else None) frames of a chart
+    at the samples pts, or at their images img in it, validated; raises naming
+    the first failing sample of the signature, else of the orientation, else
+    of the frames.  Frames are built when every future is causal; the
+    signature is read off them where they prove it (`_lorentzian`), so the
+    eigen-solver runs on the other rows only, on every row without frames."""
     at, where = (pts, "") if img is None else (img, " at image")
     G = chart.metric_at(at)
-    _require(_signature(G)[0], f"{what} metric{where} loses Lorentzian signature")
-    fut = chart.orientation_at(at)
-    _require(_future_causal(G, fut), f"{what} orientation{where} is not future causal")
-    return G, fut
+    lost = f"{what} metric{where} loses Lorentzian signature"
+    try:
+        fut = chart.orientation_at(at)
+    except (ArithmeticError, ValueError):
+        _require(_lorentzian(G), lost)
+        raise
+    causal = _future_causal(G, fut)
+    E = fault = None
+    if framed and causal.all():
+        try:
+            E = frames(G, fut)
+        except DegenerateMetricError as e:
+            fault = e
+    _require(_lorentzian(G, E), lost)
+    _require(causal, f"{what} orientation{where} is not future causal")
+    if fault is not None:
+        raise fault
+    return G, fut, E
 
 
 def _source_stage(source, pts):
     """Metric, future field and frames of the source chart, validated."""
-    G, fut = _chart_check(source, "source", pts)
-    return G, fut, frames(G, fut)
+    return _chart_check(source, "source", pts, framed=True)
 
 
 def _image_stage(mapdef, pts):
@@ -621,7 +722,7 @@ def _image_stage(mapdef, pts):
 
     _require(mapdef.target.contains(img), "image leaves the target domain", tail=leaves)
     _require(~_singular(J), "map Jacobian singular", SingularJacobianError)
-    return (J,) + _chart_check(mapdef.target, "target", pts, img)
+    return (J,) + _chart_check(mapdef.target, "target", pts, img)[:2]
 
 
 def _pullback(J, Gt):

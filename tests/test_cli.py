@@ -231,12 +231,23 @@ class TestCheck:
                                             ("--margin", "-0.5"), ("--margin", "inf")])
     def test_tolerance_and_margin_must_be_finite_and_nonnegative(self, capsys, flag, value):
         # below 0 they reported VIOLATED or a sampler error, inf made any
-        # map hold, nan reported witnesses
+        # map hold, nan reported witnesses; --tol must also be above 0
         rc, out, err = run(["scenario", "desitter_to_einstein", "--samples", "16",
                             f"{flag}={value}"], capsys)
         assert (rc, out) == (2, "")
-        assert err == (f"input error: {flag} must be a finite number of at least 0, "
-                       f"got {float(value)!r}\n")
+        bound = "above 0" if flag == "--tol" else "of at least 0"
+        assert err == f"input error: {flag} must be a finite number {bound}, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("command", ["check", "cnd"])
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0"])
+    def test_tol_zero_exits_2(self, files, capsys, command, value):
+        # at --tol 0 the last-bit residue of the Schwarzschild identity read as
+        # VIOLATED (min margin -5.55e-16) and cnd answered NotDP
+        argv = [command, files["schw.st"], files["schw.st"], files["schwid.cm"], "--tol", value]
+        argv += ["--samples", "64"] if command == "check" else ["--point", "t=0, r=5, theta=1.5, phi=1"]
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"input error: --tol must be a finite number above 0, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", ""])
     @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ from causalkit.lorentz import (
     OrientedPoint, SignatureError, _abs_max, _signature, _time_axis, causal_character, classify,
     frames, orthonormal_frame, raise_index, validate_metric,
 )
+from causalkit import relate
 from causalkit.relate import RegionSampler
 from oracles import eigh_frames
 
@@ -118,6 +119,53 @@ def test_signature_mask_matches_counts(n):
         with pytest.raises(SignatureError) as err:
             validate_metric(Gi)
         assert (err.value.n_pos, err.value.n_neg, err.value.n_zero) == tuple(c.tolist())
+
+
+class _RowChart:
+    """A chart whose metric and future at sample x are the rows G[x0], f[x0]."""
+
+    def __init__(self, G, f):
+        self.G, self.f = G, f
+
+    def metric_at(self, pts):
+        return self.G[pts[:, 0].astype(int)]
+
+    def orientation_at(self, pts):
+        return self.f[pts[:, 0].astype(int)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_source_stage_signature_equals_eigen_mask(n, monkeypatch):
+    # the source stage reads the signature off its frames where they prove it;
+    # row by row it rejects exactly the metrics `_signature` rejects, and it
+    # skips the eigen-solver only on rows that `_signature` accepts
+    G = _signature_cases(n, np.random.default_rng(n))
+    want = _signature(G)[0]
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: solved.append(len(A)) or eigvalsh(A))
+    timelike = np.linalg.eigh(np.nan_to_num(G))[1][..., -1]
+    for f in (np.broadcast_to(np.eye(n)[0], (len(G), n)), timelike):
+        chart, lost, proven = _RowChart(G, f), [], []
+        for i in range(len(G)):
+            solved.clear()
+            try:
+                relate._source_stage(chart, np.array([[float(i)]]))
+                lost.append(False)
+            except (ValueError, ArithmeticError) as e:
+                lost.append("loses Lorentzian signature" in str(e))
+            proven.append(not solved)
+        proven = np.array(proven)
+        assert np.array_equal(lost, ~want)
+        assert not np.any(proven & ~want)
+        assert proven.any() and not proven.all()
+        # the whole batch fails at the first rejected row, as before
+        pts = np.arange(len(G), dtype=float)[:, None]
+        first = int(np.argmin(want))
+        with pytest.raises(ValueError) as err:
+            relate._blocks(lambda x, _: relate._source_stage(chart, x), pts, 1)
+        assert str(err.value) == (f"source metric loses Lorentzian signature at sample {first}, "
+                                  f"x = [{float(first)}]")
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (1024, 4, 4), (4, 4), (7, 3, 5),

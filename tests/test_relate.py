@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from causalkit import dp, flows, relate
 from causalkit.catalog import builtin, builtin_names, default_window, run_scenario
 from causalkit.cli import main
 from causalkit.dp import DPStatus, conformal_factor, dp2_check
-from causalkit.exprcore import UnknownIdentifierError, to_text
+from causalkit.exprcore import SingularJacobianError, UnknownIdentifierError, parse_expr, to_text
 from causalkit.flows import FlowDef, GeneratorField, flow_map, null_cone_nonneg
 from causalkit.lorentz import CausalClass, MetricValue, OrientedPoint, classify, frames
 from causalkit.relate import (
@@ -1449,3 +1450,185 @@ class TestThreads:
             raised.append((str(err.value), err.value.index))
         assert raised[0][1] == j % 16
         assert raised[1] == raised[0] and raised[2] == raised[0]
+
+
+# ---------------------------------------------------------------------------
+# the source signature read off the frames, and the batch-last determinant
+
+
+def plane(metric, orientation):
+    full = (-5.0, 5.0)
+    return SpacetimeDef.create(name="plane", coords=("t", "x"), domain={"t": full, "x": full},
+                               params={}, metric=metric, orientation=orientation)
+
+
+class TestSourceStageErrors:
+    """Which error a block reports, and at which sample: the signature, then
+    the orientation, then the frames, each at its first failing sample."""
+
+    # g11 = t - 1 loses the signature for t > 1; f = (1, x) is spacelike for
+    # x^2 > 1 / (1 - t)
+    FLIP = ({(0, 0): "1", (1, 1): "t - 1"}, ("1", "x"))
+    # g = exp(-100 t) diag(1, -1): no time axis at t = 0.7 (norm 6e-16), and
+    # f = (1, x) is spacelike for |x| > 1
+    FADE = ({(0, 0): "exp(-100*t)", (1, 1): "-exp(-100*t)"}, ("1", "x"))
+    # the future fails to evaluate for x < 0
+    ROOT = ({(0, 0): "1", (1, 1): "t - 1"}, ("1", "sqrt(x)"))
+
+    @pytest.mark.parametrize("chart,pts,error", [
+        (FLIP, [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]],
+         "source metric loses Lorentzian signature at sample 2, x = [2.0, 0.0]"),
+        (FLIP, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]],
+         "source metric loses Lorentzian signature at sample 1, x = [2.0, 0.0]"),
+        (FLIP, [[0.0, 0.0], [0.0, 2.0]],
+         "source orientation is not future causal at sample 1, x = [0.0, 2.0]"),
+        (FADE, [[0.7, 0.0], [0.0, 2.0]],
+         "source orientation is not future causal at sample 1, x = [0.0, 2.0]"),
+        (FADE, [[0.0, 0.0], [0.7, 0.0], [0.0, 0.5]],
+         "timelike normalization below 1e-13 at sample 1, x = [0.7, 0.0]"),
+        (ROOT, [[0.0, -1.0], [2.0, 1.0]],
+         "source metric loses Lorentzian signature at sample 1, x = [2.0, 1.0]"),
+    ])
+    def test_first_error(self, monkeypatch, chart, pts, error):
+        st = plane(*chart)
+        monkeypatch.setattr(RegionSampler, "points", lambda self: np.array(pts))
+        m = MapDef.create(st, st, {"t": "t", "x": "x"}, {})
+        rep = check_proper_causal(m, RegionSampler.build(st, count=len(pts)), threads=1)
+        assert (rep.verdict, rep.error) == (Verdict.ERROR, error)
+
+
+class TestNoBatchedLapack:
+    """A sampled check calls no `det`, and `eigvalsh` only for the target."""
+
+    @pytest.fixture
+    def sides(self, monkeypatch):
+        """The side ("source" or "target") of every `eigvalsh` call."""
+        calls, local = [], threading.local()
+        image_stage, eigvalsh = relate._image_stage, np.linalg.eigvalsh
+
+        def image(*args):
+            local.target = True
+            try:
+                return image_stage(*args)
+            finally:
+                local.target = False
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        def counting(G):
+            calls.append("target" if getattr(local, "target", False) else "source")
+            return eigvalsh(G)
+
+        monkeypatch.setattr(relate, "_image_stage", image)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_desitter_to_einstein(self, sides, threads):
+        m = ds_to_es_map(1.5)
+        sampler = RegionSampler.build(m.source, count=8192, seed=7,
+                                      window=default_window(builtin("de_sitter")))
+        sides.clear()  # builtin() validates its chart on the default window
+        rep = check_proper_causal(m, sampler, threads=threads)
+        assert rep.verdict is Verdict.HOLDS_SAMPLED
+        assert sides == ["target", "target"]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_catalog_identities(self, sides, name):
+        st = builtin(name)
+        m = MapDef.create(st, st, {c: c for c in st.coords}, {})
+        sampler = RegionSampler.build(st, count=1024, window=default_window(st))
+        sides.clear()
+        rep = check_proper_causal(m, sampler, threads=1)
+        assert rep.verdict is Verdict.HOLDS_SAMPLED
+        assert sides == ["target"]
+
+
+def lapack_singular(J):
+    """The singular test with LAPACK's determinant."""
+    n = J.shape[-1]
+    return np.abs(np.linalg.det(J)) < 1e-12 * np.maximum(1.0, np.abs(J).max(axis=(-2, -1))) ** n
+
+
+class TestDeterminant:
+    @staticmethod
+    def batches(n, rng, count=256):
+        """Random, widely scaled (rows and columns by 10^+-20) and rank-deficient
+        (one row a combination of the others, or two rows so) batches, each
+        with LAPACK's determinants and their scale, Hadamard's bound.  A scaled
+        matrix's reference is LAPACK's on the unscaled one times the factors:
+        pivoting on the scaled rows would lose their small ones."""
+        def hadamard(J):
+            return np.prod(np.linalg.norm(J, axis=-1), axis=-1)
+
+        J = rng.normal(size=(count, n, n))
+        d = 10.0 ** rng.uniform(-20.0, 20.0, size=(2, count, n))
+        deficient = J.copy()
+        for drop in (1, 2):
+            c = rng.normal(size=(count // 2, drop, n - drop))
+            deficient[drop - 1::2, n - drop:] = c @ J[drop - 1::2, :n - drop]
+        return {"random": (J, np.linalg.det(J), hadamard(J)),
+                "scaled": (J * d[0][:, :, None] * d[1][:, None, :],
+                           np.linalg.det(J) * np.prod(d, axis=(0, 2)),
+                           hadamard(J) * np.prod(d, axis=(0, 2))),
+                "deficient": (deficient, np.linalg.det(deficient), hadamard(deficient))}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_lapack(self, n):
+        for kind, (J, want, scale) in self.batches(n, np.random.default_rng(n)).items():
+            err = np.abs(relate._det(J) - want)
+            assert np.all(err <= 1e-13 * scale), kind
+            sound = np.abs(want) > 1e-3 * scale
+            assert np.all(err[sound] <= 1e-13 * np.abs(want[sound])), kind
+            assert sound.any() == (kind != "deficient")
+        assert relate._det(np.eye(n)[None]).tolist() == [1.0]
+        assert relate._det(np.eye(n)).shape == ()
+        assert relate._det(np.ones((2, 3, n, n))).shape == (2, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_singular_decision_unchanged(self, n):
+        rng = np.random.default_rng(10 + n)
+        J = np.concatenate([J for J, _, _ in self.batches(n, rng).values()])
+        # det = eps at the threshold 1e-12: from a thousandth to a thousand times it
+        near = np.broadcast_to(np.eye(n), (64, n, n)).copy()
+        near[:, -1, -1] = 10.0 ** rng.uniform(-15.0, -9.0, size=64)
+        J = np.concatenate([J, near, 1e3 * near])
+        want = lapack_singular(J)
+        det = np.abs(np.linalg.det(J))
+        cut = 1e-12 * np.maximum(1.0, np.abs(J).max(axis=(-2, -1))) ** n
+        away = (det < 0.5 * cut) | (det > 2.0 * cut)
+        got = relate._singular(J)
+        assert np.array_equal(got[away], want[away])
+        assert want[away].any() and not want[away].all()
+
+    def test_nonfinite_rows_warn_nothing(self):
+        J = np.stack([np.eye(4), np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0]),
+                      np.zeros((4, 4)), np.full((4, 4), -np.inf), np.diag([1e100] * 4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relate._singular(J)
+        assert got.tolist() == [False, False, False, True, False, False]
+
+    def test_charts_of_different_dimensions(self):
+        # as with LAPACK's determinant, a map between charts of different
+        # dimensions is an ERROR, not a determinant of reshaped entries
+        full = (-INF, INF)
+        m2 = SpacetimeDef.create("m2", ("t", "x"), {"t": full, "x": full}, {},
+                                 {(0, 0): "1", (1, 1): "-1"}, ("1", "0"))
+        for src, tgt, exprs in [(mink4(), m2, {"t": "t", "x": "x"}),
+                                (m2, mink4(), {"t": "t", "x": "x", "y": "0", "z": "0"})]:
+            for count in (1, 64):
+                rep = check_proper_causal(MapDef.create(src, tgt, exprs, {}),
+                                          RegionSampler.build(src, count=count), threads=1)
+                assert (rep.verdict, rep.error) == (
+                    Verdict.ERROR, "Last 2 dimensions of the array must be square")
+
+    def test_jacobian_error_text(self):
+        exprs = [parse_expr("t + x", ("t", "x"))] * 2
+        with pytest.raises(SingularJacobianError) as err:
+            relate.jacobian(exprs, ("t", "x"), [1.0, 2.0])
+        assert str(err.value) == "jacobian determinant below 1e-12 at [1. 2.]"
+        assert relate.jacobian(exprs[:1] + [parse_expr("x", ("t", "x"))], ("t", "x"),
+                               [1.0, 2.0]).tolist() == [[1.0, 1.0], [0.0, 1.0]]
