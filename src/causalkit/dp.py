@@ -531,7 +531,8 @@ def dp_zero_test(point, T, X, tol=1e-8, frame=None):
 
 
 def conformal_lambdas(G, T, tol=TOL_CONF):
-    """Per-row positive lambda with T = lambda G, NaN where there is none.
+    """Per-row positive lambda with T = lambda G, NaN where there is none:
+    (..., N) for G (N, n, n) and T (..., N, n, n), G broadcast over T's rows.
 
     The fit is the least-squares ratio <G, T> / <G, G> over the components
     (one G scaled exactly, by a power of two, so that no sum over- or
@@ -539,8 +540,8 @@ def conformal_lambdas(G, T, tol=TOL_CONF):
     max|T - lambda G| in coordinates is below `tol` times max|T|.
     """
     Gs = G * np.ldexp(1.0, -np.frexp(_abs_max(G))[1])[:, None, None]
-    lam = np.einsum("nij,nij->n", Gs, T) / np.einsum("nij,nij->n", Gs, G)
-    resid = _abs_max(T - lam[:, None, None] * G)
+    lam = np.einsum("...ij,...ij->...", Gs, T) / np.einsum("nij,nij->n", Gs, G)
+    resid = _abs_max(T - lam[..., None, None] * G)
     scale = np.maximum(_abs_max(T), 1e-300)
     return np.where((resid / scale < tol) & (lam > 0), lam, np.nan)
 

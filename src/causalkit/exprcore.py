@@ -473,17 +473,19 @@ def _apply_pow(base, expo, node):
     bv, ev = _value(base), _value(expo)
     expo_is_const = not isinstance(expo, Dual) or not np.any(expo.deriv)
     if expo_is_const:
-        frac = np.any(ev != np.floor(ev))
-        if frac and np.any(bv < 0.0):
-            raise EvalDomainError("negative base under fractional power", node, _first_bad(bv < 0.0))
-        if np.any((bv == 0.0) & (ev < 0.0)):
-            raise EvalDomainError("zero base under negative power", node, _first_bad(bv == 0.0))
+        # every guard is decided row by row, so no row's value or error
+        # depends on the other rows of its batch
+        frac = ev != np.floor(ev)
+        if np.any(frac) and np.any(bad := (bv < 0.0) & frac):
+            raise EvalDomainError("negative base under fractional power", node, _first_bad(bad))
+        if np.any(bad := (bv == 0.0) & (ev < 0.0)):
+            raise EvalDomainError("zero base under negative power", node, _first_bad(bad))
         val = bv ** ev
         if not isinstance(base, Dual):
             return val
         # d(x^c) = c x^(c-1) dx; at x = 0 with 0 < c < 1 the slope diverges
-        if np.any((bv == 0.0) & (ev != np.floor(ev))):
-            raise EvalDomainError("zero base under fractional power", node, _first_bad(bv == 0.0))
+        if np.any(bad := (bv == 0.0) & frac):
+            raise EvalDomainError("zero base under fractional power", node, _first_bad(bad))
         slope = np.where(ev == 0.0, 0.0, ev * bv ** np.where(ev == 0.0, 0.0, ev - 1.0))
         return Dual(val, np.asarray(slope, dtype=float)[..., None] * base.deriv)
     if np.any(bv <= 0.0):

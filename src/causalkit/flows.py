@@ -3,9 +3,10 @@
 A flow is a coordinate family phi_s reducing to the identity at s = 0.
 Freezing s gives an ordinary self-map, so causality along the flow is
 decided by the sampled machinery in `relate`: the parameter values share
-one sample set, one source stage and one stacked `dp2_margins` call.  The
-generator and all metric derivatives come from forward-mode duals;
-nothing here is finite-differenced.
+one sample set and, per block, one source stage, one stacked map stage and
+one `dp2_margins` call; a map stage holds a block's rows at most, so at full
+blocks of samples each value has its own.  The generator and the metric's derivative along it
+come from forward-mode duals; nothing here is finite-differenced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import TOL_DP, null_quadratic_margins
-from .exprcore import parse_expr, seed_env, substitute
+from .exprcore import Dual, parse_expr, seed_env, substitute
 from .relate import (MapDef, Verdict, _at_sample, _blocks, _by_coordinate, _check_relations,
                      _check_symbols, _components, _dual_components, _Report, _sample, _source_stage,
                      _witnesses, _worst)
@@ -119,20 +120,23 @@ def generator(flow, pts):
 def lie_derivative_metric(st, xi, pts):
     """Lie derivative of the metric along xi at the given point(s).
 
-    (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c, with all
-    partials taken by dual seeding of the coordinate symbols; with S = G dxi
-    (dxi[c, b] = d_b xi^c) it is dG xi + S + S^T, as matrix products.
+    (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c.  With S =
+    G dxi (dxi[c, b] = d_b xi^c) it is (dG xi) + S + S^T.  xi and dxi come
+    from dual seeding of the coordinate symbols; G and its derivative along
+    xi, dG xi = xi^c d_c G, from one forward pass over the metric with the
+    single tangent xi seeded on the coordinates (Griewank & Walther 2008).
     """
     if xi.spacetime.name != st.name:
         raise ValueError("generator field belongs to a different spacetime")
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
     P = pts[None] if single else pts
-    G, dG = st.metric_partials_at(P)
     xiv, dxi = _dual_components(xi.exprs, seed_env(st.coords, P, st.params))
-    N, n = xiv.shape
-    # dG xi = sum_c xi^c d_c G, one (1, n) @ (n, n^2) product per point
-    lie = (xiv[:, None, :] @ np.moveaxis(dG, -1, 1).reshape(N, n, n * n)).reshape(N, n, n)
+    env = {c: Dual(P[:, i], xiv[:, i, None]) for i, c in enumerate(st.coords)}
+    env.update((k, float(v)) for k, v in st.params.items())
+    vals, along = _dual_components(tuple(st.metric.values()), env)
+    G = st._symmetric(vals)
+    lie = st._symmetric(along[..., 0])
     S = G @ dxi
     lie += S
     lie += np.swapaxes(S, -1, -2)

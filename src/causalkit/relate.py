@@ -10,10 +10,13 @@ VIOLATED carries concrete witnesses.
 
 Every relation verdict comes from one batched pipeline over a shared
 point set: a source stage (metric, signature, orientation, frames) runs
-once, a map-image stage per map (target domain, Jacobian, target metric
-and orientation) feeds the pullback through forward-mode Jacobians, and
-the frame tensors of all maps go through one vectorized `dp2_margins`
-call.  Frames are built for the source chart only, and the source
+once, each map's image and forward-mode Jacobian are evaluated on their
+own, a map stage (target domain, Jacobian, target metric and orientation,
+pullback, frame tensor, conformal factor) runs on the images of the maps
+into one target chart stacked row-wise, up to a block's rows a stage, and
+the frame tensors of all maps go through one vectorized `dp2_margins` call.  Every stage decides
+row by row, so a map comes out as it does alone, errors included
+(`_stages`).  Frames are built for the source chart only, and the source
 signature is read off them, with the eigen-solver only on rows that a frame
 does not prove (`_chart_check`); the target keeps the eigen-solver for its
 signature and is classified on its time axis.  The regular-Jacobian test
@@ -180,8 +183,6 @@ def _det(J):
     and each step to level k + 2 adds rows k and k + 1 (`_det_tables`).
     Temporaries stay within 4 n (n - 1) + 3 C(n, n/2) floats a matrix."""
     n = J.shape[-1]
-    if J.shape[-2] != n:  # a map between charts of different dimensions
-        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
     ends, middle = _det_tables(n)
     X = J.reshape(-1, n * n).T
     P = _minors(X, ends)
@@ -291,14 +292,6 @@ class SpacetimeDef:
         return self._symmetric(_components(tuple(self.metric.values()), self.coords,
                                            self.params, pts))
 
-    def metric_partials_at(self, pts):
-        """Metric (…, n, n) and its coordinate partials (…, n, n, n), the
-        last axis indexing the coordinate, by dual seeding."""
-        vals, rows = _dual_components(tuple(self.metric.values()),
-                                      seed_env(self.coords, pts, self.params))
-        dG = self._symmetric(np.swapaxes(rows, -1, -2))
-        return self._symmetric(vals), np.moveaxis(dG, -3, -1)
-
     def _symmetric(self, entries):
         """Symmetric matrices (…, n, n) from the `metric` entries stacked in
         key order along the last axis; entries not given are zero."""
@@ -341,6 +334,10 @@ class MapDef:
     params: dict
 
     def __post_init__(self):
+        src, tgt = self.source, self.target
+        if src.n != tgt.n:
+            raise ValueError(f"a map needs charts of one dimension; '{src.name}' has {src.n} "
+                             f"coordinates and '{tgt.name}' has {tgt.n}")
         if len(self.exprs) != self.target.n:
             raise ValueError("one expression per target coordinate required")
         allowed = set(self.source.coords) | set(self.params)
@@ -656,8 +653,9 @@ def _conformal(lambdas):
 
 # ---------------------------------------------------------------------------
 # the stages: the only code that validates a chart or a map at points.
-# The source stage runs once per sample set, the map-image stage per map,
-# and the frame tensors of all maps go through one `dp2_margins` call
+# The source stage runs once per block, a map stage on the stacked rows of
+# the maps into one target chart, up to a block's rows, and the frame tensors of all maps go through
+# one `dp2_margins` call
 
 
 def _sample(source, sampler):
@@ -675,14 +673,13 @@ def _source_point(source, x):
     return x[None]
 
 
-def _chart_check(chart, what, pts, img=None, framed=False):
+def _chart_check(chart, what, at, framed=False, where=""):
     """Metric, future field and (with `framed`, else None) frames of a chart
-    at the samples pts, or at their images img in it, validated; raises naming
-    the first failing sample of the signature, else of the orientation, else
-    of the frames.  Frames are built when every future is causal; the
+    at the points `at` (`where` they are, for the messages), validated; raises
+    naming the first failing row of the signature, else of the orientation,
+    else of the frames.  Frames are built when every future is causal; the
     signature is read off them where they prove it (`_lorentzian`), so the
     eigen-solver runs on the other rows only, on every row without frames."""
-    at, where = (pts, "") if img is None else (img, " at image")
     G = chart.metric_at(at)
     lost = f"{what} metric{where} loses Lorentzian signature"
     try:
@@ -709,20 +706,25 @@ def _source_stage(source, pts):
     return _chart_check(source, "source", pts, framed=True)
 
 
-def _image_stage(mapdef, pts):
-    """Jacobian, target metric and target future field of a map at a batch,
-    validated: the image stays in the target domain (the message names the
-    coordinate and its interval), the Jacobian is regular, the target chart
-    is valid at the image."""
-    img, J = mapdef.image_and_jacobian(pts)
-
+def _target_stage(target, img, J):
+    """Target metric and target future field at image rows img with
+    Jacobians J, validated row by row: the image stays in the target domain
+    (the message names the coordinate and its interval), the Jacobian is
+    regular, the target chart is valid at the image; raises naming the first
+    failing row."""
     def leaves(i):
-        k = next(k for k, (lo, hi) in enumerate(mapdef.target.domain) if not lo < img[i, k] < hi)
-        return f": {mapdef.target.coords[k]} = {float(img[i, k])} not in {mapdef.target.domain[k]}"
+        k = next(k for k, (lo, hi) in enumerate(target.domain) if not lo < img[i, k] < hi)
+        return f": {target.coords[k]} = {float(img[i, k])} not in {target.domain[k]}"
 
-    _require(mapdef.target.contains(img), "image leaves the target domain", tail=leaves)
+    _require(target.contains(img), "image leaves the target domain", tail=leaves)
     _require(~_singular(J), "map Jacobian singular", SingularJacobianError)
-    return (J,) + _chart_check(mapdef.target, "target", pts, img)[:2]
+    return _chart_check(target, "target", img, where=" at image")[:2]
+
+
+def _image_stage(mapdef, pts):
+    """Jacobian, target metric and target future field of one map at a batch."""
+    img, J = mapdef.image_and_jacobian(pts)
+    return (J,) + _target_stage(mapdef.target, img, J)
 
 
 def _pullback(J, Gt):
@@ -731,16 +733,25 @@ def _pullback(J, Gt):
     return 0.5 * (T + np.swapaxes(T, -1, -2))
 
 
-def _map_stage(mapdef, pts, G, fut, E):
-    """Frame tensor of the pullback, pushed-orientation signs and conformal
-    factors of one map; raises on the first failing check."""
-    J, Gt, futW = _image_stage(mapdef, pts)
-    T = _pullback(J, Gt)
-    That = np.swapaxes(E, -1, -2) @ T @ E
-    pushed = np.einsum("nai,ni->na", J, fut)
+def _rows(arrays):
+    """The arrays stacked row-wise; a single array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _map_stage(target, img, J, G, fut, E):
+    """Frame tensors of the pullbacks (K N, n, n), pushed-orientation signs
+    (K, N) and conformal factors (K, N) of K maps into `target`, from their
+    images img (K N, n) and Jacobians J (K N, n, n) stacked map by map, at
+    the N samples of the source arrays G, fut, E, which broadcast over the
+    maps.  One pass over the K N rows; raises on the first failing check."""
+    (N, n), K = fut.shape, len(img) // len(fut)
+    Gt, futW = _target_stage(target, img, J)
+    T = _pullback(J, Gt).reshape(K, N, n, n)
+    That = (np.swapaxes(E, -1, -2) @ T @ E).reshape(K * N, n, n)
+    pushed = np.einsum("knai,ni->kna", J.reshape(K, N, n, n), fut).reshape(K * N, n)
     e0 = _time_axis(Gt, futW)
     signs = _ORIENTATION_SIGN[_class_codes(Gt, e0, futW, pushed)]
-    return That, signs, conformal_lambdas(G, T)
+    return That, signs.reshape(K, N), conformal_lambdas(G, T)
 
 
 def _witnesses(pts, E, That, margins, tol, *dirs):
@@ -789,32 +800,70 @@ def _verdict(pts, parts):
     )
 
 
+def _map_stages(chunk, x, start, G, fut, E):
+    """[(indices, `_map_stage` pieces)] and {index: located error} of the
+    maps (index, map) of chunk, all into one target chart, at the block x:
+    each map's image and Jacobian on its own, then one map stage on them
+    stacked row-wise; if that raises, one stage a map, so that every map
+    gets what it gets alone."""
+    live, errors, images = [], {}, []
+    for j, m in chunk:
+        try:
+            images.append((j, *m.image_and_jacobian(x)))
+        except (ArithmeticError, ValueError) as e:
+            errors[j] = _locate(e, x, start)
+    todo = [images] if images else []
+    while todo:
+        batch = todo.pop()
+        js, img, J = zip(*batch)
+        try:
+            live.append((js, _map_stage(chunk[0][1].target, _rows(img), _rows(J), G, fut, E)))
+        except (ArithmeticError, ValueError) as e:
+            if len(batch) > 1:
+                todo += [[b] for b in batch]
+            else:
+                errors[js[0]] = _locate(e, x, start)
+    return live, errors
+
+
 def _stages(maps, x, start, tol_dp):
     """Per map, the block x (from sample `start`) reduced to its margins,
-    orientation signs, conformal factors and witnesses, or its located error:
-    every map's at the source stage, that map's alone at its map stage, every
-    staged map's at `dp2_margins`, whose one stacked batch gives each row as alone."""
+    orientation signs, conformal factors and witnesses, or its located error.
+
+    One source stage, `_map_stages` on the maps into one target chart, at
+    most a block's rows (BLOCK_SAMPLES // N maps, at least one) at a time,
+    and one `dp2_margins` call over every staged row.  Each stage decides row
+    by row, so every map gets what it gets alone: a source error is every
+    map's, a `dp2_margins` error every staged map's."""
+    N = len(x)
     try:
         G, fut, E = _source_stage(maps[0].source, x)
     except (ArithmeticError, ValueError) as e:
         return [_locate(e, x, start)] * len(maps)
-    staged = []
-    for m in maps:
-        try:
-            staged.append(_map_stage(m, x, G, fut, E))
-        except (ArithmeticError, ValueError) as e:
-            staged.append(_locate(e, x, start))
-    live = [s for s in staged if isinstance(s, tuple)]
+    staged, live, groups = [None] * len(maps), [], {}
+    for j, m in enumerate(maps):
+        groups.setdefault(id(m.target), []).append((j, m))
+    per = max(1, BLOCK_SAMPLES // N)
+    for group in groups.values():
+        for c in range(0, len(group), per):
+            done, errors = _map_stages(group[c:c + per], x, start, G, fut, E)
+            live += done
+            for j, e in errors.items():
+                staged[j] = e
+    if not live:
+        return staged
     try:
-        found = dp2_margins(np.concatenate([s[0] for s in live])) if live else ()
+        found = dp2_margins(_rows([That for _, (That, _, _) in live]))
     except (ArithmeticError, ValueError) as e:
         e = _locate(e, x, start)
-        return [e if isinstance(s, tuple) else s for s in staged]
-    found = zip(*(np.split(f, len(live)) for f in found))
-    for j, s in enumerate(staged):
-        if isinstance(s, tuple):
-            margins, nhat, mhat = next(found)
-            staged[j] = margins, s[1], s[2], _witnesses(x, E, s[0], margins, tol_dp, nhat, mhat)
+        return [e if s is None else s for s in staged]
+    r = 0
+    for js, (That, signs, lambdas) in live:
+        for k, j in enumerate(js):
+            margins, nhat, mhat = (f[r:r + N] for f in found)
+            staged[j] = margins, signs[k], lambdas[k], _witnesses(x, E, That[k * N:(k + 1) * N],
+                                                                  margins, tol_dp, nhat, mhat)
+            r += N
     return staged
 
 

@@ -206,6 +206,19 @@ class TestCheck:
         assert rc == 2
         assert "input error" in err
 
+    def test_charts_of_different_dimensions_exit_2(self, files, capsys, tmp_path):
+        full = (-math.inf, math.inf)
+        plane = SpacetimeDef.create("plane", ("t", "x"), {"t": full, "x": full}, {},
+                                    {(0, 0): "1", (1, 1): "-1"}, ("1", "0"))
+        (tmp_path / "plane.st").write_text(serialize_spacetime(plane), encoding="utf-8")
+        (tmp_path / "drop.cm").write_text(
+            "source = minkowski\ntarget = plane\nmap t = t\nmap x = x\n", encoding="utf-8")
+        rc, out, err = run(["check", files["mink.st"], str(tmp_path / "plane.st"),
+                            str(tmp_path / "drop.cm"), "--samples", "16"], capsys)
+        assert (rc, out) == (2, "")
+        assert "input error" in err
+        assert "'minkowski' has 4 coordinates and 'plane' has 2" in err
+
     def test_wrong_direction_exits_2(self, files, capsys):
         rc, _, err = run(["check", files["schw.st"], files["mink.st"],
                           files["identity.cm"], "--samples", "64"], capsys)

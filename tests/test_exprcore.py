@@ -144,6 +144,53 @@ def test_eval_domain_errors_name_subexpression():
         eval_expr(parse_expr("t^0.5", {"t"}), {"t": -2.0})
 
 
+def test_power_decided_row_by_row():
+    # a negative base under an integer exponent in one row and a positive
+    # base under a fractional one in the other: each row alone evaluates
+    e = parse_expr("x^t", ("x", "t"))
+    got = eval_expr(e, {"x": np.array([-2.0, 2.0]), "t": np.array([2.0, 0.5])})
+    assert got.tolist() == [4.0, math.sqrt(2.0)]
+
+
+def outcome(run):
+    """run()'s value as a list or float, or the reason and sample of the
+    EvalDomainError it raises."""
+    try:
+        return np.asarray(run()).tolist()
+    except EvalDomainError as e:
+        return e.reason, e.index
+
+
+@pytest.mark.parametrize("duals", [False, True])
+@pytest.mark.parametrize("text", ["x^t", "x^0.5", "(x - 1)^(-1)", "x^(t - 1)",
+                                  "(x*t)^(1/3) + x^2", "sqrt(t + 1)*x^t"])
+def test_a_rows_value_or_error_ignores_the_other_rows(text, duals):
+    # every row alone against the batch, on values and on duals seeded on x
+    # (t a dual of zero derivative, so a constant exponent): the batch raises
+    # only where a row alone raises, and then at the same subexpression, for
+    # that row; a batch that evaluates gives each row its value alone, bit for bit
+    e = parse_expr(text, ("x", "t"))
+
+    def value(x, t):
+        if duals:
+            env = seed_env(("x",), np.asarray(x)[..., None])
+            env["t"] = Dual(t, np.zeros(np.shape(t) + (1,)))
+            return eval_dual(e, env).value
+        return eval_expr(e, {"x": x, "t": t})
+
+    rng = np.random.default_rng(len(text))
+    choices = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, -0.5, 1.5])
+    for _ in range(200):
+        x, t = rng.choice(choices, size=(2, int(rng.integers(1, 6))))
+        alone = [outcome(lambda: value(x[i], t[i])) for i in range(len(x))]
+        batch = outcome(lambda: value(x, t))
+        if isinstance(batch, tuple):
+            reason, i = batch
+            assert alone[i] == (reason, None)
+        else:
+            assert batch == alone
+
+
 def test_dual_product_rule():
     # seed t and r with unit directions: d(t*r) = (r, t)
     e = parse_expr("t*r", {"t", "r"})

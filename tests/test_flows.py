@@ -1,9 +1,11 @@
 """Tests for flows: generators, Lie derivatives, and per-parameter checks."""
 
+import os
+
 import numpy as np
 import pytest
 
-from causalkit import relate
+from causalkit import flows, relate
 from causalkit.dp import dp2_margins
 from causalkit.exprcore import seed_env
 from causalkit.flows import (
@@ -227,12 +229,16 @@ class TestLieDerivative:
 
     def test_matches_the_einsum_formula(self):
         # (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c, summed
-        # by einsum on the same metric, partials and generator
+        # by einsum on the same metric, generator and all n partials of the
+        # metric (dG[..., a, b, c] = d_c g_ab), from identity-seeded duals
         st = vaidya("2 - tanh(t)")
         xi = GeneratorField.create(st, ("r*sin(t)", "t + r^2/10", "cos(theta)*r", "phi*t"))
         pts = vaidya_sampler(st, count=256).points()
-        G, dG = st.metric_partials_at(pts)
-        xiv, dxi = relate._dual_components(xi.exprs, seed_env(st.coords, pts, st.params))
+        env = seed_env(st.coords, pts, st.params)
+        vals, rows = relate._dual_components(tuple(st.metric.values()), env)
+        G = st._symmetric(vals)
+        dG = np.moveaxis(st._symmetric(np.swapaxes(rows, -1, -2)), -3, -1)
+        xiv, dxi = relate._dual_components(xi.exprs, env)
         want = (np.einsum("...c,...abc->...ab", xiv, dG)
                 + np.einsum("...cb,...ca->...ab", G, dxi)
                 + np.einsum("...ac,...cb->...ab", G, dxi))
@@ -440,6 +446,129 @@ class TestSharedPipeline:
         assert draws == [64]
 
 
+def log_chart():
+    """2-D chart whose metric needs x > 0.5, on the domain x in (0, 10): an
+    image with x in (0, 0.5) is in the domain, but its metric takes the log of
+    a negative value."""
+    return SpacetimeDef.create(
+        name="logx", coords=("t", "x"), domain={"t": (-INF, INF), "x": (0.0, 10.0)},
+        params={}, metric={(0, 0): "1", (1, 1): "-1 - log(x - 0.5)^2"}, orientation=("1", "0"))
+
+
+# name: (chart, family, grid, window, verdicts of the family, error texts among them)
+FAMILIES = {
+    "vaidya radial shift": (
+        vaidya, {"t": "t", "r": "r + s", "theta": "theta", "phi": "phi"},
+        [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], {"t": (-5.0, 5.0), "r": (0.5, 20.0)},
+        {Verdict.ERROR, Verdict.HOLDS_SAMPLED, Verdict.VIOLATED},
+        ["image leaves the target domain at sample"]),
+    "vaidya time shift": (
+        vaidya, {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"},
+        [-1.0, -0.5, 0.0, 0.5, 1.0], {"t": (-5.0, 5.0), "r": (0.5, 20.0)},
+        {Verdict.HOLDS_SAMPLED, Verdict.VIOLATED}, []),
+    "minkowski time scale": (
+        mink4, {"t": "t*s", "x": "x", "y": "y", "z": "z"},
+        [-1.0, 0.0, 0.5, 1.0, 2.0], {},
+        {Verdict.TIME_REVERSED, Verdict.ERROR, Verdict.VIOLATED, Verdict.HOLDS_SAMPLED},
+        ["map Jacobian singular at sample 0"]),
+    "log chart shift": (
+        log_chart, {"t": "t", "x": "x + s"},
+        [k / 4.0 for k in range(-6, 7)], {"x": (1.0, 9.0)},
+        {Verdict.ERROR, Verdict.HOLDS_SAMPLED, Verdict.VIOLATED},
+        ["log of non-positive value in 'log(x - 0.5)' at sample",
+         "image leaves the target domain at sample"]),
+}
+
+
+def family(name, count=100):
+    chart, exprs, grid, window, _, _ = FAMILIES[name]
+    st = chart()
+    fl = FlowDef.create(st, "s", exprs, (grid[0], grid[-1]))
+    return [flow_map(fl, s) for s in grid], RegionSampler.build(st, count=count, window=window)
+
+
+def assert_same_reports(a, b):
+    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    for ra, rb in zip(a, b):
+        if ra.conformal is not None:
+            assert np.array_equal(ra.conformal.lambdas, rb.conformal.lambdas, equal_nan=True)
+
+
+def counting_map_stages(monkeypatch):
+    """The maps in each `_map_stage` call, appended as the calls are made."""
+    calls = []
+    map_stage = relate._map_stage
+
+    def counting(target, img, J, G, *args):
+        calls.append(len(img) // len(G))
+        return map_stage(target, img, J, G, *args)
+
+    monkeypatch.setattr(relate, "_map_stage", counting)
+    return calls
+
+
+class TestStackedMapStage:
+    """The values of a flow family are staged in stacked map stages of up to
+    a block's rows, yet each comes out as its own check does, errors included."""
+
+    @pytest.fixture(autouse=True)
+    def cores(self, monkeypatch):
+        """Eight cores, so that two threads run two blocks."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    # blocks of 4096: 100 samples in one block, every value in one stage;
+    # blocks of 16: six full blocks staged value by value, then 4 samples
+    # staged 4 values a stage
+    @pytest.mark.parametrize("block", [4096, 16])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_each_value_as_checked_alone(self, monkeypatch, name, threads, block):
+        monkeypatch.setattr(relate, "BLOCK_SAMPLES", block)
+        maps, samp = family(name)
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, threads)
+        assert_same_reports(stacked, [check_proper_causal(m, samp, threads=threads) for m in maps])
+        *_, verdicts, errors = FAMILIES[name]
+        assert {r.verdict for r in stacked} == verdicts
+        for text in errors:
+            assert any(r.error and r.error.startswith(text) for r in stacked), text
+
+    def test_failing_stage_stages_each_value_alone(self, monkeypatch):
+        # a stacked map stage that raises is staged again value by value, so
+        # the failing values get their own errors and the others their reports
+        pullback = relate._pullback
+
+        def picky(J, Gt):
+            if np.any(J[:, 0, 0] < 0.0):
+                raise ArithmeticError("time reversed somewhere")
+            return pullback(J, Gt)
+
+        monkeypatch.setattr(relate, "_pullback", picky)
+        maps, samp = family("minkowski time scale")
+        calls = counting_map_stages(monkeypatch)
+        stacked = relate._check_relations(maps, samp.points(), relate.TOL_DP, 1)
+        assert calls == [5, 1, 1, 1, 1, 1]
+        assert_same_reports(stacked, [check_proper_causal(m, samp, threads=1) for m in maps])
+        assert [r.error for r in stacked][:2] == ["time reversed somewhere",
+                                                 "map Jacobian singular at sample 0, x = "
+                                                 f"{samp.points()[0].tolist()}"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block, count, stages", [
+        (4096, 128, [9]),                  # 9 x 128 rows: one stage
+        (4096, 4096, [1] * 9),             # a full block: each value alone
+        (16, 72, [1] * 37 + [2] * 4),      # four full blocks, then 8 samples: 2 values a stage
+    ])
+    def test_stages_of_a_block_at_most(self, monkeypatch, threads, block, count, stages):
+        monkeypatch.setattr(relate, "BLOCK_SAMPLES", block)
+        calls = counting_map_stages(monkeypatch)
+        st = vaidya("2 - tanh(t)")
+        fl = FlowDef.create(
+            st, "s", {"t": "t + s", "r": "r", "theta": "theta", "phi": "phi"}, (-2.0, 2.0))
+        check_submonoid(fl, TestSharedPipeline.S_GRID, vaidya_sampler(st, count=count),
+                        threads=threads)
+        assert sorted(calls) == stages
+
+
 class TestCanonicalDirectionsUnderFlow:
     def test_infalling_null_direction_survives(self):
         # for a mass drop the only pullback-null direction is the ingoing
@@ -501,3 +630,23 @@ class TestNullConeNonneg:
         xi = GeneratorField.create(mink4(), ("t", "x", "y", "z"))
         with pytest.raises(ValueError, match="different spacetime"):
             null_cone_nonneg(vaidya(), xi, vaidya_sampler(vaidya()))
+
+    def test_metric_takes_one_tangent(self, monkeypatch):
+        # per block the generator is seeded on every coordinate (for d xi),
+        # the metric on the single tangent xi (for G and its derivative along xi)
+        seeds = []
+        dual_components = flows._dual_components
+
+        def recording(exprs, env):
+            out = dual_components(exprs, env)
+            seeds.append((exprs, out[1].shape[-1]))
+            return out
+
+        monkeypatch.setattr(flows, "_dual_components", recording)
+        monkeypatch.setattr(relate, "BLOCK_SAMPLES", 16)
+        st = vaidya("2 - tanh(t)")
+        xi = GeneratorField.create(st, ("1", "r/10", "0", "t"))
+        null_cone_nonneg(st, xi, vaidya_sampler(st, count=64))
+        assert sorted(k for e, k in seeds if e == tuple(st.metric.values())) == [1] * 4
+        assert sorted(k for e, k in seeds if e == xi.exprs) == [4] * 4
+        assert len(seeds) == 8

@@ -1193,7 +1193,8 @@ class TestThreads:
         # the whole batch's frame tensors, against 16 blocks of 16 samples
         m = ds_to_es_map(b=0.95)
         pts = ds_sampler(m.source, count=256).points()
-        That = relate._map_stage(m, pts, *relate._source_stage(m.source, pts))[0]
+        That = relate._map_stage(m.target, *m.image_and_jacobian(pts),
+                                 *relate._source_stage(m.source, pts))[0]
         margins = dp.dp2_margins(That)[0]
         bad = np.flatnonzero(margins < -dp.TOL_DP * np.maximum(1.0, np.abs(That).max(axis=(1, 2))))
         worst = bad[np.argsort(margins[bad], kind="stable")][:16]
@@ -1504,12 +1505,12 @@ class TestNoBatchedLapack:
     def sides(self, monkeypatch):
         """The side ("source" or "target") of every `eigvalsh` call."""
         calls, local = [], threading.local()
-        image_stage, eigvalsh = relate._image_stage, np.linalg.eigvalsh
+        target_stage, eigvalsh = relate._target_stage, np.linalg.eigvalsh
 
-        def image(*args):
+        def target(*args):
             local.target = True
             try:
-                return image_stage(*args)
+                return target_stage(*args)
             finally:
                 local.target = False
 
@@ -1520,7 +1521,7 @@ class TestNoBatchedLapack:
             calls.append("target" if getattr(local, "target", False) else "source")
             return eigvalsh(G)
 
-        monkeypatch.setattr(relate, "_image_stage", image)
+        monkeypatch.setattr(relate, "_target_stage", target)
         monkeypatch.setattr(np.linalg, "det", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return calls
@@ -1612,18 +1613,19 @@ class TestDeterminant:
         assert got.tolist() == [False, False, False, True, False, False]
 
     def test_charts_of_different_dimensions(self):
-        # as with LAPACK's determinant, a map between charts of different
-        # dimensions is an ERROR, not a determinant of reshaped entries
+        # a map between charts of different dimensions has no square Jacobian
+        # and no pullback to compare: the map itself is rejected, naming both
+        # charts and their dimensions
         full = (-INF, INF)
         m2 = SpacetimeDef.create("m2", ("t", "x"), {"t": full, "x": full}, {},
                                  {(0, 0): "1", (1, 1): "-1"}, ("1", "0"))
-        for src, tgt, exprs in [(mink4(), m2, {"t": "t", "x": "x"}),
-                                (m2, mink4(), {"t": "t", "x": "x", "y": "0", "z": "0"})]:
-            for count in (1, 64):
-                rep = check_proper_causal(MapDef.create(src, tgt, exprs, {}),
-                                          RegionSampler.build(src, count=count), threads=1)
-                assert (rep.verdict, rep.error) == (
-                    Verdict.ERROR, "Last 2 dimensions of the array must be square")
+        for src, tgt, exprs, dims in [
+                (mink4(), m2, {"t": "t", "x": "x"}, ("mink", 4, "m2", 2)),
+                (m2, mink4(), {"t": "t", "x": "x", "y": "0", "z": "0"}, ("m2", 2, "mink", 4))]:
+            with pytest.raises(ValueError) as err:
+                MapDef.create(src, tgt, exprs, {})
+            assert str(err.value) == ("a map needs charts of one dimension; '{}' has {} "
+                                      "coordinates and '{}' has {}".format(*dims))
 
     def test_jacobian_error_text(self):
         exprs = [parse_expr("t + x", ("t", "x"))] * 2
